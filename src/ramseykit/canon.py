@@ -1,11 +1,39 @@
 """Canonical forms for graphs and edge colorings.
 
-Ordered-partition refinement with backtracking individualization.  The key
-is the lexicographically smallest byte string of the upper-triangle color
-matrix (column-major pair order) over all vertex orderings, and optionally
-over color permutations for multicolorings.  Three prunings keep the tree
-small: equitable refinement, comparison of the forced prefix against the
-incumbent, and orbits of automorphisms discovered at equal-best leaves.
+The key is the lexicographically smallest byte string of the upper-triangle
+color matrix (column-major pair order) over the leaves of a search tree,
+and optionally over color permutations for multicolorings.  The tree is
+ordered-partition refinement with backtracking individualization: a node
+refines its ordered partition to an equitable one and branches on each
+vertex of its first non-singleton cell (the target cell); a leaf is a
+discrete partition, read as a vertex ordering.
+
+Refinement splits every cell at once by its members' neighbour counts in
+each color against the cells, sorting the pieces by those counts, and
+repeats until nothing splits.  Only counts against cells that split in the
+previous round can differ inside a cell, so each round counts against those
+alone; the cells and their order are the same as counting against all.
+
+Three prunings keep the tree small, none of which can change the key:
+
+* the forced prefix of the matrix at a node is compared with the incumbent
+  and the subtree is dropped once it is larger;
+* a leaf equal to the incumbent yields an automorphism.  Each one is kept
+  with a bitmask of its fixed points, so "fixes the path" is one ``&``.
+  Every node on the current path that it fixes merges its cycles into the
+  orbits of that node's target cell, and a vertex in the orbit of a sibling
+  already explored is not branched on: its subtree is that sibling's image;
+* after such a leaf the search jumps back to the shallowest node whose
+  current branch has joined the orbit of an explored sibling, abandoning
+  everything below it for the same reason (McKay & Piperno, *Practical
+  graph isomorphism II*, J. Symb. Comput. 2014).
+
+Nodes keep no orbit bookkeeping until the first automorphism exists, so
+small asymmetric inputs pay nothing for it.
+
+A coloring's key is the least over all color permutations.  Each search
+after the first is bounded by the best key so far and starts with the
+automorphisms the earlier ones found: renaming colors keeps them all.
 
 Exact canonicalization is capped at 32 vertices; larger inputs raise
 CapabilityError rather than silently taking forever.
@@ -19,128 +47,195 @@ from .errors import CapabilityError
 from .graphs import Graph, MultiColoring, pair_iter
 
 N_CAP = 32
+# automorphisms kept per search for nodes entered later; each one found is
+# still used at once on the current path, so the cap only bounds memory
+GEN_CAP = 64
+
+
+class _Node:
+    """The branching state of one tree node on the current path."""
+
+    __slots__ = ("cell", "pathmask", "parent", "tried", "cur")
+
+    def __init__(self, cell: list[int], pathmask: int):
+        self.cell = cell
+        self.pathmask = pathmask
+        self.parent: list[int] | None = None   # union-find over vertices, lazily
+        self.tried: list[int] = []
+        self.cur = -1
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def absorb(self, perm: tuple[int, ...], n: int) -> None:
+        """Merge the cycles of an automorphism that fixes this node's path;
+        such a map sends the target cell onto itself."""
+        if self.parent is None:
+            self.parent = list(range(n))
+        find = self.find
+        for x in self.cell:
+            ra, rb = find(x), find(perm[x])
+            if ra != rb:
+                self.parent[ra] = rb
+
+    def covered(self, v: int) -> bool:
+        """Is v in the orbit of a vertex branched on before it?"""
+        if self.parent is None:
+            return False
+        find = self.find
+        rv = find(v)
+        return any(find(w) == rv for w in self.tried if w != v)
 
 
 class _Search:
-    """One backtracking canonical-labeling run over a fixed color matrix."""
+    """One backtracking canonical-labeling run over a fixed color matrix.
 
-    __slots__ = ("n", "val", "masks", "best", "best_order", "gens")
+    A bound is a key from another search: subtrees above it are dropped,
+    and run() reports a key only if it is strictly below.  best_order is
+    always a leaf of this search, so two leaves that compare equal to best
+    give an automorphism; the bound alone never does.  ``gens`` may bring
+    automorphisms found elsewhere; new ones are appended to it."""
 
-    def __init__(self, n: int, val: list[list[int]], masks: list[list[int]]):
+    __slots__ = ("n", "val", "masks", "bound", "best", "best_order", "gens", "stack")
+
+    def __init__(
+        self,
+        n: int,
+        val: list[list[int]],
+        masks: list[list[int]],
+        bound: bytes | None = None,
+        gens: list | None = None,
+    ):
         self.n = n
         self.val = val
         self.masks = masks
-        self.best: bytes | None = None
+        self.bound = bound
+        self.best = bound
         self.best_order: list[int] | None = None
-        self.gens: list[tuple[int, ...]] = []
+        # (perm, fixed-point mask) pairs
+        self.gens: list[tuple[tuple[int, ...], int]] = [] if gens is None else gens
+        self.stack: list[_Node] = []
 
-    def run(self) -> tuple[bytes, tuple[int, ...]]:
+    def run(self) -> tuple[bytes | None, tuple[int, ...] | None]:
         cells = self._refine([list(range(self.n))])
-        self._descend(cells, [])
+        self._descend(cells, 0, 0, b"")
+        if self.best_order is None or self.best == self.bound:
+            return None, None
         return self.best, tuple(self.best_order)
 
-    def _refine(self, cells: list[list[int]]) -> list[list[int]]:
+    def _refine(self, cells: list[list[int]], fresh: list[int] | None = None) -> list[list[int]]:
+        """Split cells by neighbour counts until equitable.
+
+        Each round counts only against the cells that split in the round
+        before (``fresh``, as masks; None: every cell), leaving out the last
+        piece of each split cell and the last color: the counts against
+        those follow from the rest and never decide the order."""
         masks = self.masks
+        if fresh is None:
+            fresh = [sum(1 << v for v in cell) for cell in cells]
         while True:
-            cellmasks = [0] * len(cells)
-            for i, cell in enumerate(cells):
-                for v in cell:
-                    cellmasks[i] |= 1 << v
-            out = []
-            changed = False
+            out: list[list[int]] = []
+            split: list[int] = []
             for cell in cells:
                 if len(cell) == 1:
                     out.append(cell)
                     continue
                 groups: dict[tuple[int, ...], list[int]] = {}
                 for v in cell:
-                    sig = tuple(
-                        (m[v] & cm).bit_count() for m in masks for cm in cellmasks
-                    )
+                    sig = tuple([(m[v] & f).bit_count() for m in masks for f in fresh])
                     groups.setdefault(sig, []).append(v)
                 if len(groups) == 1:
                     out.append(cell)
-                else:
-                    changed = True
-                    for key in sorted(groups):
-                        out.append(groups[key])
-            cells = out
-            if not changed:
-                return cells
+                    continue
+                pieces = [groups[key] for key in sorted(groups)]
+                out.extend(pieces)
+                for piece in pieces[:-1]:
+                    pm = 0
+                    for v in piece:
+                        pm |= 1 << v
+                    split.append(pm)
+            if not split:
+                return out
+            cells, fresh = out, split
 
-    def _prefix(self, order: list[int], q: int) -> bytes:
-        val = self.val
-        return bytes(val[order[i]][order[j]] for j in range(q) for i in range(j))
-
-    def _descend(self, cells: list[list[int]], path: list[int]) -> None:
+    def _descend(self, cells: list[list[int]], pathmask: int, q0: int, pre: bytes) -> int:
+        """Search below one node; ``pre`` is the matrix prefix over the first
+        q0 positions, all singletons.  Returns the depth of the node to
+        resume at after an automorphism, or -1."""
         n = self.n
-        q = 0
+        q = q0
         while q < len(cells) and len(cells[q]) == 1:
             q += 1
-        order = [cells[i][0] for i in range(q)]
-        if self.best is not None:
-            pre = self._prefix(order, q)
-            if pre > self.best[: len(pre)]:
-                return
-        if q == len(cells):
-            s = self._prefix(order, n)
-            if self.best is None or s < self.best:
-                self.best = s
+        order = [cell[0] for cell in cells[:q]]
+        if q > q0:
+            val = self.val
+            cols: list[int] = []
+            for j in range(q0, q):
+                row = val[order[j]]
+                cols += [row[x] for x in order[:j]]
+            pre += bytes(cols)
+        best = self.best
+        if best is not None and pre > best[: len(pre)]:
+            return -1
+        if q == n:
+            if best is None or pre < best:
+                self.best = pre
                 self.best_order = order
-            elif s == self.best:
-                g = [0] * n
-                for i in range(n):
-                    g[self.best_order[i]] = order[i]
-                self.gens.append(tuple(g))
-            return
-        target = cells[q]
-        tried: list[int] = []
-        for v in target:
-            if tried and self._same_orbit(v, tried, path):
-                continue
-            tried.append(v)
-            rest = [w for w in target if w != v]
-            child = cells[:q] + [[v], rest] + cells[q + 1 :]
-            self._descend(self._refine(child), path + [v])
+            elif pre == best:
+                if self.best_order is None:
+                    self.best_order = order      # first own leaf at the bound
+                else:
+                    return self._automorphism(order)
+            return -1
+        node = _Node(cells[q], pathmask)
+        for perm, fixed in self.gens:
+            if fixed & pathmask == pathmask:
+                node.absorb(perm, n)
+        depth = len(self.stack)
+        self.stack.append(node)
+        try:
+            for v in node.cell:
+                if node.tried and node.covered(v):
+                    continue
+                node.tried.append(v)
+                node.cur = v
+                rest = [w for w in node.cell if w != v]
+                child = cells[:q] + [[v], rest] + cells[q + 1 :]
+                # the parent is equitable, so only counts against v can differ
+                jump = self._descend(self._refine(child, [1 << v]), pathmask | 1 << v, q, pre)
+                if jump != -1 and jump < depth:
+                    return jump
+        finally:
+            self.stack.pop()
+        return -1
 
-    def _same_orbit(self, v: int, tried: list[int], path: list[int]) -> bool:
-        """Is v equivalent to an already-branched vertex under automorphisms
-        that fix the individualized path pointwise?"""
-        gens = [g for g in self.gens if all(g[x] == x for x in path)]
-        if not gens:
-            return False
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in gens:
-            for a in range(self.n):
-                ra, rb = find(a), find(g[a])
-                if ra != rb:
-                    parent[ra] = rb
-        rv = find(v)
-        return any(find(w) == rv for w in tried)
-
-
-def _canon_vals(n: int, vals: list[int], colors: list[int]) -> tuple[bytes, tuple[int, ...]]:
-    """Canonicalize a flat pair-indexed color array; colors lists the values
-    used for refinement masks."""
-    if n == 1:
-        return b"", (0,)
-    if len(set(vals)) == 1:
-        return bytes(vals), tuple(range(n))
-    val = [[0] * n for _ in range(n)]
-    masks = {c: [0] * n for c in colors}
-    for (u, v), c in zip(pair_iter(n), vals):
-        val[u][v] = val[v][u] = c
-        if c in masks:
-            masks[c][u] |= 1 << v
-            masks[c][v] |= 1 << u
-    return _Search(n, val, [masks[c] for c in colors]).run()
+    def _automorphism(self, order: list[int]) -> int:
+        """Record the map from the incumbent leaf to this one and pick the
+        node to resume at: the shallowest whose current branch now shares
+        an orbit with an explored sibling."""
+        n = self.n
+        perm = [0] * n
+        for a, b in zip(self.best_order, order):
+            perm[a] = b
+        perm = tuple(perm)
+        fixed = 0
+        for x in range(n):
+            if perm[x] == x:
+                fixed |= 1 << x
+        if len(self.gens) < GEN_CAP:
+            self.gens.append((perm, fixed))
+        jump = -1
+        for depth, node in enumerate(self.stack):
+            if fixed & node.pathmask != node.pathmask:
+                break
+            node.absorb(perm, n)
+            if jump == -1 and node.covered(node.cur):
+                jump = depth
+        return jump
 
 
 def _check_cap(n: int) -> None:
@@ -151,9 +246,15 @@ def _check_cap(n: int) -> None:
 def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     """Canonical key and one ordering that attains it (vertex at position i)."""
     _check_cap(g.n)
-    vals = [g.rows[u] >> v & 1 for u, v in pair_iter(g.n)]
-    key, order = _canon_vals(g.n, vals, [1])
-    return b"G" + bytes([g.n]) + key, order
+    n, rows = g.n, g.rows
+    pairs = n * (n - 1) // 2
+    edges = g.edge_count()
+    if n == 1 or edges in (0, pairs):
+        key, order = bytes([edges > 0]) * pairs, tuple(range(n))
+    else:
+        val = [[r >> v & 1 for v in range(n)] for r in rows]
+        key, order = _Search(n, val, [rows]).run()
+    return b"G" + bytes([n]) + key, order
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -173,22 +274,39 @@ def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes
     """Canonical key of a coloring under vertex relabeling, and under color
     permutation too when swap_colors is set.
 
-    All r! color permutations are tried; completeness over cleverness.
+    All r! color permutations are searched; each search after the first
+    only looks for keys strictly below the best so far.
     """
     _check_cap(mc.n)
-    color_range = range(1, mc.r + 1)
-    if swap_colors:
-        perms = itertools.permutations(color_range)
-    else:
-        perms = [tuple(color_range)]
+    n, r = mc.n, mc.r
+    head = b"C" + bytes([n, r])
+    used = set(mc.colors)
+    if len(used) <= 1:
+        color = 1 if swap_colors or not used else used.pop()
+        return head + bytes([color]) * len(mc.colors)
+    base = [[0] * n for _ in range(n)]
+    by_color = [[0] * n for _ in range(r + 1)]
+    for (u, v), c in zip(pair_iter(n), mc.colors):
+        base[u][v] = base[v][u] = c
+        by_color[c][u] |= 1 << v
+        by_color[c][v] |= 1 << u
+    color_range = range(1, r + 1)
+    perms = itertools.permutations(color_range) if swap_colors else [tuple(color_range)]
     best = None
+    # renaming colors keeps every automorphism, so all the searches share them
+    gens: list = []
     for perm in perms:
-        remap = {old: perm[old - 1] for old in color_range}
-        vals = [remap[c] for c in mc.colors]
-        key, _ = _canon_vals(mc.n, vals, list(color_range))
-        if best is None or key < best:
+        new = (0,) + perm                   # color c is renamed new[c]
+        old = [0] * (r + 1)
+        for c in color_range:
+            old[new[c]] = c
+        val = [[new[c] for c in row] for row in base]
+        # every pair has a color, so the counts in the last one are implied
+        masks = [by_color[old[c]] for c in range(1, r)]
+        key, _ = _Search(n, val, masks, best, gens).run()
+        if key is not None:
             best = key
-    return b"C" + bytes([mc.n, mc.r]) + best
+    return head + best
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

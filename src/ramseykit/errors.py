@@ -31,3 +31,10 @@ class BudgetExceededError(CapabilityError):
 
 class WitnessNotFoundError(RamseyKitError):
     """An exhaustive search finished without finding the promised witness."""
+
+
+class VerificationError(RamseyKitError):
+    """The package's own re-verification rejected something it built: a
+    witness, or an incrementally kept score or hash.  This is a bug, never
+    a property of the input, and unlike an ``assert`` it survives
+    ``python -O``."""

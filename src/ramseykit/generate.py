@@ -17,6 +17,7 @@ is 0 as well, so the remaining levels are padded rather than recomputed.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -91,8 +92,11 @@ def _canon(obj, two_color: bool) -> bytes:
     return coloring_canonical_key(obj, swap_colors=True)
 
 
-def _children_of(parent, problem):
-    return extend_one(parent, problem)
+def _keyed_children(parent, problem: Problem) -> list[tuple[bytes, object]]:
+    """(canonical key, child) for every valid child, in extension order.
+    Worker processes run this, so keys are made where the children are."""
+    two_color = isinstance(problem, TwoColorProblem)
+    return [(_canon(child, two_color), child) for child in extend_one(parent, problem)]
 
 
 @dataclass
@@ -146,33 +150,23 @@ def generate_levels(
     for order in range(2, n_max + 1):
         seen: set[bytes] = set()
         next_frontier = []
-        if workers and workers > 1 and len(frontier) > 1:
-            with multiprocessing.Pool(workers) as pool:
-                batches = pool.imap(partial(_children_of, problem=problem), frontier, chunksize=8)
-                for batch in batches:
-                    spent += len(batch)
-                    if spent > child_budget:
-                        pool.terminate()
-                        raise BudgetExceededError(
-                            f"child budget {child_budget} exceeded at order {order}",
-                            partial=counts,
-                        )
-                    for child in batch:
-                        key = _canon(child, two_color)
-                        if key not in seen:
-                            seen.add(key)
-                            next_frontier.append(child)
-        else:
-            for parent in frontier:
-                batch = _children_of(parent, problem)
+        use_pool = bool(workers and workers > 1) and len(frontier) > 1
+        with multiprocessing.Pool(workers) if use_pool else nullcontext() as pool:
+            if use_pool:
+                job = partial(_keyed_children, problem=problem)
+                batches = pool.imap(job, frontier, chunksize=8)
+            else:
+                batches = (_keyed_children(parent, problem) for parent in frontier)
+            # batches arrive in frontier order either way, so the first child
+            # of each class, and with it the next frontier, is the same
+            for batch in batches:
                 spent += len(batch)
                 if spent > child_budget:
                     raise BudgetExceededError(
                         f"child budget {child_budget} exceeded at order {order}",
                         partial=counts,
                     )
-                for child in batch:
-                    key = _canon(child, two_color)
+                for key, child in batch:
                     if key not in seen:
                         seen.add(key)
                         next_frontier.append(child)

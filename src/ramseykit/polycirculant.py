@@ -25,6 +25,7 @@ from .errors import (
     CapabilityError,
     InputError,
     ParseError,
+    VerificationError,
     WitnessNotFoundError,
 )
 from .formats import graph6_encode
@@ -345,7 +346,8 @@ def enumerate_census(
             continue
         seen.add(key)
         verdict = verify(g, problem)
-        assert verdict.valid, f"census produced an invalid graph: {verdict.violation}"
+        if not verdict.valid:
+            raise VerificationError(f"census produced an invalid graph: {verdict.violation}")
         result.specs.append(spec)
         result.graphs.append(g)
     if truncated:
@@ -386,7 +388,10 @@ def lemma_witness(n: int) -> Graph:
                 g = build(PolycirculantSpec(2, m, (S1, S2), (S12,)))
                 if _sym_valid(g, (0, m), problem):
                     verdict = verify(g, problem)
-                    assert verdict.valid
+                    if not verdict.valid:
+                        raise VerificationError(
+                            f"lemma witness failed verification: {verdict.violation}"
+                        )
                     return g
         return None
 

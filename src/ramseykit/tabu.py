@@ -26,7 +26,7 @@ from .counting import (
     count_shape,
     shape_toggle_delta,
 )
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
 from .problems import Book, GeneralizedProblem, Problem, TwoColorProblem
 from .verify import verify_witness
@@ -197,8 +197,10 @@ def tabu_step(state: SearchState):
     state.steps += 1
     state.best_score = min(state.best_score, state.score)
     if state.steps % AUDIT_EVERY == 0:
-        assert state.score == state.scorer.full_score(), "incremental score drifted"
-        assert state.hash == state_hash(state.coloring), "incremental hash drifted"
+        if state.score != state.scorer.full_score():
+            raise VerificationError("incremental score drifted")
+        if state.hash != state_hash(state.coloring):
+            raise VerificationError("incremental hash drifted")
     return u, v, new, best_delta
 
 
@@ -250,7 +252,8 @@ def run_search(
         if state.score == 0:
             witness = state.scorer.witness()
             verdict = verify_witness(witness, problem)
-            assert verdict.valid, "score-0 state failed verification"
+            if not verdict.valid:
+                raise VerificationError(f"score-0 state failed verification: {verdict.violation}")
             return outcome(witness, None)
         if stop is not None and stop.is_set():
             return outcome(None, "stopped")

@@ -1,8 +1,11 @@
+import hashlib
 import random
 from itertools import permutations
 
+import networkx as nx
 import pytest
 
+import ramseykit.canon as canon
 from ramseykit.canon import (
     N_CAP,
     are_isomorphic,
@@ -12,7 +15,9 @@ from ramseykit.canon import (
     coloring_canonical_key,
 )
 from ramseykit.errors import CapabilityError
-from ramseykit.graphs import Graph, MultiColoring, all_graphs
+from ramseykit.fixtures import load_fixtures
+from ramseykit.formats import graph6_decode
+from ramseykit.graphs import Graph, MultiColoring, all_graphs, pair_iter
 
 
 def random_graph(rng, n, p=0.5):
@@ -49,7 +54,7 @@ def test_canonical_order_realizes_key():
         g = random_graph(rng, rng.randint(2, 10))
         key, order = canonical_form(g)
         assert sorted(order) == list(range(g.n))
-        assert canonical_graph(g) == g.relabel([order.index(v) for v in range(g.n)]) or True
+        assert canonical_graph(g) == g.relabel([order.index(v) for v in range(g.n)])
         # relabeling by the returned order must reproduce the canonical graph
         inv = [0] * g.n
         for pos, v in enumerate(order):
@@ -145,3 +150,164 @@ def test_two_color_swap_matches_complement():
         swapped = mc.permute_colors({1: 2, 2: 1})
         assert swapped.color_class(2) == g.complement()
         assert coloring_canonical_key(mc) == coloring_canonical_key(swapped)
+
+
+# ---------------------------------------------------------------------------
+# Pinned keys and an independent isomorphism cross-check
+
+# the seven criterion-3 census witnesses (k=2, m=10, B2,B9), then three
+# census graphs isomorphic to witnesses whose search trees run to thousands
+# of nodes unless automorphisms prune them
+CENSUS_WITNESSES = (
+    "S???????D~z}z{|{^]Fz_~kB~OF~?B~_?",
+    "S???????F~~}~{~{^}F~_~{B~oF~_F~_?",
+    "SQGOOIAOSEwKWKkCZ@BWGLa_ZD?ZD?La_",
+    "SQGOOIAOSHwQwO[GFBCwGRa_fD?fD?Ra_",
+    "SQGOOIAOSEwKWKkCZ@BWWLb_ZF?ZF?Lb_",
+    "SlSgkTDglTIjihTUtSiitihTTYlTIiitS",
+    "SQIQPIQQSEwKWKkCZ@BWWLb_ZF?ZF?Lb_",
+)
+CENSUS_HARD = (
+    "SlUilTTilPIbi`TQdSgitahTDYlDIiatS",
+    "SlUilTTiiatDTDiaighTTDTUIiiIilDTS",
+    "SlUilTTilDIJiHTEtOiiTIhSTYkTIiItS",
+)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def circulant(n, jumps):
+    return Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in jumps])
+
+
+def hypercube(d):
+    edges = [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1]
+    return Graph.from_edges(1 << d, edges)
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def symmetric_graphs():
+    return [petersen(), circulant(20, (1, 4, 9)), hypercube(4), complete_bipartite(5, 5)]
+
+
+def census_graphs():
+    return [graph6_decode(text) for text in CENSUS_WITNESSES + CENSUS_HARD]
+
+
+def fixture_objects(kind):
+    return [rec.load() for rec in load_fixtures() if rec.kind == kind]
+
+
+def pinned_graphs():
+    rng = random.Random(20240710)
+    graphs = [random_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(150)]
+    graphs += [Graph(1), Graph(6), Graph.complete(7), Graph.cycle(9)]
+    return graphs + fixture_objects("graph6") + census_graphs() + symmetric_graphs()
+
+
+def pinned_colorings():
+    rng = random.Random(20240711)
+    colorings = [random_coloring(rng, rng.randint(2, 8), rng.randint(2, 4)) for _ in range(80)]
+    colorings += [MultiColoring(5, 3), MultiColoring(1, 2)]
+    return colorings + fixture_objects("matrix")
+
+
+# sha256 over the keys above in input order, each preceded by its length as
+# two big-endian bytes; computed with the canonical labeling the package
+# shipped before automorphism pruning cut the search tree
+PINNED_DIGEST = "7db6c8ac3f637abdd7f5a4fd21b26ccf3a4b98c4f91705e3293bb979e6ad8368"
+
+
+def test_keys_match_pinned_digest():
+    h = hashlib.sha256()
+    keys = [canonical_key(g) for g in pinned_graphs()]
+    for mc in pinned_colorings():
+        keys.append(coloring_canonical_key(mc, swap_colors=True))
+        keys.append(coloring_canonical_key(mc, swap_colors=False))
+    for key in keys:
+        h.update(len(key).to_bytes(2, "big") + key)
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_keys_do_not_depend_on_stored_automorphisms(monkeypatch):
+    # with nothing stored, each automorphism still prunes the current path
+    monkeypatch.setattr(canon, "GEN_CAP", 0)
+    test_keys_match_pinned_digest()
+
+
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def moved_edge(g, rng):
+    """g with one edge moved onto a non-edge: same order and edge count."""
+    edges = list(g.edges())
+    non_edges = [(u, v) for u, v in pair_iter(g.n) if not g.has_edge(u, v)]
+    out = g.copy()
+    if edges and non_edges:
+        out.remove_edge(*rng.choice(edges))
+        out.add_edge(*rng.choice(non_edges))
+    return out
+
+
+def cross_check_inputs():
+    rng = random.Random(20240712)
+    bases = census_graphs() + fixture_objects("graph6") + symmetric_graphs()
+    bases += [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(60)]
+    for g in bases:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        flipped = g.copy()
+        flipped.toggle_edge(*rng.sample(range(g.n), 2))
+        # two independent edge moves of the same graph are isomorphic to
+        # each other now and then, and to the base only rarely
+        yield g, [g.relabel(perm), flipped, moved_edge(g, rng), moved_edge(g, rng)]
+
+
+def test_keys_agree_with_networkx_isomorphism():
+    positives = negatives = 0
+    for g, variants in cross_check_inputs():
+        family = [g] + variants
+        keys = [canonical_key(x) for x in family]
+        graphs = [to_nx(x) for x in family]
+        for i in range(len(family)):
+            for j in range(i + 1, len(family)):
+                iso = nx.is_isomorphic(graphs[i], graphs[j])
+                assert (keys[i] == keys[j]) == iso, (i, j, g.n)
+                positives += iso
+                negatives += not iso
+    assert positives and negatives
+
+
+def test_census_graph_keys_agree_with_networkx():
+    graphs = census_graphs()
+    keys = [canonical_key(g) for g in graphs]
+    nxg = [to_nx(g) for g in graphs]
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            assert (keys[i] == keys[j]) == nx.is_isomorphic(nxg[i], nxg[j])
+    assert len(set(keys[: len(CENSUS_WITNESSES)])) == len(CENSUS_WITNESSES)
+
+
+def test_canonical_form_order_realizes_key_on_cross_check_inputs():
+    for g, variants in cross_check_inputs():
+        for x in [g] + variants:
+            key, order = canonical_form(x)
+            assert sorted(order) == list(range(x.n))
+            inv = [0] * x.n
+            for pos, v in enumerate(order):
+                inv[v] = pos
+            y = x.relabel(inv)
+            realized = bytes(y.rows[u] >> v & 1 for u, v in pair_iter(x.n))
+            assert key == b"G" + bytes([x.n]) + realized

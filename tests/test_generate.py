@@ -132,9 +132,14 @@ class TestLimitsAndModes:
         assert partial[: len(partial)] == [1, 2, 4, 9, 22, 69, 255][: len(partial)]
 
     def test_workers_match_serial(self):
-        serial = generate_levels(GR443, 7).counts
-        par = generate_levels(GR443, 7, workers=2).counts
-        assert par == serial
+        # same counts and the same frontier, object for object, in the same order
+        for problem, n, key in ((GR443, 7, coloring_canonical_key), (B2B8, 6, canonical_key)):
+            serial = generate_levels(problem, n, keep_levels=True)
+            par = generate_levels(problem, n, keep_levels=True, workers=2)
+            assert par.counts == serial.counts
+            for a, b in zip(serial.levels, par.levels):
+                assert [key(x) for x in b.objects] == [key(x) for x in a.objects]
+                assert b.objects == a.objects
 
     def test_dump_dir_roundtrips(self, tmp_path):
         generate_levels(K33, 5, dump_dir=str(tmp_path))

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import ramseykit
 
 from ramseykit.canon import are_isomorphic, canonical_key
 from ramseykit.errors import (
@@ -6,6 +12,7 @@ from ramseykit.errors import (
     CapabilityError,
     InputError,
     ParseError,
+    VerificationError,
 )
 from ramseykit.fixtures import fixture_by_id
 from ramseykit.graphs import Graph
@@ -231,3 +238,52 @@ class TestLemmaWitness:
             lemma_witness(1)
         with pytest.raises(CapabilityError):
             lemma_witness(9)
+
+
+class TestReverification:
+    """A witness that fails its re-verification raises, also under python -O."""
+
+    @staticmethod
+    def reject(monkeypatch):
+        import ramseykit.polycirculant as poly
+        from ramseykit.verify import Verdict
+
+        monkeypatch.setattr(poly, "verify", lambda g, problem: Verdict(False))
+
+    def test_census_raises_on_invalid_witness(self, monkeypatch):
+        self.reject(monkeypatch)
+        with pytest.raises(VerificationError, match="census"):
+            enumerate_census(2, 5, B2B8)
+
+    def test_lemma_witness_raises_on_invalid_witness(self, monkeypatch):
+        self.reject(monkeypatch)
+        with pytest.raises(VerificationError, match="lemma"):
+            lemma_witness(2)
+
+    def test_checks_survive_optimized_mode(self):
+        script = """
+if __debug__:
+    raise SystemExit("asserts are live: not running under -O")
+import ramseykit.polycirculant as poly, ramseykit.tabu as tabu
+from ramseykit.errors import VerificationError
+from ramseykit.problems import parse_problem
+from ramseykit.verify import Verdict
+poly.verify = tabu.verify_witness = lambda obj, problem: Verdict(False)
+for run in (lambda: poly.enumerate_census(2, 5, parse_problem("B2,B8")),
+            lambda: tabu.run_search(parse_problem("K3,K3"), 5, seed=1)):
+    try:
+        run()
+    except VerificationError:
+        continue
+    raise SystemExit("invalid witness accepted")
+print("ok")
+"""
+        # the child imports the same ramseykit as this process
+        src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"

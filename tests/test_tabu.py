@@ -1,10 +1,11 @@
 import pytest
 
-from ramseykit.errors import InputError
+import ramseykit.tabu as tabu
+from ramseykit.errors import InputError, VerificationError
 from ramseykit.graphs import state_hash
 from ramseykit.problems import parse_problem
 from ramseykit.tabu import init_state, run_parallel, run_search, tabu_step
-from ramseykit.verify import verify_witness
+from ramseykit.verify import Verdict, verify_witness
 
 K33 = parse_problem("K3,K3")
 GR342 = parse_problem("GR:3,K4,2")
@@ -138,3 +139,24 @@ class TestProgress:
         run_search(K33, 6, seed=9, max_steps=12_000, progress=lines.append)
         assert lines
         assert all("score=" in ln for ln in lines)
+
+
+class TestReverification:
+    def test_score_zero_state_failing_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(tabu, "verify_witness", lambda obj, problem: Verdict(False))
+        with pytest.raises(VerificationError, match="score-0"):
+            run_search(K33, 5, seed=1)
+
+    def test_audit_catches_drifted_score(self, monkeypatch):
+        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
+        st = init_state(GR342, 7, seed=11)
+        st.score += 1
+        with pytest.raises(VerificationError, match="score drifted"):
+            tabu_step(st)
+
+    def test_audit_catches_drifted_hash(self, monkeypatch):
+        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
+        st = init_state(GR342, 7, seed=11)
+        st.hash ^= 1
+        with pytest.raises(VerificationError, match="hash drifted"):
+            tabu_step(st)
