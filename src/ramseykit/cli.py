@@ -125,6 +125,9 @@ def cmd_search(args) -> int:
                 file=sys.stderr,
             )
             return 0
+        if not outcome.outcomes:
+            print(f"no witness: no worker reported ({args.workers} workers)", file=sys.stderr)
+            return 3
         best = min(o.stats.best_score for o in outcome.outcomes)
         print(f"no witness: best score {best} over {args.workers} workers", file=sys.stderr)
         return 3

@@ -1,10 +1,12 @@
-"""Deliberately slow reference counters.
+"""Deliberately slow reference counters and constructions.
 
 Everything here enumerates vertex subsets directly and re-checks adjacency
-pair by pair.  The production counters in :mod:`ramseykit.counting` use
-codegrees, DFS path extension and pivot recursion instead, so agreement
-between the two families is meaningful evidence of correctness.  Only the
-test suite should import this module.
+pair by pair, or builds a graph edge by edge from its definition.  The
+production counters in :mod:`ramseykit.counting` use codegrees, DFS path
+extension and pivot recursion instead, and :mod:`ramseykit.polycirculant`
+builds rows by rotating bit masks, so agreement between the two families
+is meaningful evidence of correctness.  Only the test suite should import
+this module.
 """
 
 from __future__ import annotations
@@ -62,3 +64,21 @@ def gr_score_naive(mc: MultiColoring, s: int, t: int) -> int:
         if c <= t:
             total += comb(mc.r - c, t - c)
     return total
+
+
+def polycirculant_naive(spec) -> Graph:
+    """The polycirculant graph of ``spec``, one vertex pair at a time.
+
+    Vertex (a, i) is a*m + i for block a in 0..k-1, and (a, i) ~ (b, j) for
+    a <= b iff (j - i) mod m lies in S_ab: the diagonal set when a == b, else
+    the off-diagonal set of the block pair, listed as S12, S13, ..., S23.
+    """
+    k, m = spec.k, spec.m
+    conn = {(a, a): spec.diag[a] for a in range(k)}
+    conn.update(zip(combinations(range(k), 2), spec.off))
+    g = Graph(k * m)
+    for u, v in combinations(range(k * m), 2):
+        (a, i), (b, j) = divmod(u, m), divmod(v, m)
+        if (j - i) % m in conn[a, b]:
+            g.add_edge(u, v)
+    return g

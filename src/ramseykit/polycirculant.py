@@ -6,6 +6,13 @@ connection sets: a symmetric difference set per block (diagonal) and an
 arbitrary difference set per block pair (off-diagonal).  Vertex (a, i) for
 block a in 1..k and index i in Z_m is labeled (a-1)*m + i.
 
+Internally a connection set S_ab is an int mask (bit d set iff d in S_ab),
+and the realizer builds rows by rotation: the row of (a, i) is the row of
+(a, 0) with each block rotated left by i, where block b of the row of (a, 0)
+holds S_ab, and S_ba is the negated mask {-d mod m}.  The census scan works
+on masks from its option lists to its memo keys and probe graphs; only the
+specs it emits become frozenset-based ``PolycirculantSpec`` objects.
+
 Because rho is vertex-transitive on each block, a forbidden shape exists in
 a realized graph iff one exists through some block representative, so
 census scanning verifies candidates with k through-vertex checks instead of
@@ -17,7 +24,9 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from operator import or_
 
 from .canon import canonical_key
 from .errors import (
@@ -29,7 +38,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .formats import graph6_encode
-from .graphs import Graph
+from .graphs import Graph, bits_of
 from .problems import Book, TwoColorProblem
 from .verify import has_shape_through, verify
 
@@ -122,21 +131,49 @@ class PolycirculantSpec:
         return cls(k=k, m=m, diag=diag, off=off)
 
 
+def _mask(S) -> int:
+    return sum(1 << d for d in S)
+
+
+@lru_cache(maxsize=1 << 13)
+def _rotations(S: int, m: int, shift: int, negate: bool) -> tuple[int, ...]:
+    """Mask S, or {-d mod m : d in S} if negate, rotated left by 0..m-1
+    within m bits and moved up by shift bits.
+
+    Only the masks a scan asks for are cached; at m = 16 a full cache holds
+    about 130k ints, where a table over every mask would hold a million.
+    """
+    full = (1 << m) - 1
+    if negate:
+        rev = int(format(S, f"0{m}b")[::-1], 2)  # d -> m-1-d
+        S = (rev << 1 | rev >> (m - 1)) & full  # then -> m-d mod m
+    return tuple(((S << i | S >> (m - i)) & full) << shift for i in range(m))
+
+
+def _realize(k: int, m: int, diag, off) -> list[int]:
+    """Rows of the k-polycirculant graph with connection masks diag and off.
+
+    The row of (a, i) is, over every block b, S_ab rotated left by i and
+    placed in block b, where S_ba is S_ab negated; blocks share no bits, so
+    the placed rotations are ORed together.
+    """
+    tables = [[_rotations(S, m, a * m, False)] for a, S in enumerate(diag)]
+    for (a, b), S in zip(combinations(range(k), 2), off):
+        tables[a].append(_rotations(S, m, b * m, False))
+        tables[b].append(_rotations(S, m, a * m, True))
+    rows: list[int] = []
+    for first, *rest in tables:
+        for table in rest:
+            first = map(or_, first, table)
+        rows += first
+    return rows
+
+
 def build(spec: PolycirculantSpec) -> Graph:
     """Realize the spec; the block rotation is an automorphism by construction."""
-    m = spec.m
-    g = Graph(spec.n)
-    for a in range(spec.k):
-        base = a * m
-        for d in spec.diag[a]:
-            for i in range(m):
-                g.add_edge(base + i, base + (i + d) % m)
-    for (a, b), S in zip(block_pairs(spec.k), spec.off):
-        abase, bbase = (a - 1) * m, (b - 1) * m
-        for d in S:
-            for i in range(m):
-                g.add_edge(abase + i, bbase + (i + d) % m)
-    return g
+    diag = [_mask(S) for S in spec.diag]
+    off = [_mask(S) for S in spec.off]
+    return Graph(spec.n, _realize(spec.k, spec.m, diag, off))
 
 
 def rotation_perm(k: int, m: int) -> list[int]:
@@ -152,42 +189,58 @@ def _sym_valid(g: Graph, reps: tuple[int, ...], problem: TwoColorProblem) -> boo
     return not any(has_shape_through(comp, x, problem.right) for x in reps)
 
 
-def _diag_options(m: int) -> list[frozenset[int]]:
-    classes = pair_classes(m)
-    out = []
-    for mask in range(1 << len(classes)):
-        s: set[int] = set()
-        for idx, cl in enumerate(classes):
-            if mask >> idx & 1:
-                s |= cl
-        out.append(frozenset(s))
-    return out
-
-
-def _off_options(m: int) -> list[frozenset[int]]:
+def _diag_options(m: int) -> list[int]:
+    """Masks of every symmetric set, as unions of the pair classes {d, m-d}."""
+    classes = [1 << d | 1 << (m - d) for d in range(1, m // 2 + 1)]
     return [
-        frozenset(d for d in range(m) if mask >> d & 1)
-        for mask in range(1 << m)
+        sum(cl for idx, cl in enumerate(classes) if pick >> idx & 1)
+        for pick in range(1 << len(classes))
     ]
+
+
+def _off_options(m: int) -> range:
+    return range(1 << m)
+
+
+def _circulant(m: int, S: int) -> Graph:
+    return Graph(m, _realize(1, m, (S,), ()))
+
+
+def _two_block(m: int, Sa: int, Sb: int, Sab: int) -> Graph:
+    return Graph(2 * m, _realize(2, m, (Sa, Sb), (Sab,)))
+
+
+def _spec(k: int, m: int, diag, off) -> PolycirculantSpec:
+    return PolycirculantSpec(
+        k, m, tuple(frozenset(bits_of(S)) for S in diag), tuple(frozenset(bits_of(S)) for S in off)
+    )
 
 
 KNOWN_FILTERS = ("complement-blocks",)
 
 
-def _passes_filters(spec: PolycirculantSpec, filters: tuple[str, ...]) -> bool:
+def _passes_filters(m: int, diag, filters: tuple[str, ...]) -> bool:
     from .canon import are_isomorphic
 
     for name in filters:
         if name == "complement-blocks":
-            b1 = build(PolycirculantSpec(1, spec.m, (spec.diag[0],)))
-            b2 = build(PolycirculantSpec(1, spec.m, (spec.diag[1],)))
-            if not are_isomorphic(b1, b2.complement()):
+            if not are_isomorphic(_circulant(m, diag[0]), _circulant(m, diag[1]).complement()):
                 return False
     return True
 
 
+_STAGES = ("singles_tried", "singles_passed", "pairs_tried", "pairs_passed", "leaves")
+
+
 @dataclass
 class CensusResult:
+    """The census, plus how many candidates each scan stage tried and passed.
+
+    Probe counts count every single-block and pair check the scan asks for,
+    memo hits included, so they do not depend on how the scan is striped
+    across workers; ``examined`` is the number of assembled specs (leaves).
+    """
+
     k: int
     m: int
     problem: TwoColorProblem
@@ -195,10 +248,19 @@ class CensusResult:
     graphs: list[Graph] = field(default_factory=list)
     examined: int = 0
     complete: bool = True
+    singles_tried: int = 0
+    singles_passed: int = 0
+    pairs_tried: int = 0
+    pairs_passed: int = 0
 
     @property
     def count(self) -> int:
         return len(self.graphs)
+
+    def stage_counts(self) -> dict[str, int]:
+        counts = {name: getattr(self, name) for name in _STAGES[:-1]}
+        counts["leaves"] = self.examined
+        return counts
 
     def lines(self) -> list[str]:
         out = [graph6_encode(g) + "  # " + s.serialize() for s, g in zip(self.specs, self.graphs)]
@@ -210,55 +272,59 @@ class CensusResult:
         return out
 
 
-def _scan_stripe(args) -> tuple[int, bool, list[tuple[int, int, PolycirculantSpec, Graph]]]:
+Found = list[tuple[int, int, PolycirculantSpec, Graph]]
+
+
+def _scan_stripe(args) -> tuple[dict[str, int], bool, Found]:
     """Scan all specs whose first diagonal index falls in the stripe.
 
-    Returns (examined, truncated, [(outer_index, seq, spec, graph), ...])
+    Returns (stage counts, truncated, [(outer_index, seq, spec, graph), ...])
     with seq ascending, so merged results sorted by (outer_index, seq)
-    reproduce the serial discovery order exactly.
+    reproduce the serial discovery order exactly.  Connection sets are
+    masks throughout; a spec is made only for a graph the stripe keeps.
     """
     k, m, problem, filters, stripe, nstripes, budget = args
     diag_opts = _diag_options(m)
     off_opts = _off_options(m)
     pairs = block_pairs(k)
     reps = tuple(a * m for a in range(k))
+    counts = dict.fromkeys(_STAGES, 0)
 
-    single_memo: dict[frozenset[int], bool] = {}
-    pair_memo: dict[tuple[frozenset[int], frozenset[int], frozenset[int]], bool] = {}
+    single_memo: dict[int, bool] = {}
+    pair_memo: dict[tuple[int, int, int], bool] = {}
 
-    def single_ok(S: frozenset[int]) -> bool:
+    def single_ok(S: int) -> bool:
+        counts["singles_tried"] += 1
         if S not in single_memo:
-            g = build(PolycirculantSpec(1, m, (S,)))
-            single_memo[S] = _sym_valid(g, (0,), problem)
+            single_memo[S] = _sym_valid(_circulant(m, S), (0,), problem)
+        counts["singles_passed"] += single_memo[S]
         return single_memo[S]
 
-    def pair_ok(Sa: frozenset[int], Sb: frozenset[int], Sab: frozenset[int]) -> bool:
+    def pair_ok(Sa: int, Sb: int, Sab: int) -> bool:
+        counts["pairs_tried"] += 1
         key = (Sa, Sb, Sab)
-        if key not in pair_memo:
-            g = build(PolycirculantSpec(2, m, (Sa, Sb), (Sab,)))
-            pair_memo[key] = _sym_valid(g, (0, m), problem)
-        return pair_memo[key]
+        ok = pair_memo.get(key)
+        if ok is None:
+            ok = _sym_valid(_two_block(m, Sa, Sb, Sab), (0, m), problem)
+            if k >= 3:  # with two blocks each (Sa, Sb) is scanned once: no key repeats
+                pair_memo[key] = ok
+        counts["pairs_passed"] += ok
+        return ok
 
-    examined = 0
-    found: list[tuple[int, int, PolycirculantSpec, Graph]] = []
+    found: Found = []
 
-    def leaf(outer: int, diag: tuple[frozenset[int], ...], off: tuple[frozenset[int], ...]):
-        nonlocal examined
-        if budget is not None and examined >= budget:
+    def leaf(outer: int, diag: tuple[int, ...], off: tuple[int, ...]):
+        if budget is not None and counts["leaves"] >= budget:
             raise BudgetExceededError(f"census budget {budget} exhausted")
-        examined += 1
-        spec = PolycirculantSpec(k, m, diag, off)
-        if k >= 3:
-            g = build(spec)
-            if not _sym_valid(g, reps, problem):
-                return
-        else:
-            g = build(spec)
-        if not _passes_filters(spec, filters):
+        counts["leaves"] += 1
+        g = Graph(k * m, _realize(k, m, diag, off))
+        if k >= 3 and not _sym_valid(g, reps, problem):
             return
-        found.append((outer, len(found), spec, g))
+        if not _passes_filters(m, diag, filters):
+            return
+        found.append((outer, len(found), _spec(k, m, diag, off), g))
 
-    def descend_off(outer: int, diag: tuple[frozenset[int], ...], chosen: tuple[frozenset[int], ...]):
+    def descend_off(outer: int, diag: tuple[int, ...], chosen: tuple[int, ...]):
         idx = len(chosen)
         if idx == len(pairs):
             leaf(outer, diag, chosen)
@@ -269,7 +335,7 @@ def _scan_stripe(args) -> tuple[int, bool, list[tuple[int, int, PolycirculantSpe
                 continue
             descend_off(outer, diag, chosen + (S,))
 
-    def descend_diag(outer: int, chosen: tuple[frozenset[int], ...]):
+    def descend_diag(outer: int, chosen: tuple[int, ...]):
         if len(chosen) == k:
             if k == 1:
                 leaf(outer, chosen, ())
@@ -289,8 +355,8 @@ def _scan_stripe(args) -> tuple[int, bool, list[tuple[int, int, PolycirculantSpe
                 continue
             descend_diag(outer, (S0,))
     except BudgetExceededError:
-        return examined, True, found
-    return examined, False, found
+        return counts, True, found
+    return counts, False, found
 
 
 def enumerate_census(
@@ -308,7 +374,7 @@ def enumerate_census(
     full spec is assembled.  ``budget`` caps the number of fully assembled
     specs; exceeding it raises with the partial census attached.  With
     ``workers`` the outer diagonal loop is split across processes by stripe
-    (budget is then enforced per worker).
+    (budget is then enforced per worker, and stage counts are summed).
     """
     if not isinstance(problem, TwoColorProblem):
         raise InputError("census enumeration covers two-color problems only")
@@ -332,13 +398,13 @@ def enumerate_census(
         with multiprocessing.Pool(nstripes) as pool:
             outcomes = pool.map(_scan_stripe, jobs)
 
-    examined = sum(e for e, _, _ in outcomes)
+    totals = {name: sum(c[name] for c, _, _ in outcomes) for name in _STAGES}
     truncated = any(t for _, t, _ in outcomes)
     merged = sorted(
         (item for _, _, items in outcomes for item in items),
         key=lambda it: (it[0], it[1]),
     )
-    result = CensusResult(k=k, m=m, problem=problem, examined=examined)
+    result = CensusResult(k=k, m=m, problem=problem, examined=totals.pop("leaves"), **totals)
     seen: set[bytes] = set()
     for _, _, spec, g in merged:
         key = canonical_key(g)
@@ -374,18 +440,16 @@ def lemma_witness(n: int) -> Graph:
     m = 2 * n - 1
     problem = TwoColorProblem(Book(n - 1), Book(n))
     diag_opts = _diag_options(m)
-    off_opts = _off_options(m)
-    full = frozenset(range(1, m))
+    full = (1 << m) - 2  # every difference 1..m-1
 
     def try_pairs(pairs_iter):
         for S1, S2 in pairs_iter:
-            g1 = build(PolycirculantSpec(1, m, (S1,)))
-            if not _sym_valid(g1, (0,), problem):
+            if not _sym_valid(_circulant(m, S1), (0,), problem):
                 continue
-            if S2 != S1 and not _sym_valid(build(PolycirculantSpec(1, m, (S2,))), (0,), problem):
+            if S2 != S1 and not _sym_valid(_circulant(m, S2), (0,), problem):
                 continue
-            for S12 in off_opts:
-                g = build(PolycirculantSpec(2, m, (S1, S2), (S12,)))
+            for S12 in _off_options(m):
+                g = _two_block(m, S1, S2, S12)
                 if _sym_valid(g, (0, m), problem):
                     verdict = verify(g, problem)
                     if not verdict.valid:
@@ -395,7 +459,7 @@ def lemma_witness(n: int) -> Graph:
                     return g
         return None
 
-    hit = try_pairs((S, full - S) for S in diag_opts)
+    hit = try_pairs((S, full ^ S) for S in diag_opts)
     if hit is None:
         hit = try_pairs((S1, S2) for S1 in diag_opts for S2 in diag_opts)
     if hit is None:

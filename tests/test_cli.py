@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,19 @@ class TestSearch:
         g = graph6_decode(captured.out.strip())
         assert verify_witness(g, parse_problem("K3,K3")).valid
 
+    def test_no_worker_reported_is_exit_3(self, monkeypatch, capsys):
+        import ramseykit.cli as cli
+        from ramseykit.tabu import ParallelOutcome
+
+        monkeypatch.setattr(
+            cli, "run_parallel", lambda *a, **kw: ParallelOutcome(None, None, [], 0.0)
+        )
+        code = main(
+            ["search", "--problem", "K3,K3", "-n", "6", "--seed", "1", "--workers", "2"]
+        )
+        assert code == 3
+        assert "no witness: no worker reported (2 workers)" in capsys.readouterr().err
+
     def test_progress_stream(self, capsys):
         code = main(
             ["search", "--problem", "K3,K3", "-n", "6", "--seed", "9",
@@ -207,3 +221,16 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "graph6" in proc.stdout
+
+
+def test_python_dash_m_runs_cli():
+    import ramseykit
+
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramseykit", "fixtures"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "20/20 fixtures verified" in proc.stdout

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -15,7 +17,9 @@ from ramseykit.errors import (
     VerificationError,
 )
 from ramseykit.fixtures import fixture_by_id
+from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph
+from ramseykit.oracles import polycirculant_naive
 from ramseykit.polycirculant import (
     KNOWN_FILTERS,
     PolycirculantSpec,
@@ -51,10 +55,20 @@ def census_oracle_k2(m, problem):
         for S2 in all_diag_sets(m):
             for mask in range(1 << m):
                 S12 = frozenset(d for d in range(m) if mask >> d & 1)
-                g = build(PolycirculantSpec(2, m, (S1, S2), (S12,)))
+                g = polycirculant_naive(PolycirculantSpec(2, m, (S1, S2), (S12,)))
                 if verify(g, problem).valid:
                     keys.add(canonical_key(g))
     return len(keys)
+
+
+def random_spec(rng, k, m, p=0.5):
+    """Keep each pair class and each difference with probability p (0: empty, 1: full)."""
+    def pick(pool):
+        return [x for x in pool if rng.random() < p]
+
+    diag = tuple(frozenset().union(*pick(pair_classes(m))) for _ in range(k))
+    off = tuple(frozenset(pick(range(m))) for _ in range(k * (k - 1) // 2))
+    return PolycirculantSpec(k, m, diag, off)
 
 
 class TestSpec:
@@ -145,6 +159,77 @@ class TestBuild:
         for c in (1, 2, 3):
             assert are_isomorphic(mc.color_class(c), ref)
 
+    def test_matches_naive_oracle(self):
+        rng = random.Random(20260)
+        for k in (1, 2, 3):
+            for m in range(2, 17):
+                specs = [random_spec(rng, k, m, p=0), random_spec(rng, k, m, p=1)]
+                specs += [random_spec(rng, k, m) for _ in range(4)]
+                for spec in specs:
+                    assert build(spec).rows == polycirculant_naive(spec).rows, spec.serialize()
+
+    def test_oracle_on_petersen(self):
+        spec = PolycirculantSpec.parse("k=2;m=5;S11=1,4;S22=2,3;S12=0")
+        g = polycirculant_naive(spec)
+        assert g.edge_count() == 15 and all(g.degree(v) == 3 for v in range(10))
+        assert g.has_edge(0, 1) and g.has_edge(5, 7) and g.has_edge(3, 8)
+
+
+# sha256 of "\n".join(lines) + "\n", computed on the census code that built
+# every graph edge by edge; a faster scan must reproduce each one exactly
+CENSUS_DIGESTS = [
+    ("k1-m5-K3,K3", 1, 5, "K3,K3", {},
+     "eb10bc42e8207c0c6563f1835c78151c74d46fdc2e5c17fac316f4db257d61b7"),
+    ("k1-m13-K4,K4", 1, 13, "K4,K4", {},
+     "92278052017546e9f070c5ae7aedd7e8792dbf3a1111399fb736723f23baaedb"),
+    ("k1-m16-B3,B6", 1, 16, "B3,B6", {},
+     "36b7be49cb3730a669276121024b64a1046e7daa41b0b3cff2341e1b7c86990f"),
+    ("k2-m5-K3,K3-empty", 2, 5, "K3,K3", {},
+     "a1fdb1a309ac73a6638a41f7449431c3a4c43617886465de82e411f5f3b769be"),
+    ("k2-m5-B2,B8", 2, 5, "B2,B8", {},
+     "6615ac0672da1b4cd4dd033b2d9181ab08c5b77cf3717b22865d8dae80c657c7"),
+    ("k2-m5-B2,B8-workers2", 2, 5, "B2,B8", {'workers': 2},
+     "6615ac0672da1b4cd4dd033b2d9181ab08c5b77cf3717b22865d8dae80c657c7"),
+    ("k2-m5-B2,B8-complement", 2, 5, "B2,B8", {'filters': ('complement-blocks',)},
+     "15831ad28a014ed3bf0195f2bcc09dc749cf643789e6665fcb2abd83a8c8bd07"),
+    ("k2-m5-B2,B8-budget20", 2, 5, "B2,B8", {'budget': 20},
+     "3f9d7bed35b2404caa916d4a951184248363509a5a45d395671b6fa05a2d2d11"),
+    ("k2-m6-B2,B9", 2, 6, "B2,B9", {},
+     "2f4c2964d3514665e27a911d58129eb9092d8c4f363db4636ee3243ca33aa548"),
+    ("k2-m7-B3,B7", 2, 7, "B3,B7", {},
+     "1440526ad1a10ec6b40fad8831b37506415f097a6bec2d0bd3145dee05d7f564"),
+    ("k2-m7-B3,B7-complement-workers2", 2, 7, "B3,B7",
+     {'filters': ('complement-blocks',), 'workers': 2},
+     "7c28e477e9ddd794742469a417c5c9cc3a71325a935dc96c9feb94dd75fd4015"),
+    ("k3-m3-B2,B6", 3, 3, "B2,B6", {},
+     "abec9a998ead2baee530c89a0ae0f87c8972341e203bb302c2fa7a03d7eb03b5"),
+    ("k3-m3-K3,K5", 3, 3, "K3,K5", {},
+     "ce2b41d0b0b7db8629ffd004704d126f4542f18b4aefea83439bd9236beec76d"),
+    ("k3-m4-K3,K5-workers2", 3, 4, "K3,K5", {'workers': 2},
+     "d6a35eb97cbeedfc17b747ae02937fd450fcdd89e6fe75796392b73534c95e67"),
+    ("k3-m5-B2,B8-budget300", 3, 5, "B2,B8", {'budget': 300},
+     "f6b1eaf9a3b3498cd87e1efe93c8f50465f1015994de9c15479ca3c54816ebfb"),
+    ("k3-m4-K3,K5-workers2-budget2000", 3, 4, "K3,K5", {'workers': 2, 'budget': 2000},
+     "06e7f2a0a29f5a0dc199097c6d032fba9b9002874ae73090517467032491a747"),
+]
+
+
+def census_lines(k, m, text, kwargs):
+    try:
+        return enumerate_census(k, m, parse_problem(text), **kwargs).lines()
+    except BudgetExceededError as exc:
+        return exc.partial.lines()
+
+
+@pytest.mark.parametrize(
+    "k, m, text, kwargs, digest",
+    [case[1:] for case in CENSUS_DIGESTS],
+    ids=[case[0] for case in CENSUS_DIGESTS],
+)
+def test_census_output_matches_pinned_digest(k, m, text, kwargs, digest):
+    lines = census_lines(k, m, text, kwargs)
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest
+
 
 class TestCensus:
     def test_matches_no_pruning_oracle_m4(self):
@@ -174,6 +259,26 @@ class TestCensus:
         c = enumerate_census(2, 5, B2B8, workers=2)
         assert a.lines() == b.lines() == c.lines()
         assert a.examined == c.examined
+
+    def test_stage_counts_by_hand(self):
+        # C5 and its complement pass among the 4 circulants on 5 vertices
+        res = enumerate_census(1, 5, K33)
+        assert res.stage_counts() == {
+            "singles_tried": 4, "singles_passed": 2,
+            "pairs_tried": 0, "pairs_passed": 0, "leaves": 2,
+        }
+
+    @pytest.mark.parametrize("k, m, text", [(2, 5, "B2,B8"), (3, 3, "B2,B6"), (3, 4, "K3,K5")])
+    def test_stage_counts_repeat_and_ignore_workers(self, k, m, text):
+        p = parse_problem(text)
+        a = enumerate_census(k, m, p)
+        b = enumerate_census(k, m, p)
+        c = enumerate_census(k, m, p, workers=2)
+        assert a.stage_counts() == b.stage_counts() == c.stage_counts()
+        counts = a.stage_counts()
+        assert counts["leaves"] == a.examined
+        assert 0 < counts["singles_passed"] <= counts["singles_tried"]
+        assert 0 < counts["pairs_passed"] <= counts["pairs_tried"]
 
     def test_filter_selects_subset(self):
         full = enumerate_census(2, 5, B2B8)
@@ -225,6 +330,19 @@ class TestLemmaWitness:
             assert verify(g, problem).valid
             rho = rotation_perm(2, 2 * n - 1)
             assert g.relabel(rho).rows == g.rows
+
+    @pytest.mark.parametrize(
+        "n, g6",
+        [
+            (2, "EDp_"),
+            (3, "IheMBGuEo"),
+            (5, "QzKW[NBamIKSkSUMTbak{IroTf_"),
+            (6, "UzKWWKB_]@ojoiwSMDdokVBqmFamN`VNoTr{Am^_"),
+        ],
+    )
+    def test_two_block_witnesses_pinned(self, n, g6):
+        # graph6 strings from the construction that built each graph edge by edge
+        assert graph6_encode(lemma_witness(n)) == g6
 
     @pytest.mark.slow
     def test_order_14_case_needs_search(self):
