@@ -102,6 +102,12 @@ def _emit_witness(obj: Graph | MultiColoring, out_path: str | None) -> None:
         print(text)
 
 
+def _progress_to_stderr(msg: str) -> None:
+    # a module-level function, not a lambda, so it pickles for workers
+    # started by spawn or forkserver
+    print(msg, file=sys.stderr)
+
+
 def cmd_search(args) -> int:
     problem = parse_problem(args.problem)
     if args.deterministic and args.seed is None:
@@ -110,6 +116,7 @@ def cmd_search(args) -> int:
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
         print(f"seed: {seed}", file=sys.stderr)
+    progress = _progress_to_stderr if args.progress else None
     if args.workers > 1:
         outcome = run_parallel(
             problem,
@@ -117,6 +124,7 @@ def cmd_search(args) -> int:
             seeds=[seed + i for i in range(args.workers)],
             max_steps=args.max_steps,
             max_seconds=args.max_seconds,
+            progress=progress,
         )
         if outcome.found:
             _emit_witness(outcome.witness, args.output)
@@ -137,7 +145,7 @@ def cmd_search(args) -> int:
         seed=seed,
         max_steps=args.max_steps,
         max_seconds=args.max_seconds,
-        progress=(lambda msg: print(msg, file=sys.stderr)) if args.progress else None,
+        progress=progress,
     )
     if outcome.found:
         _emit_witness(outcome.witness, args.output)

@@ -1,8 +1,10 @@
 """Exact scoring functions: book, wheel, and clique counts plus the GR score.
 
-Each counter comes in a full form and a single-edge-delta form.  Deltas
-enumerate only the copies through the toggled edge, so a search step costs
-far less than a recount.  Counts are plain Python ints (arbitrary
+Each shape counter comes in a full form and a single-edge-toggle delta
+form.  Deltas enumerate only the copies through the toggled edge, so a
+search step costs far less than a recount.  The GR score has only its full
+form here; its recolor delta lives in the tabu GR scorer, which keeps the
+union rows the delta needs.  Counts are plain Python ints (arbitrary
 precision), so the overflow cases other implementations must guard against
 cannot arise here.
 
@@ -109,24 +111,6 @@ def book_toggle_delta(g: Graph, u: int, v: int, k: int, cache: CodegreeCache | N
     return total
 
 
-def _check_toggle(g: Graph, edge, toggle: str) -> tuple[int, int]:
-    u, v = edge
-    if toggle not in ("add", "remove"):
-        raise InputError(f"toggle must be 'add' or 'remove', got {toggle!r}")
-    if g.has_edge(u, v) == (toggle == "add"):
-        raise InputError(f"edge ({u},{v}) does not respect toggle {toggle!r}")
-    return u, v
-
-
-def book_delta(g: Graph, cache: CodegreeCache, edge, toggle: str, k: int) -> int:
-    """Apply the toggle to g and cache; return the signed book-count change."""
-    u, v = _check_toggle(g, edge, toggle)
-    delta = book_toggle_delta(g, u, v, k, cache)
-    g.toggle_edge(u, v)
-    cache.apply_toggle(g, u, v)
-    return delta
-
-
 def _peel_2core(rows: list[int], mask: int) -> int:
     """Drop vertices with fewer than 2 neighbors inside mask, repeatedly.
     Cycles survive, so cycle counts are unchanged."""
@@ -210,14 +194,6 @@ def wheel_toggle_delta(g: Graph, u: int, v: int, k: int) -> int:
     return -total if g.has_edge(u, v) else total
 
 
-def wheel_delta(g: Graph, edge, toggle: str, k: int) -> int:
-    """Apply the toggle to g; return the signed wheel-count change."""
-    u, v = _check_toggle(g, edge, toggle)
-    delta = wheel_toggle_delta(g, u, v, k)
-    g.toggle_edge(u, v)
-    return delta
-
-
 def count_cliques_in_mask(rows: list[int], mask: int, s: int) -> int:
     """Number of K_s with all vertices inside mask.
 
@@ -262,16 +238,6 @@ def count_cliques(g: Graph, s: int) -> int:
     return count_cliques_in_mask(g.rows, (1 << g.n) - 1, s)
 
 
-def count_cliques_at_edge(g: Graph, edge, s: int) -> int:
-    """Number of K_s containing the given edge; zero when the edge is absent."""
-    if s < 2:
-        raise InputError("clique order must be at least 2")
-    u, v = edge
-    if not g.has_edge(u, v):
-        return 0
-    return count_cliques_in_mask(g.rows, g.rows[u] & g.rows[v], s - 2)
-
-
 def clique_toggle_delta(g: Graph, u: int, v: int, s: int) -> int:
     """Change in count_cliques if edge (u,v) were toggled.  Pure."""
     completions = count_cliques_in_mask(g.rows, g.rows[u] & g.rows[v], s - 2)
@@ -298,10 +264,6 @@ def shape_toggle_delta(g: Graph, u: int, v: int, shape: Shape) -> int:
     raise InputError(f"unknown shape {shape!r}")
 
 
-def _union_rows(mc: MultiColoring, color_set) -> list[int]:
-    return mc.union_graph(color_set).rows
-
-
 def gr_score(mc: MultiColoring, s: int, t: int) -> int:
     """Sum over t-subsets of colors of the K_s count in their union graph.
 
@@ -313,36 +275,5 @@ def gr_score(mc: MultiColoring, s: int, t: int) -> int:
     full = (1 << mc.n) - 1
     total = 0
     for cset in combinations(range(1, mc.r + 1), t):
-        total += count_cliques_in_mask(_union_rows(mc, cset), full, s)
+        total += count_cliques_in_mask(mc.union_graph(cset).rows, full, s)
     return total
-
-
-def gr_recolor_delta(mc: MultiColoring, u: int, v: int, new_color: int, s: int, t: int) -> int:
-    """Change in gr_score if edge (u,v) were recolored.  Pure.
-
-    Only t-subsets containing exactly one of {old color, new color} change;
-    each gains or loses the K_s through the edge in its union graph.
-    """
-    old = mc.get(u, v)
-    if new_color == old:
-        return 0
-    if not 1 <= new_color <= mc.r:
-        raise InputError("color out of range")
-    others = [c for c in range(1, mc.r + 1) if c != old and c != new_color]
-    delta = 0
-    for rest in combinations(others, t - 1):
-        rows = _union_rows(mc, rest + (new_color,))
-        delta += count_cliques_in_mask(rows, rows[u] & rows[v], s - 2)
-        rows = _union_rows(mc, rest + (old,))
-        delta -= count_cliques_in_mask(rows, rows[u] & rows[v], s - 2)
-    return delta
-
-
-def gr_delta(mc: MultiColoring, edge, new_color: int, s: int, t: int) -> int:
-    """Apply the recoloring; return the signed gr_score change."""
-    u, v = edge
-    if new_color == mc.get(u, v):
-        raise InputError("new color must differ from the current color")
-    delta = gr_recolor_delta(mc, u, v, new_color, s, t)
-    mc.set_color(u, v, new_color)
-    return delta

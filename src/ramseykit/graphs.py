@@ -239,10 +239,6 @@ class MultiColoring:
         return f"MultiColoring(n={self.n}, r={self.r})"
 
 
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 def coloring_from_graph(g: Graph, r: int = 2) -> MultiColoring:
     """2-coloring view of a graph: its edges get color 1, non-edges color 2."""
     mc = MultiColoring(g.n, r)

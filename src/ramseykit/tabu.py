@@ -7,8 +7,12 @@ was ever visited (the tabu set grows without bound), and applies a
 minimum-score candidate with uniform random tie-breaking.  Runs never
 restart; a neighborhood with every candidate tabu ends the run as stalled.
 
-Scores are maintained incrementally through the counters' delta forms and
-audited against a full recount every 2**14 steps.
+The two scorers below hold the only incremental scoring code: two-color
+problems through the counters' toggle deltas, GR problems on the rows of
+every t-color union graph, kept current across recolorings.  Every 2**14
+steps the maintained score is audited against a full recount from the
+coloring itself, so a drift in the scorer's graphs, caches or rows shows
+up even when the score still agrees with them.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .counting import (
     CodegreeCache,
     book_toggle_delta,
     count_cliques_in_mask,
     count_shape,
+    gr_score,
     shape_toggle_delta,
 )
 from .errors import InputError, VerificationError
@@ -50,7 +55,9 @@ class _TwoColorScorer:
         self.mc = mc
 
     def full_score(self) -> int:
-        return sum(count_shape(g, s) for g, s in zip(self.graphs, self.shapes))
+        return sum(
+            count_shape(self.mc.color_class(c), shape) for c, shape in enumerate(self.shapes, 1)
+        )
 
     def delta(self, u: int, v: int, new_color: int) -> int:
         # any recolor toggles the edge in both graphs; presence is auto-detected
@@ -74,45 +81,39 @@ class _TwoColorScorer:
 
 
 class _GRScorer:
-    """GR score over per-color adjacency rows; deltas touch only the union
-    graphs holding exactly one of the two colors involved."""
+    """GR score over the rows of every t-color union graph, built once.  A
+    recolor old -> new changes only the unions holding exactly one of the
+    two colors: those with new gain the edge, those with old lose it."""
 
     def __init__(self, problem: GeneralizedProblem, mc: MultiColoring):
-        self.s, self.t, self.r = problem.s, problem.t, problem.r
+        self.s, self.t = problem.s, problem.t
         self.mc = mc
-        self.rows = [mc.color_class(c).rows for c in range(1, mc.r + 1)]
-        self.full = (1 << mc.n) - 1
-
-    def _union(self, colors) -> list[int]:
-        out = list(self.rows[colors[0] - 1])
-        for c in colors[1:]:
-            cr = self.rows[c - 1]
-            out = [a | b for a, b in zip(out, cr)]
-        return out
+        colors = range(1, mc.r + 1)
+        unions = [(cset, mc.union_graph(cset).rows) for cset in combinations(colors, self.t)]
+        # per recolor old -> new, the unions it changes: +1 for those gaining
+        # the edge (holding new), -1 for those losing it (holding old)
+        self.touched = {
+            (old, new): [
+                (1 if new in cset else -1, rows)
+                for cset, rows in unions
+                if (old in cset) != (new in cset)
+            ]
+            for old, new in permutations(colors, 2)
+        }
 
     def full_score(self) -> int:
-        total = 0
-        for cset in combinations(range(1, self.r + 1), self.t):
-            total += count_cliques_in_mask(self._union(cset), self.full, self.s)
-        return total
+        return gr_score(self.mc, self.s, self.t)
 
     def delta(self, u: int, v: int, new_color: int) -> int:
-        old = self.mc.get(u, v)
-        others = [c for c in range(1, self.r + 1) if c != old and c != new_color]
         total = 0
-        for rest in combinations(others, self.t - 1):
-            rows = self._union(rest + (new_color,))
-            total += count_cliques_in_mask(rows, rows[u] & rows[v], self.s - 2)
-            rows = self._union(rest + (old,))
-            total -= count_cliques_in_mask(rows, rows[u] & rows[v], self.s - 2)
+        for sign, rows in self.touched[self.mc.get(u, v), new_color]:
+            total += sign * count_cliques_in_mask(rows, rows[u] & rows[v], self.s - 2)
         return total
 
     def apply(self, u: int, v: int, new_color: int) -> None:
-        old = self.mc.get(u, v)
-        self.rows[old - 1][u] &= ~(1 << v)
-        self.rows[old - 1][v] &= ~(1 << u)
-        self.rows[new_color - 1][u] |= 1 << v
-        self.rows[new_color - 1][v] |= 1 << u
+        for _, rows in self.touched[self.mc.get(u, v), new_color]:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
         self.mc.set_color(u, v, new_color)
 
     def witness(self) -> MultiColoring:

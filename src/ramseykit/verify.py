@@ -265,10 +265,6 @@ def verify_witness(obj: Graph | MultiColoring, problem: Problem) -> Verdict:
     return verify_gr(obj, problem)
 
 
-def is_ramsey_witness(g: Graph, problem: TwoColorProblem) -> bool:
-    return verify(g, problem).valid
-
-
 def violation_holds(obj: Graph | MultiColoring, problem: Problem, viol: Violation) -> bool:
     """Re-check a violation certificate against the object it came from."""
     if isinstance(problem, TwoColorProblem):

@@ -16,7 +16,6 @@ from ramseykit.counting import (
     count_books,
     count_cliques,
     count_wheels,
-    gr_recolor_delta,
     gr_score,
     wheel_toggle_delta,
 )
@@ -32,8 +31,8 @@ from ramseykit.oracles import (
     gr_score_naive,
 )
 from ramseykit.polycirculant import enumerate_census, lemma_witness
-from ramseykit.problems import parse_problem
-from ramseykit.tabu import run_parallel, run_search
+from ramseykit.problems import GeneralizedProblem, parse_problem
+from ramseykit.tabu import _GRScorer, run_parallel, run_search
 from ramseykit.verify import verify, verify_witness
 
 
@@ -176,15 +175,15 @@ def test_criterion_5_counter_oracle_equivalence():
         before = after
 
     mc = _random_coloring(rng, 9, 3)
+    scorer = _GRScorer(GeneralizedProblem(3, 4, 2), mc)  # the only GR delta
     before = gr_score(mc, 4, 2)
     for _ in range(10_000):
         u, v = rng.randrange(9), rng.randrange(9)
         if u == v:
             continue
-        new = rng.randint(1, 3)
-        d = gr_recolor_delta(mc, u, v, new, 4, 2)
-        if new != mc.get(u, v):
-            mc.set_color(u, v, new)
+        new = rng.choice([c for c in (1, 2, 3) if c != mc.get(u, v)])
+        d = scorer.delta(u, v, new)
+        scorer.apply(u, v, new)
         after = gr_score(mc, 4, 2)
         assert after - before == d
         before = after

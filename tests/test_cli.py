@@ -168,6 +168,17 @@ class TestSearch:
         assert code == 3
         assert "score=" in capsys.readouterr().err
 
+    def test_progress_stream_with_workers(self, capfd):
+        # forked workers write to fd 2, which capsys would not see
+        code = main(
+            ["search", "--problem", "K3,K3", "-n", "6", "--seed", "9",
+             "--max-steps", "12000", "--workers", "2", "--progress"]
+        )
+        assert code == 3
+        err = capfd.readouterr().err
+        assert "worker 0: steps=10000" in err
+        assert "worker 1: steps=10000" in err
+
 
 class TestGenerate:
     def test_counts_table(self, capsys):

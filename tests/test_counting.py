@@ -6,19 +6,15 @@ import pytest
 
 from ramseykit.counting import (
     CodegreeCache,
-    book_delta,
     book_toggle_delta,
     clique_toggle_delta,
     count_books,
     count_cliques,
-    count_cliques_at_edge,
+    count_cliques_in_mask,
     count_shape,
     count_wheels,
-    gr_delta,
-    gr_recolor_delta,
     gr_score,
     shape_toggle_delta,
-    wheel_delta,
     wheel_toggle_delta,
 )
 from ramseykit.errors import InputError
@@ -30,7 +26,8 @@ from ramseykit.oracles import (
     count_wheels_naive,
     gr_score_naive,
 )
-from ramseykit.problems import Book, Clique, Wheel
+from ramseykit.problems import Book, Clique, GeneralizedProblem, Wheel
+from ramseykit.tabu import _GRScorer
 
 
 def random_graph(rng, n, p=0.5):
@@ -149,7 +146,9 @@ class TestStructuralProperties:
         for _ in range(60):
             g = random_graph(rng, rng.randint(3, 11))
             s = rng.randint(3, 5)
-            total = sum(count_cliques_at_edge(g, e, s) for e in g.edges())
+            total = sum(
+                count_cliques_in_mask(g.rows, g.rows[u] & g.rows[v], s - 2) for u, v in g.edges()
+            )
             assert total == comb(s, 2) * count_cliques(g, s)
 
     def test_books_monotone_in_k(self):
@@ -208,12 +207,12 @@ class TestDeltas:
             if u == v:
                 continue
             d = book_toggle_delta(g, u, v, k, cache)
-            edge = (min(u, v), max(u, v))
-            toggle = "remove" if g.has_edge(u, v) else "add"
-            applied = book_delta(g, cache, edge, toggle, k)
-            assert applied == d
+            assert book_toggle_delta(g, u, v, k) == d  # cached and uncached agree
+            g.toggle_edge(u, v)
+            cache.apply_toggle(g, u, v)
             after = count_books(g, k)
             assert after - before == d
+            assert book_toggle_delta(g, u, v, k, cache) == -d  # toggling back undoes it
             before = after
         assert cache.consistent_with(g)
 
@@ -228,11 +227,10 @@ class TestDeltas:
             if u == v:
                 continue
             d = wheel_toggle_delta(g, u, v, k)
-            edge = (min(u, v), max(u, v))
-            toggle = "remove" if g.has_edge(u, v) else "add"
-            assert wheel_delta(g, edge, toggle, k) == d
+            g.toggle_edge(u, v)
             after = count_wheels(g, k)
             assert after - before == d
+            assert wheel_toggle_delta(g, u, v, k) == -d  # toggling back undoes it
             before = after
 
     def test_wheel_delta_k5_minus_edge(self):
@@ -267,9 +265,11 @@ class TestDeltas:
             assert count_shape(g, shape) - before == d
 
     def test_gr_delta_random(self):
+        # the tabu GR scorer holds the only GR delta; check it against gr_score
         rng = random.Random(74)
         s, t, r = 4, 2, 3
         mc = random_coloring(rng, 9, r)
+        scorer = _GRScorer(GeneralizedProblem(r, s, t), mc)
         before = gr_score(mc, s, t)
         for _ in range(4_000):
             u = rng.randrange(9)
@@ -277,31 +277,20 @@ class TestDeltas:
             if u == v:
                 continue
             new = rng.randint(1, r)
-            if new == mc.get(u, v):
+            old = mc.get(u, v)
+            if new == old:
                 continue
-            d = gr_recolor_delta(mc, u, v, new, s, t)
-            edge = (min(u, v), max(u, v))
-            assert gr_delta(mc, edge, new, s, t) == d
+            d = scorer.delta(u, v, new)
+            scorer.apply(u, v, new)
             after = gr_score(mc, s, t)
             assert after - before == d
+            assert scorer.delta(u, v, old) == -d  # recoloring back undoes it
             before = after
 
     def test_gr_delta_mono_k4(self):
-        mc = MultiColoring(4, 3)
+        scorer = _GRScorer(GeneralizedProblem(3, 4, 2), MultiColoring(4, 3))
         # recoloring one edge of the monochromatic K4 drops the score by 1
-        assert gr_recolor_delta(mc, 0, 1, 2, 4, 2) == -1
-
-    def test_delta_validation(self):
-        g = Graph.complete(3)
-        cache = CodegreeCache(g)
-        with pytest.raises(InputError):
-            book_delta(g, cache, (0, 1), "add", 1)  # edge already present
-        g2 = Graph(3)
-        with pytest.raises(InputError):
-            wheel_delta(g2, (0, 1), "remove", 4)  # edge absent
-        mc = MultiColoring(3, 3)
-        with pytest.raises(InputError):
-            gr_delta(mc, (0, 1), 1, 3, 2)  # recolor to the same color
+        assert scorer.delta(0, 1, 2) == -1
 
 
 class TestCodegreeCache:

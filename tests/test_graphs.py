@@ -8,7 +8,6 @@ from ramseykit.graphs import (
     all_colorings,
     all_graphs,
     coloring_from_graph,
-    complement,
     edge_color_hash,
     pair_index,
     state_hash,
@@ -64,7 +63,7 @@ def test_complement_involution():
     rng = random.Random(11)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 12))
-        assert complement(complement(g)) == g
+        assert g.complement().complement() == g
         assert g.edge_count() + g.complement().edge_count() == g.n * (g.n - 1) // 2
 
 

@@ -1,9 +1,27 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import ramseykit.tabu as tabu
+from ramseykit.counting import count_cliques_in_mask, count_shape
 from ramseykit.errors import InputError, VerificationError
-from ramseykit.graphs import state_hash
-from ramseykit.problems import parse_problem
+from ramseykit.graphs import MultiColoring, pair_iter, state_hash
+from ramseykit.oracles import (
+    count_books_naive,
+    count_cliques_naive,
+    count_wheels_naive,
+    gr_score_naive,
+)
+from ramseykit.problems import (
+    Book,
+    Clique,
+    GeneralizedProblem,
+    TwoColorProblem,
+    Wheel,
+    parse_problem,
+)
 from ramseykit.tabu import init_state, run_parallel, run_search, tabu_step
 from ramseykit.verify import Verdict, verify_witness
 
@@ -154,9 +172,142 @@ class TestReverification:
         with pytest.raises(VerificationError, match="score drifted"):
             tabu_step(st)
 
+    def test_audit_recounts_two_color_score_from_the_coloring(self, monkeypatch):
+        # maintained graphs drift off the coloring while the score still
+        # agrees with them; only a recount from the coloring can see it
+        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
+        st = init_state(K33, 7, seed=3)
+        for g in st.scorer.graphs:
+            g.toggle_edge(0, 1)
+        st.score = sum(count_shape(g, s) for g, s in zip(st.scorer.graphs, st.scorer.shapes))
+        assert st.score != _naive_score(K33, st.coloring)
+        with pytest.raises(VerificationError, match="score drifted"):
+            tabu_step(st)
+
+    def test_audit_recounts_gr_score_from_the_coloring(self, monkeypatch):
+        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
+        st = init_state(GR342, 7, seed=13)
+        unions = list({
+            id(rows): rows for moves in st.scorer.touched.values() for _, rows in moves
+        }.values())
+        unions[0][0] ^= 1 << 1
+        unions[0][1] ^= 1 << 0
+        st.score = sum(count_cliques_in_mask(rows, (1 << 7) - 1, 4) for rows in unions)
+        assert st.score != _naive_score(GR342, st.coloring)
+        with pytest.raises(VerificationError, match="score drifted"):
+            tabu_step(st)
+
     def test_audit_catches_drifted_hash(self, monkeypatch):
         monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
         st = init_state(GR342, 7, seed=11)
         st.hash ^= 1
         with pytest.raises(VerificationError, match="hash drifted"):
             tabu_step(st)
+
+
+# (problem, n, step cap): a few seeds down every scorer path, capped so the
+# whole table runs in a few seconds
+PINNED_RUNS = (
+    ("B2,B8", 19, 120),
+    ("K4,K4", 16, 160),
+    ("W5,W7", 14, 30),
+    ("GR:3,K5,2", 16, 35),
+    ("GR:3,K4,2", 8, 400),
+    ("GR:3,K4,2", 9, 300),
+    ("GR:4,K4,3", 10, 40),
+    ("K3,K3", 5, 200),
+    ("K3,K3", 6, 2000),
+)
+PINNED_SEEDS = (1, 2, 3)
+PINNED_DIGEST = "b682b0dcf9019b3fb0446a61aa38019d8f8119171cf5020b4749ec4d960f9deb"
+
+
+def test_seeded_trajectories_match_pinned_digest(monkeypatch):
+    # The digest pins the search's behaviour: a change to any delta, the
+    # tie order or the audit shows up as a different trajectory.
+    states = []
+    real_init = tabu.init_state
+
+    def capture(*args, **kwargs):
+        states.append(real_init(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(tabu, "init_state", capture)
+    lines = []
+    for spec, n, cap in PINNED_RUNS:
+        for seed in PINNED_SEEDS:
+            out = run_search(parse_problem(spec), n, seed=seed, max_steps=cap)
+            st = states[-1]
+            assert st.hash == state_hash(st.coloring)
+            lines.append(
+                f"{spec} {n} {seed} {out.found} {out.reason} {out.stats.steps} "
+                f"{out.stats.best_score} {out.stats.tabu_size} {st.hash:016x}"
+            )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_DIGEST, "\n".join(lines)
+
+
+SHAPES = (Book(1), Book(2), Book(3), Wheel(4), Wheel(5), Clique(3), Clique(4))
+NAIVE = {Book: count_books_naive, Wheel: count_wheels_naive, Clique: count_cliques_naive}
+GR_PROBLEMS = (
+    GeneralizedProblem(3, 3, 1),
+    GeneralizedProblem(3, 4, 2),
+    GeneralizedProblem(3, 5, 2),
+    GeneralizedProblem(4, 4, 2),
+    GeneralizedProblem(4, 4, 3),
+)
+
+
+def _naive_score(problem, mc):
+    if isinstance(problem, TwoColorProblem):
+        return sum(
+            NAIVE[type(shape)](mc.color_class(c), shape.k)
+            for c, shape in enumerate((problem.left, problem.right), 1)
+        )
+    return gr_score_naive(mc, problem.s, problem.t)
+
+
+@hs.composite
+def _recolorings(draw, problems):
+    """A problem, a random coloring of K_n and a sequence of real recolorings
+    given as (pair index, color shift in 1..r-1)."""
+    problem = draw(problems)
+    n = draw(hs.integers(4, 8))
+    m = n * (n - 1) // 2
+    colors = draw(hs.lists(hs.integers(1, problem.r), min_size=m, max_size=m))
+    moves = draw(hs.lists(
+        hs.tuples(hs.integers(0, m - 1), hs.integers(1, problem.r - 1)), max_size=10
+    ))
+    return problem, MultiColoring(n, problem.r, colors), moves
+
+
+def _check_scorer(scorer_type, problem, mc, moves):
+    # delta must equal the difference of two independent recounts, and apply
+    # must leave the scorer in step with the coloring for the next delta
+    scorer = scorer_type(problem, mc)
+    pairs = list(pair_iter(mc.n))
+    before = _naive_score(problem, mc)
+    assert scorer.full_score() == before
+    for i, shift in moves:
+        u, v = pairs[i]
+        new = (mc.colors[i] - 1 + shift) % problem.r + 1
+        d = scorer.delta(u, v, new)
+        scorer.apply(u, v, new)
+        after = _naive_score(problem, mc)
+        assert after - before == d
+        before = after
+    assert scorer.full_score() == before
+
+
+class TestScorerProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_recolorings(hs.builds(
+        TwoColorProblem, hs.sampled_from(SHAPES), hs.sampled_from(SHAPES)
+    )))
+    def test_two_color_delta_matches_recounts(self, case):
+        _check_scorer(tabu._TwoColorScorer, *case)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(_recolorings(hs.sampled_from(GR_PROBLEMS)))
+    def test_gr_delta_matches_recounts(self, case):
+        _check_scorer(tabu._GRScorer, *case)
