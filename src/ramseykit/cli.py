@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a checked object failed verification, 2 malformed
-input or bad flags, 3 a search or budget limit was hit.  Subcommands wrap
+input or bad flags, 3 a search or budget limit was hit, 4 a worker process
+was lost (killed, or out of memory) before reporting.  Subcommands wrap
 the library modules one-to-one; anything randomized takes an explicit
 --seed, and --deterministic makes the seed mandatory.
 """
@@ -19,6 +20,7 @@ from .errors import (
     InputError,
     MalformedInputError,
     ParseError,
+    WorkerLost,
 )
 from .fixtures import run_fixture_suite
 from .formats import (
@@ -133,9 +135,10 @@ def cmd_search(args) -> int:
                 file=sys.stderr,
             )
             return 0
-        if not outcome.outcomes:
-            print(f"no witness: no worker reported ({args.workers} workers)", file=sys.stderr)
-            return 3
+        lost = [f"worker {i} {f}" for i, f in enumerate(outcome.fates) if f.startswith("lost")]
+        if lost:
+            print("no witness: " + "; ".join(lost), file=sys.stderr)
+            return 4
         best = min(o.stats.best_score for o in outcome.outcomes)
         print(f"no witness: best score {best} over {args.workers} workers", file=sys.stderr)
         return 3
@@ -248,6 +251,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise InputError("--workers must be at least 1")
         return args.func(args)
     except (ParseError, MalformedInputError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -262,6 +267,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

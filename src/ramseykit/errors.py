@@ -38,3 +38,11 @@ class VerificationError(RamseyKitError):
     witness, or an incrementally kept score or hash.  This is a bug, never
     a property of the input, and unlike an ``assert`` it survives
     ``python -O``."""
+
+
+class WorkerLost(RamseyKitError):
+    """A worker process ended without reporting: killed, or out of memory."""
+
+    def __init__(self, index: int, exitcode: int | None):
+        super().__init__(f"worker {index} lost (exit code {exitcode})")
+        self.exitcode = exitcode

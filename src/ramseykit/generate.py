@@ -16,16 +16,14 @@ is 0 as well, so the remaining levels are padded rather than recomputed.
 
 from __future__ import annotations
 
-import multiprocessing
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 from .canon import canonical_key, coloring_canonical_key
 from .errors import BudgetExceededError, CapabilityError, InputError
 from .formats import emit_color_matrix, graph6_encode
 from .graphs import Graph, MultiColoring
+from .pool import map_jobs
 from .problems import GeneralizedProblem, Problem, TwoColorProblem
 from .verify import has_shape_through
 
@@ -99,6 +97,10 @@ def _keyed_children(parent, problem: Problem) -> list[tuple[bytes, object]]:
     return [(_canon(child, two_color), child) for child in extend_one(parent, problem)]
 
 
+def _keyed_stripe(parents: list, problem: Problem) -> list[list[tuple[bytes, object]]]:
+    return [_keyed_children(parent, problem) for parent in parents]
+
+
 @dataclass
 class GenerationLevel:
     order: int
@@ -150,26 +152,26 @@ def generate_levels(
     for order in range(2, n_max + 1):
         seen: set[bytes] = set()
         next_frontier = []
-        use_pool = bool(workers and workers > 1) and len(frontier) > 1
-        with multiprocessing.Pool(workers) if use_pool else nullcontext() as pool:
-            if use_pool:
-                job = partial(_keyed_children, problem=problem)
-                batches = pool.imap(job, frontier, chunksize=8)
-            else:
-                batches = (_keyed_children(parent, problem) for parent in frontier)
-            # batches arrive in frontier order either way, so the first child
-            # of each class, and with it the next frontier, is the same
-            for batch in batches:
-                spent += len(batch)
-                if spent > child_budget:
-                    raise BudgetExceededError(
-                        f"child budget {child_budget} exceeded at order {order}",
-                        partial=counts,
-                    )
-                for key, child in batch:
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append(child)
+        nstripes = min(workers or 1, len(frontier))
+        if nstripes > 1:
+            jobs = [(frontier[w::nstripes], problem) for w in range(nstripes)]
+            stripes = map_jobs(_keyed_stripe, jobs)
+            batches = (stripes[i % nstripes][i // nstripes] for i in range(len(frontier)))
+        else:
+            batches = (_keyed_children(parent, problem) for parent in frontier)
+        # batches arrive in frontier order either way, so the first child
+        # of each class, and with it the next frontier, is the same
+        for batch in batches:
+            spent += len(batch)
+            if spent > child_budget:
+                raise BudgetExceededError(
+                    f"child budget {child_budget} exceeded at order {order}",
+                    partial=counts,
+                )
+            for key, child in batch:
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append(child)
         counts.append(len(next_frontier))
         frontier = next_frontier
         if keep_levels:

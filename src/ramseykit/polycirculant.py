@@ -22,7 +22,6 @@ full searches.  Diagonal sets are enumerated as unions of the pair classes
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .formats import graph6_encode
 from .graphs import Graph, bits_of
+from .pool import map_jobs
 from .problems import Book, TwoColorProblem
 from .verify import has_shape_through, verify
 
@@ -275,7 +275,7 @@ class CensusResult:
 Found = list[tuple[int, int, PolycirculantSpec, Graph]]
 
 
-def _scan_stripe(args) -> tuple[dict[str, int], bool, Found]:
+def _scan_stripe(k, m, problem, filters, stripe, nstripes, budget) -> tuple[dict, bool, Found]:
     """Scan all specs whose first diagonal index falls in the stripe.
 
     Returns (stage counts, truncated, [(outer_index, seq, spec, graph), ...])
@@ -283,7 +283,6 @@ def _scan_stripe(args) -> tuple[dict[str, int], bool, Found]:
     reproduce the serial discovery order exactly.  Connection sets are
     masks throughout; a spec is made only for a graph the stripe keeps.
     """
-    k, m, problem, filters, stripe, nstripes, budget = args
     diag_opts = _diag_options(m)
     off_opts = _off_options(m)
     pairs = block_pairs(k)
@@ -392,11 +391,7 @@ def enumerate_census(
 
     nstripes = workers if workers and workers > 1 else 1
     jobs = [(k, m, problem, tuple(filters), w, nstripes, budget) for w in range(nstripes)]
-    if nstripes == 1:
-        outcomes = [_scan_stripe(jobs[0])]
-    else:
-        with multiprocessing.Pool(nstripes) as pool:
-            outcomes = pool.map(_scan_stripe, jobs)
+    outcomes = map_jobs(_scan_stripe, jobs)
 
     totals = {name: sum(c[name] for c, _, _ in outcomes) for name in _STAGES}
     truncated = any(t for _, t, _ in outcomes)

@@ -17,9 +17,9 @@ up even when the score still agrees with them.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -31,8 +31,9 @@ from .counting import (
     gr_score,
     shape_toggle_delta,
 )
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
+from .pool import run_jobs
 from .problems import Book, GeneralizedProblem, Problem, TwoColorProblem
 from .verify import verify_witness
 
@@ -216,7 +217,7 @@ class SearchStats:
 @dataclass
 class SearchOutcome:
     witness: Graph | MultiColoring | None
-    reason: str | None            # None on success; else stalled reason
+    reason: str | None            # None on success; else max_steps, max_seconds or exhausted
     stats: SearchStats
     seed: int | None = None
 
@@ -233,7 +234,6 @@ def run_search(
     max_seconds: float | None = None,
     progress=None,
     worker_id: int = 0,
-    stop=None,
 ) -> SearchOutcome:
     """Iterate tabu_step until score 0, a limit, or exhaustion.  Witnesses are
     re-verified before being returned; never restarts within a run."""
@@ -256,8 +256,6 @@ def run_search(
             if not verdict.valid:
                 raise VerificationError(f"score-0 state failed verification: {verdict.violation}")
             return outcome(witness, None)
-        if stop is not None and stop.is_set():
-            return outcome(None, "stopped")
         if max_steps is not None and state.steps >= max_steps:
             return outcome(None, "max_steps")
         if max_seconds is not None and time.perf_counter() - start >= max_seconds:
@@ -271,32 +269,13 @@ def run_search(
             )
 
 
-def _parallel_worker(problem, n, seed, max_steps, max_seconds, stop, queue, worker_id, progress):
-    try:
-        out = run_search(
-            problem,
-            n,
-            seed,
-            max_steps=max_steps,
-            max_seconds=max_seconds,
-            progress=progress,
-            worker_id=worker_id,
-            stop=stop,
-        )
-        if out.found:
-            stop.set()
-        queue.put((worker_id, out))
-    except Exception as exc:  # surface worker crashes instead of hanging the parent
-        stop.set()
-        queue.put((worker_id, exc))
-
-
 @dataclass
 class ParallelOutcome:
     witness: Graph | MultiColoring | None
     winner_seed: int | None
     outcomes: list[SearchOutcome]
     elapsed: float
+    fates: list[str]  # per seed: found, the run's reason, stopped or "lost (exit code N)"
 
     @property
     def found(self) -> bool:
@@ -311,54 +290,37 @@ def run_parallel(
     max_seconds: float | None = None,
     progress=None,
 ) -> ParallelOutcome:
-    """One independent run per seed; first witness stops the rest.
-
-    Workers share only the stop flag and the result queue; no tabu set or
-    rng crosses process boundaries.
-    """
+    """One independent run per seed, each in its own process; the first
+    witness stops the rest.  A lost worker leaves the others running; a
+    worker that raises ends the race, and its exception is re-raised with
+    the worker's traceback as its cause."""
     if not seeds:
         raise InputError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise InputError("seeds must be distinct")
     start = time.perf_counter()
-    ctx = multiprocessing.get_context()
-    stop = ctx.Event()
-    queue = ctx.Queue()
-    workers = [
-        ctx.Process(
-            target=_parallel_worker,
-            args=(problem, n, seed, max_steps, max_seconds, stop, queue, wid, progress),
-            daemon=True,
-        )
-        for wid, seed in enumerate(seeds)
-    ]
-    for w in workers:
-        w.start()
+    jobs = [(problem, n, seed, max_steps, max_seconds, progress, w) for w, seed in enumerate(seeds)]
+    fates = ["stopped"] * len(seeds)
     outcomes: list[SearchOutcome] = []
     witness = None
     winner_seed = None
-    failure = None
-    for _ in range(len(workers)):
-        try:
-            _, out = queue.get(timeout=3600 if max_seconds is None else max_seconds + 120)
-        except Exception:
-            break
-        if isinstance(out, Exception):
-            failure = out
-            continue
-        outcomes.append(out)
-        if out.found and witness is None:
-            witness = out.witness
-            winner_seed = out.seed
-    for w in workers:
-        w.join(timeout=60)
-        if w.is_alive():
-            w.terminate()
-    if witness is None and failure is not None:
-        raise failure
+    with closing(run_jobs(run_search, jobs)) as finished:
+        for i, out in finished:
+            if isinstance(out, WorkerLost):
+                fates[i] = f"lost (exit code {out.exitcode})"
+            elif isinstance(out, Exception):
+                raise out  # leaving the block terminates the other workers
+            else:
+                fates[i] = "found" if out.found else out.reason
+                outcomes.append(out)
+                if out.found:
+                    witness = out.witness
+                    winner_seed = out.seed
+                    break
     return ParallelOutcome(
         witness=witness,
         winner_seed=winner_seed,
         outcomes=outcomes,
         elapsed=time.perf_counter() - start,
+        fates=fates,
     )

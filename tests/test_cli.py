@@ -147,18 +147,22 @@ class TestSearch:
         g = graph6_decode(captured.out.strip())
         assert verify_witness(g, parse_problem("K3,K3")).valid
 
-    def test_no_worker_reported_is_exit_3(self, monkeypatch, capsys):
+    def test_every_worker_lost_is_exit_4(self, monkeypatch, capsys):
         import ramseykit.cli as cli
         from ramseykit.tabu import ParallelOutcome
 
+        lost = ["lost (exit code 9)", "lost (exit code -9)"]
         monkeypatch.setattr(
-            cli, "run_parallel", lambda *a, **kw: ParallelOutcome(None, None, [], 0.0)
+            cli, "run_parallel", lambda *a, **kw: ParallelOutcome(None, None, [], 0.0, lost)
         )
         code = main(
             ["search", "--problem", "K3,K3", "-n", "6", "--seed", "1", "--workers", "2"]
         )
-        assert code == 3
-        assert "no witness: no worker reported (2 workers)" in capsys.readouterr().err
+        assert code == 4
+        assert (
+            "no witness: worker 0 lost (exit code 9); worker 1 lost (exit code -9)"
+            in capsys.readouterr().err
+        )
 
     def test_progress_stream(self, capsys):
         code = main(
@@ -218,6 +222,34 @@ class TestPolycirc:
     def test_capability_exit_3(self, capsys):
         assert main(["polycirc", "--problem", "K3,K3", "-k", "4", "-m", "5"]) == 3
         assert "limit:" in capsys.readouterr().err
+
+
+_WORKER_COMMANDS = {
+    "search": ["search", "--problem", "K3,K3", "-n", "5", "--seed", "1"],
+    "generate": ["generate", "--problem", "K3,K3", "--max-n", "5"],
+    "polycirc": ["polycirc", "--problem", "B2,B8", "-k", "2", "-m", "5"],
+}
+
+
+@pytest.mark.parametrize("command, workers", [("search", "0"), ("generate", "0"),
+                                              ("polycirc", "-3")])
+def test_workers_below_one_is_exit_2(command, workers, capsys):
+    assert main(_WORKER_COMMANDS[command] + ["--workers", workers]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, engine", [("generate", "generate_levels"),
+                                             ("polycirc", "enumerate_census")])
+def test_lost_worker_is_exit_4(command, engine, monkeypatch, capsys):
+    import ramseykit.cli as cli
+    from ramseykit.errors import WorkerLost
+
+    def lose_worker_1(*args, **kwargs):
+        raise WorkerLost(1, 9)
+
+    monkeypatch.setattr(cli, engine, lose_worker_1)
+    assert main(_WORKER_COMMANDS[command] + ["--workers", "2"]) == 4
+    assert "worker 1 lost (exit code 9)" in capsys.readouterr().err
 
 
 class TestFixturesCommand:

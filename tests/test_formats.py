@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ramseykit.errors import MalformedInputError
 from ramseykit.fixtures import load_fixtures
@@ -11,7 +13,7 @@ from ramseykit.formats import (
     parse_color_matrix,
     read_graph6_lines,
 )
-from ramseykit.graphs import Graph, MultiColoring
+from ramseykit.graphs import Graph, MultiColoring, pair_iter
 
 
 def random_graph(rng, n, p=0.5):
@@ -153,3 +155,66 @@ def test_malformed_matrix_rejected(bad):
 def test_matrix_color_exceeding_r_rejected():
     with pytest.raises(MalformedInputError):
         parse_color_matrix("0 3\n3 0", r=2)
+
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@hs.composite
+def _graphs(draw):
+    n = draw(hs.integers(1, 70))  # 63 and up take the long header
+    bits = draw(hs.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return Graph.from_edges(n, [pair for i, pair in enumerate(pair_iter(n)) if bits >> i & 1])
+
+
+_G6_BYTES = [chr(b) for b in range(63, 127)]
+
+
+@hs.composite
+def _graph6_like(draw):
+    # a valid order header and a body of about the right length, so that
+    # length and padding checks are what decides
+    n = draw(hs.integers(1, 14))
+    size = max(0, (n * (n - 1) // 2 + 5) // 6 + draw(hs.integers(-1, 1)))
+    return chr(n + 63) + draw(hs.text(alphabet=_G6_BYTES, min_size=size, max_size=size))
+
+
+@hs.composite
+def _colorings(draw):
+    n = draw(hs.integers(1, 12))
+    r = draw(hs.integers(2, 6))
+    colors = draw(hs.lists(hs.integers(1, r), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+    return MultiColoring(n, r, colors)
+
+
+class TestCodecProperties:
+    @_PROPERTY
+    @given(_graphs())
+    def test_graph6_roundtrip(self, g):
+        enc = graph6_encode(g)
+        assert graph6_decode(enc) == g
+        assert read_graph6_lines(f"# comment\n\n{enc}\n") == [(3, g)]
+
+    @_PROPERTY
+    @given(hs.one_of(hs.text(alphabet=_G6_BYTES, max_size=40), _graph6_like()))
+    def test_graph6_decoding_is_strict(self, text):
+        # a string either fails to decode or is the one encoding of its graph
+        try:
+            g = graph6_decode(text)
+        except MalformedInputError:
+            return
+        assert graph6_encode(g) == text
+
+    @_PROPERTY
+    @given(_colorings(), hs.data())
+    def test_color_matrix_roundtrip(self, mc, data):
+        text = emit_color_matrix(mc)
+        assert parse_color_matrix(text, r=mc.r) == mc
+        # comment lines, blank lines and extra blanks do not change the parse
+        padded = []
+        for row in text.splitlines():
+            if data.draw(hs.booleans()):
+                padded.append(data.draw(hs.sampled_from(["", "   ", "# note 1 2"])))
+            padded.append("  " + row.replace(" ", data.draw(hs.sampled_from([" ", "\t", "  "]))))
+        assert parse_color_matrix("\n".join(padded), r=mc.r) == mc
