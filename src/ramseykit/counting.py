@@ -10,8 +10,9 @@ cannot arise here.
 
 Counting conventions: books are spine-labeled (one count per choice of
 spine edge and page set) and wheels are hub-labeled (one count per hub and
-rim cycle, directions quotiented out).  Either count is zero exactly when
-the shape is absent, which is all the searches need.
+rim cycle, directions quotiented out; each cycle is counted once, at its
+minimum vertex).  Either count is zero exactly when the shape is absent,
+which is all the searches need.
 """
 
 from __future__ import annotations
@@ -20,29 +21,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError
-from .graphs import Graph, MultiColoring, bits_of
+from .graphs import Graph, MultiColoring, _peel_2core, bits_of
 from .problems import Book, Clique, GeneralizedProblem, Shape, Wheel
-
-
-class BinomialTable:
-    """Dense C(m, k) lookup for 0 <= m, k <= limit; out-of-table falls back
-    to math.comb, and k > m or k < 0 gives 0."""
-
-    __slots__ = ("limit", "rows")
-
-    def __init__(self, limit: int = 64):
-        self.limit = limit
-        self.rows = [[comb(m, k) for k in range(m + 1)] for m in range(limit + 1)]
-
-    def __call__(self, m: int, k: int) -> int:
-        if k < 0 or k > m:
-            return 0
-        if m <= self.limit:
-            return self.rows[m][k]
-        return comb(m, k)
-
-
-_C = BinomialTable()
 
 
 class CodegreeCache:
@@ -87,7 +67,7 @@ def count_books(g: Graph, k: int) -> int:
     rows = g.rows
     total = 0
     for u, v in g.edges():
-        total += _C((rows[u] & rows[v]).bit_count(), k)
+        total += comb((rows[u] & rows[v]).bit_count(), k)
     return total
 
 
@@ -100,28 +80,18 @@ def book_toggle_delta(g: Graph, u: int, v: int, k: int, cache: CodegreeCache | N
     else:
         cd = cache.entry
     common = rows[u] & rows[v]
+    # math.comb raises on a negative argument, and no call in this module
+    # passes one while the codegree cache agrees with g: on a removed edge,
+    # v is a common neighbor of u and x, so cd(u, x) >= 1
     if g.has_edge(u, v):
-        total = _C(cd(u, v), k)
+        total = comb(cd(u, v), k)
         for x in bits_of(common):
-            total += _C(cd(u, x) - 1, k - 1) + _C(cd(v, x) - 1, k - 1)
+            total += comb(cd(u, x) - 1, k - 1) + comb(cd(v, x) - 1, k - 1)
         return -total
-    total = _C(cd(u, v), k)
+    total = comb(cd(u, v), k)
     for x in bits_of(common):
-        total += _C(cd(u, x), k - 1) + _C(cd(v, x), k - 1)
+        total += comb(cd(u, x), k - 1) + comb(cd(v, x), k - 1)
     return total
-
-
-def _peel_2core(rows: list[int], mask: int) -> int:
-    """Drop vertices with fewer than 2 neighbors inside mask, repeatedly.
-    Cycles survive, so cycle counts are unchanged."""
-    while True:
-        drop = 0
-        for x in bits_of(mask):
-            if (rows[x] & mask).bit_count() < 2:
-                drop |= 1 << x
-        if not drop:
-            return mask
-        mask &= ~drop
 
 
 def _count_paths(rows: list[int], inter: int, a: int, b: int, length: int) -> int:
@@ -150,13 +120,9 @@ def _count_cycles(rows: list[int], mask: int, length: int) -> int:
     mask = _peel_2core(rows, mask)
     if mask.bit_count() < length:
         return 0
-    total = 0
-    for s in bits_of(mask):
-        higher = mask & ~((1 << (s + 1)) - 1)
-        # cycles whose minimum vertex is s: paths back to s through larger vertices
-        for w in bits_of(rows[s] & higher):
-            total += _count_paths(rows, higher & ~(1 << w), w, s, length - 1)
-    return total // 2
+    return sum(
+        _count_cycles_through(rows, mask & ~((1 << s) - 1), s, length) for s in bits_of(mask)
+    )
 
 
 def _count_cycles_through(rows: list[int], mask: int, x: int, length: int) -> int:
@@ -215,7 +181,7 @@ def count_cliques_in_mask(rows: list[int], mask: int, s: int) -> int:
             total += 1
             return
         if not P:
-            total += _C(p, s - e)
+            total += comb(p, s - e)
             return
         u, best = -1, -1
         for x in bits_of(P):

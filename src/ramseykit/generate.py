@@ -12,6 +12,7 @@ Children are deduplicated by canonical form: plain graph isomorphism for
 two-color problems, vertex relabeling plus color permutation for
 multicolor ones.  A count of 0 at some order certifies every later order
 is 0 as well, so the remaining levels are padded rather than recomputed.
+Levels written to a dump directory are re-verified in full first.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_key, coloring_canonical_key
-from .errors import BudgetExceededError, CapabilityError, InputError
+from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from .formats import emit_color_matrix, graph6_encode
 from .graphs import Graph, MultiColoring
 from .pool import map_jobs
 from .problems import GeneralizedProblem, Problem, TwoColorProblem
-from .verify import has_shape_through
+from .verify import has_shape_through, verify_witness
 
 
 def _two_color_children(g: Graph, problem: TwoColorProblem) -> list[Graph]:
@@ -146,7 +147,7 @@ def generate_levels(
     counts = [1]
     levels = [GenerationLevel(1, list(frontier))] if keep_levels else None
     if dump_dir:
-        _dump_level(dump_dir, 1, frontier, two_color)
+        _dump_level(dump_dir, 1, frontier, problem)
     spent = 0
 
     for order in range(2, n_max + 1):
@@ -177,24 +178,26 @@ def generate_levels(
         if keep_levels:
             levels.append(GenerationLevel(order, list(frontier)))
         if dump_dir:
-            _dump_level(dump_dir, order, frontier, two_color)
+            _dump_level(dump_dir, order, frontier, problem)
         if not frontier:
             counts.extend([0] * (n_max - order))
             break
     return GenerationResult(problem=problem, counts=counts, levels=levels)
 
 
-def _dump_level(dump_dir: str, order: int, objects, two_color: bool) -> None:
+def _dump_level(dump_dir: str, order: int, objects, problem: Problem) -> None:
+    """Write one level to dump_dir, re-verifying every object first."""
     import os
 
+    for obj in objects:
+        verdict = verify_witness(obj, problem)
+        if not verdict.valid:
+            raise VerificationError(f"generation produced an invalid witness: {verdict.violation}")
     os.makedirs(dump_dir, exist_ok=True)
-    if two_color:
-        path = os.path.join(dump_dir, f"n{order}.g6")
-        with open(path, "w") as fh:
-            for g in objects:
-                fh.write(graph6_encode(g) + "\n")
+    if isinstance(problem, TwoColorProblem):
+        name, lines = f"n{order}.g6", map(graph6_encode, objects)
     else:
-        path = os.path.join(dump_dir, f"n{order}.txt")
-        with open(path, "w") as fh:
-            for mc in objects:
-                fh.write(emit_color_matrix(mc) + "\n")
+        name, lines = f"n{order}.txt", map(emit_color_matrix, objects)
+    with open(os.path.join(dump_dir, name), "w") as fh:
+        for line in lines:
+            fh.write(line + "\n")

@@ -35,6 +35,19 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def _peel_2core(rows: list[int], mask: int) -> int:
+    """Drop vertices with fewer than 2 neighbors inside mask, repeatedly.
+    Cycles survive, so cycle counts are unchanged."""
+    while True:
+        drop = 0
+        for x in bits_of(mask):
+            if (rows[x] & mask).bit_count() < 2:
+                drop |= 1 << x
+        if not drop:
+            return mask
+        mask &= ~drop
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bit-row adjacency."""
 

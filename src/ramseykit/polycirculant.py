@@ -389,7 +389,8 @@ def enumerate_census(
     if "complement-blocks" in filters and k != 2:
         raise InputError("complement-blocks filter needs exactly 2 blocks")
 
-    nstripes = workers if workers and workers > 1 else 1
+    # a stripe past the number of outer diagonal sets would scan nothing
+    nstripes = max(1, min(workers or 1, len(_diag_options(m))))
     jobs = [(k, m, problem, tuple(filters), w, nstripes, budget) for w in range(nstripes)]
     outcomes = map_jobs(_scan_stripe, jobs)
 
@@ -422,8 +423,9 @@ def lemma_witness(n: int) -> Graph:
 
     Tries 2-polycirculant constructions with blocks of size m = 2n-1 first:
     the ansatz that the second block is the complementary circulant of the
-    first, then the full 2-block space.  Every case from n = 5 on lands in
-    the ansatz; at n = 4 the whole 2-block space is empty (exhaustively
+    first, then the first graph of the 2-block census, which scans the
+    whole space in the same order.  Every case from n = 5 on lands in the
+    ansatz; at n = 4 the whole 2-block space is empty (exhaustively
     checked), even though 14-vertex witnesses exist, so as a last resort
     the bound is re-established by seeded local search.  Whatever strategy
     hits, the returned graph has been re-verified.
@@ -434,39 +436,34 @@ def lemma_witness(n: int) -> Graph:
         raise CapabilityError("lemma witness search is desk-scale only: n capped at 8")
     m = 2 * n - 1
     problem = TwoColorProblem(Book(n - 1), Book(n))
-    diag_opts = _diag_options(m)
     full = (1 << m) - 2  # every difference 1..m-1
+    for S in _diag_options(m):
+        if not (
+            _sym_valid(_circulant(m, S), (0,), problem)
+            and _sym_valid(_circulant(m, full ^ S), (0,), problem)
+        ):
+            continue
+        for S12 in _off_options(m):
+            g = _two_block(m, S, full ^ S, S12)
+            if _sym_valid(g, (0, m), problem):
+                verdict = verify(g, problem)
+                if not verdict.valid:
+                    raise VerificationError(
+                        f"lemma witness failed verification: {verdict.violation}"
+                    )
+                return g
+    try:
+        census = enumerate_census(2, m, problem)
+    except VerificationError as exc:
+        raise VerificationError(f"lemma witness failed verification: {exc}") from exc
+    if census.graphs:
+        return census.graphs[0]
+    from .tabu import run_search
 
-    def try_pairs(pairs_iter):
-        for S1, S2 in pairs_iter:
-            if not _sym_valid(_circulant(m, S1), (0,), problem):
-                continue
-            if S2 != S1 and not _sym_valid(_circulant(m, S2), (0,), problem):
-                continue
-            for S12 in _off_options(m):
-                g = _two_block(m, S1, S2, S12)
-                if _sym_valid(g, (0, m), problem):
-                    verdict = verify(g, problem)
-                    if not verdict.valid:
-                        raise VerificationError(
-                            f"lemma witness failed verification: {verdict.violation}"
-                        )
-                    return g
-        return None
-
-    hit = try_pairs((S, full ^ S) for S in diag_opts)
-    if hit is None:
-        hit = try_pairs((S1, S2) for S1 in diag_opts for S2 in diag_opts)
-    if hit is None:
-        from .tabu import run_search
-
-        for seed in range(8):
-            outcome = run_search(problem, 4 * n - 2, seed=seed, max_steps=400_000)
-            if outcome.found:
-                hit = outcome.witness
-                break
-    if hit is not None:
-        return hit
+    for seed in range(8):
+        outcome = run_search(problem, 4 * n - 2, seed=seed, max_steps=400_000)
+        if outcome.found:
+            return outcome.witness
     raise WitnessNotFoundError(
         f"no witness of order {4 * n - 2} found for {problem}; "
         "the book lower-bound family should contain one"

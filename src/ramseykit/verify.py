@@ -5,6 +5,10 @@ the complement; a GR witness has no K_s spanning t or fewer colors.  When
 verification fails, the verdict carries one embedded forbidden subgraph
 with role labels (spine/pages, hub/rim, clique, clique+colors) found by a
 direct bounded search, so callers get a certificate rather than a count.
+
+The searches here depend only on `graphs` and `problems`, never on the
+production counters in `counting`: the two are independent
+implementations, and their agreement is the correctness argument.
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .counting import _peel_2core, count_cliques_in_mask
 from .errors import InputError
-from .graphs import Graph, MultiColoring, bits_of
+from .graphs import Graph, MultiColoring, _peel_2core, bits_of
 from .problems import (
     Book,
     Clique,
@@ -74,30 +77,33 @@ def find_book(g: Graph, k: int) -> tuple[tuple[int, int], tuple[int, ...]] | Non
     return None
 
 
-def _find_cycle(rows: list[int], mask: int, length: int) -> list[int] | None:
-    """First cycle of the given length inside mask, as an ordered vertex list."""
-    mask = _peel_2core(rows, mask)
-    if mask.bit_count() < length:
+def _cycle_from(rows: list[int], avail: int, x: int, length: int) -> list[int] | None:
+    """First cycle of the given length through x with its other vertices in
+    avail (which must exclude x), as an ordered vertex list starting at x."""
+    if avail.bit_count() < length - 1:
         return None
-    for s in bits_of(mask):
-        higher = mask & ~((1 << (s + 1)) - 1)
-        path = [s]
+    path = [x]
 
-        def dfs(x: int, avail: int, remaining: int) -> bool:
-            if remaining == 1:
-                return bool(rows[x] >> s & 1)
-            for w in bits_of(rows[x] & avail):
-                path.append(w)
-                if dfs(w, avail & ~(1 << w), remaining - 1):
-                    return True
-                path.pop()
-            return False
-
-        for w in bits_of(rows[s] & higher):
+    def dfs(v: int, avail: int, remaining: int) -> bool:
+        if remaining == 0:
+            return bool(rows[v] >> x & 1)
+        for w in bits_of(rows[v] & avail):
             path.append(w)
-            if dfs(w, higher & ~(1 << w), length - 1):
-                return path
+            if dfs(w, avail & ~(1 << w), remaining - 1):
+                return True
             path.pop()
+        return False
+
+    return path if dfs(x, avail, length - 1) else None
+
+
+def _find_cycle(rows: list[int], mask: int, length: int) -> list[int] | None:
+    """First cycle of the given length inside mask, found from its minimum vertex."""
+    mask = _peel_2core(rows, mask)
+    for s in bits_of(mask):
+        cycle = _cycle_from(rows, mask & ~((1 << (s + 1)) - 1), s, length)
+        if cycle is not None:
+            return cycle
     return None
 
 
@@ -110,9 +116,8 @@ def find_wheel(g: Graph, k: int) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
-def find_clique(g: Graph, s: int) -> tuple[int, ...] | None:
-    """First K_s embedding (ascending vertices), or None."""
-    rows = g.rows
+def _clique_in(rows: list[int], P: int, need: int) -> tuple[int, ...] | None:
+    """First clique of `need` vertices inside the mask P (ascending), or None."""
     chosen: list[int] = []
 
     def rec(P: int, need: int) -> bool:
@@ -130,9 +135,12 @@ def find_clique(g: Graph, s: int) -> tuple[int, ...] | None:
             chosen.pop()
         return False
 
-    if rec((1 << g.n) - 1, s):
-        return tuple(chosen)
-    return None
+    return tuple(chosen) if rec(P, need) else None
+
+
+def find_clique(g: Graph, s: int) -> tuple[int, ...] | None:
+    """First K_s embedding (ascending vertices), or None."""
+    return _clique_in(g.rows, (1 << g.n) - 1, s)
 
 
 def find_shape(g: Graph, shape: Shape) -> Violation | None:
@@ -170,36 +178,16 @@ def _has_book_through(g: Graph, x: int, k: int) -> bool:
     return False
 
 
-def _cycle_through_exists(rows: list[int], mask: int, x: int, length: int) -> bool:
-    """Is there a cycle of the given length inside mask passing through x?"""
-    mask = _peel_2core(rows, mask | (1 << x))
-    if not (mask >> x) & 1 or mask.bit_count() < length:
-        return False
-
-    def dfs(v: int, avail: int, remaining: int) -> bool:
-        if remaining == 1:
-            return bool(rows[v] >> x & 1)
-        for w in bits_of(rows[v] & avail):
-            if dfs(w, avail & ~(1 << w), remaining - 1):
-                return True
-        return False
-
-    inner = mask & ~(1 << x)
-    return any(
-        dfs(w, inner & ~(1 << w), length - 1)
-        for w in bits_of(rows[x] & inner)
-    )
-
-
 def _has_wheel_through(g: Graph, x: int, k: int) -> bool:
     """Any W_k using vertex x: x as hub, or x on the rim of a neighbor's wheel."""
     rows = g.rows
     if _find_cycle(rows, rows[x], k - 1) is not None:
         return True
-    return any(
-        _cycle_through_exists(rows, rows[h] & ~(1 << x), x, k - 1)
-        for h in bits_of(rows[x])
-    )
+    for h in bits_of(rows[x]):
+        rim = _peel_2core(rows, rows[h])
+        if rim >> x & 1 and _cycle_from(rows, rim & ~(1 << x), x, k - 1) is not None:
+            return True
+    return False
 
 
 def has_shape_through(g: Graph, x: int, shape: Shape) -> bool:
@@ -214,7 +202,7 @@ def has_shape_through(g: Graph, x: int, shape: Shape) -> bool:
     if isinstance(shape, Wheel):
         return _has_wheel_through(g, x, shape.k)
     if isinstance(shape, Clique):
-        return count_cliques_in_mask(g.rows, g.rows[x], shape.k - 1) > 0
+        return _clique_in(g.rows, g.rows[x], shape.k - 1) is not None
     raise InputError(f"unknown shape {shape!r}")
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ramseykit.canon import canonical_key, coloring_canonical_key
-from ramseykit.errors import BudgetExceededError, CapabilityError, InputError
+from ramseykit.errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from ramseykit.formats import read_graph6_lines
 from ramseykit.generate import extend_one, generate_levels
 from ramseykit.graphs import Graph, MultiColoring, all_graphs
@@ -140,6 +140,16 @@ class TestLimitsAndModes:
             for a, b in zip(serial.levels, par.levels):
                 assert [key(x) for x in b.objects] == [key(x) for x in a.objects]
                 assert b.objects == a.objects
+
+    def test_dumped_levels_are_reverified(self, tmp_path, monkeypatch):
+        # with every child accepted, K3 turns up at order 3: the dump must
+        # refuse it, while a run without a dump does no full check
+        import ramseykit.generate as gen
+
+        monkeypatch.setattr(gen, "has_shape_through", lambda g, x, shape: False)
+        assert generate_levels(K33, 5).counts == [1, 2, 4, 11, 34]
+        with pytest.raises(VerificationError, match="generation"):
+            generate_levels(K33, 5, dump_dir=str(tmp_path))
 
     def test_dump_dir_roundtrips(self, tmp_path):
         generate_levels(K33, 5, dump_dir=str(tmp_path))

@@ -260,6 +260,22 @@ class TestCensus:
         assert a.lines() == b.lines() == c.lines()
         assert a.examined == c.examined
 
+    def test_workers_beyond_the_diagonal_sets_start_no_stripes(self, monkeypatch):
+        # m = 3 has two diagonal sets, so at most two stripes have work
+        import ramseykit.polycirculant as poly
+
+        p = parse_problem("B1,B2")
+        serial = enumerate_census(1, 3, p).lines()
+        made = []
+
+        def in_process(fn, jobs):
+            made.append(len(jobs))
+            return [fn(*args) for args in jobs]
+
+        monkeypatch.setattr(poly, "map_jobs", in_process)
+        assert enumerate_census(1, 3, p, workers=64).lines() == serial
+        assert made == [2]
+
     def test_stage_counts_by_hand(self):
         # C5 and its complement pass among the 4 circulants on 5 vertices
         res = enumerate_census(1, 5, K33)

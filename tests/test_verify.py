@@ -1,12 +1,18 @@
+import ast
+import hashlib
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import ramseykit
 from ramseykit.counting import count_shape
 from ramseykit.errors import InputError
 from ramseykit.fixtures import fixture_by_id
-from ramseykit.graphs import Graph, MultiColoring, all_graphs
+from ramseykit.graphs import Graph, MultiColoring, all_graphs, pair_iter
 from ramseykit.problems import Book, Clique, TwoColorProblem, Wheel, parse_problem
 from ramseykit.verify import (
     Verdict,
@@ -32,6 +38,16 @@ def random_graph(rng, n, p=0.5):
 
 
 SHAPES = [Book(1), Book(2), Book(3), Wheel(4), Wheel(5), Clique(3), Clique(4)]
+PROPERTY_SHAPES = SHAPES + [Wheel(6)]
+
+
+@hs.composite
+def _graphs_with_vertex(draw):
+    n = draw(hs.integers(2, 10))
+    pairs = list(pair_iter(n))
+    keep = draw(hs.lists(hs.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    return g, draw(hs.integers(0, n - 1))
 
 
 class TestFinders:
@@ -107,6 +123,69 @@ class TestThroughVertex:
     def test_unknown_shape_rejected(self):
         with pytest.raises(InputError):
             has_shape_through(Graph.complete(4), 0, "K4")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_graphs_with_vertex(), hs.sampled_from(PROPERTY_SHAPES))
+    def test_through_vertex_iff_deleting_it_lowers_the_count(self, case, shape):
+        g, x = case
+        drop = count_shape(g, shape) > count_shape(g.delete_vertex(x), shape)
+        assert has_shape_through(g, x, shape) == drop
+
+
+CERT_PROBLEMS = ("W5,W7", "W4,W6", "B2,B3", "K4,K3", "W5,K4", "B1,W5")
+
+
+def certificate_lines():
+    """For seeded random graphs, the verdict's certificate and every
+    through-vertex answer on both sides, one line per graph."""
+    rng = random.Random(2024)
+    for text in CERT_PROBLEMS:
+        p = parse_problem(text)
+        for n in range(4, 14):
+            for _ in range(25):
+                g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+                comp = g.complement()
+                through = "".join(
+                    f"{has_shape_through(g, x, p.left):d}{has_shape_through(comp, x, p.right):d}"
+                    for x in range(n)
+                )
+                yield f"{text} {n} {verify(g, p).violation} {through}"
+
+
+def test_certificates_match_pinned_digest():
+    # digest of 1,500 graphs' lines, recorded before the verifier's cycle and
+    # clique searches were merged; a change here changes emitted certificates
+    text = "\n".join(certificate_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b21bacec97b8cb3c11778a0bab9b0001255157fe662815f942c504e41c3d4498"
+    )
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules a package source file imports, and of
+    the names it imports from them."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["ramseykit" if node.level else "", node.module]))
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_verifier_and_oracles_import_nothing_from_counting():
+    # the counters, the verifier and the oracles check each other only
+    # while they share no code
+    src = Path(ramseykit.__file__).parent
+    assert "ramseykit.counting" in _imported_modules(src / "tabu.py")
+    for name in ("verify.py", "oracles.py"):
+        imported = _imported_modules(src / name)
+        assert not any(
+            mod == "ramseykit.counting" or mod.startswith("ramseykit.counting.")
+            for mod in imported
+        ), name
 
 
 class TestTwoColorVerify:
