@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a checked object failed verification, 2 malformed
+Exit codes: 0 success, 1 a checked object failed verification (an input, or
+a witness the package built that failed its re-verification), 2 malformed
 input or bad flags, 3 a search or budget limit was hit, 4 a worker process
 was lost (killed, or out of memory) before reporting.  Subcommands wrap
 the library modules one-to-one; anything randomized takes an explicit
@@ -20,6 +21,7 @@ from .errors import (
     InputError,
     MalformedInputError,
     ParseError,
+    VerificationError,
     WorkerLost,
 )
 from .fixtures import run_fixture_suite
@@ -257,6 +259,9 @@ def main(argv=None) -> int:
     except (ParseError, MalformedInputError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BudgetExceededError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         partial = exc.partial

@@ -2,11 +2,14 @@
 
 Each shape counter comes in a full form and a single-edge-toggle delta
 form.  Deltas enumerate only the copies through the toggled edge, so a
-search step costs far less than a recount.  The GR score has only its full
-form here; its recolor delta lives in the tabu GR scorer, which keeps the
-union rows the delta needs.  Counts are plain Python ints (arbitrary
-precision), so the overflow cases other implementations must guard against
-cannot arise here.
+search step costs far less than a recount.  Their innermost work is a
+popcount: K2 and K3, the completions of a K4 or K5 through an edge, are
+counted directly rather than by the clique recursion, and the path DFS
+counts a path's last two edges as one popcount of common neighbors.  The
+GR score has only its full form here; its recolor delta lives in the tabu
+GR scorer, which keeps the union rows the delta needs.  Counts are plain
+Python ints (arbitrary precision), so the overflow cases other
+implementations must guard against cannot arise here.
 
 Counting conventions: books are spine-labeled (one count per choice of
 spine edge and page set) and wheels are hub-labeled (one count per hub and
@@ -34,9 +37,6 @@ class CodegreeCache:
         self.n = g.n
         rows = g.rows
         self.cd = [[(rows[u] & rows[v]).bit_count() for v in range(g.n)] for u in range(g.n)]
-
-    def entry(self, u: int, v: int) -> int:
-        return self.cd[u][v]
 
     def apply_toggle(self, g: Graph, u: int, v: int) -> None:
         """Update after edge (u,v) was toggled in g (call with g already new)."""
@@ -75,42 +75,54 @@ def book_toggle_delta(g: Graph, u: int, v: int, k: int, cache: CodegreeCache | N
     """Change in count_books if edge (u,v) were toggled.  Pure; O(n)."""
     rows = g.rows
     if cache is None:
-        def cd(a, b):
-            return (rows[a] & rows[b]).bit_count()
+        cdu = [(rows[u] & row).bit_count() for row in rows]
+        cdv = [(rows[v] & row).bit_count() for row in rows]
     else:
-        cd = cache.entry
-    common = rows[u] & rows[v]
+        cdu, cdv = cache.cd[u], cache.cd[v]
+    # the books on spine ux with page v number comb(cdu[x] - off, k - 1), where
+    # off is 1 on a removed edge, whose v the codegree still counts.
     # math.comb raises on a negative argument, and no call in this module
     # passes one while the codegree cache agrees with g: on a removed edge,
-    # v is a common neighbor of u and x, so cd(u, x) >= 1
-    if g.has_edge(u, v):
-        total = comb(cd(u, v), k)
-        for x in bits_of(common):
-            total += comb(cd(u, x) - 1, k - 1) + comb(cd(v, x) - 1, k - 1)
-        return -total
-    total = comb(cd(u, v), k)
-    for x in bits_of(common):
-        total += comb(cd(u, x), k - 1) + comb(cd(v, x), k - 1)
-    return total
+    # v is a common neighbor of u and x, so cdu[x] >= 1
+    off = rows[u] >> v & 1
+    total = comb(cdu[v], k)
+    m = rows[u] & rows[v]
+    while m:
+        low = m & -m
+        m ^= low
+        x = low.bit_length() - 1
+        total += comb(cdu[x] - off, k - 1) + comb(cdv[x] - off, k - 1)
+    return -total if off else total
 
 
 def _count_paths(rows: list[int], inter: int, a: int, b: int, length: int) -> int:
     """Simple paths a -> b with exactly `length` edges, interior vertices
-    drawn from the mask `inter` (which must exclude a and b)."""
+    drawn from the mask `inter` (which must exclude a and b).  The DFS
+    stops two edges short of b: the paths x -> w -> y -> b through each
+    neighbor w of x are one popcount of the y adjacent to both w and b."""
     if length == 1:
         return rows[a] >> b & 1
-    total = 0
+    if length == 2:
+        return (rows[a] & inter & rows[b]).bit_count()
+    row_b = rows[b]
 
-    def dfs(x: int, avail: int, remaining: int) -> None:
-        nonlocal total
-        if remaining == 1:
-            total += rows[x] >> b & 1
-            return
-        for w in bits_of(rows[x] & avail):
-            dfs(w, avail & ~(1 << w), remaining - 1)
+    def dfs(x: int, avail: int, remaining: int) -> int:
+        total = 0
+        m = rows[x] & avail
+        if remaining == 3:
+            ends = avail & row_b  # w is not its own neighbor, so no need to drop it
+            while m:
+                low = m & -m
+                m ^= low
+                total += (rows[low.bit_length() - 1] & ends).bit_count()
+            return total
+        while m:
+            low = m & -m
+            m ^= low
+            total += dfs(low.bit_length() - 1, avail ^ low, remaining - 1)
+        return total
 
-    dfs(a, inter, length)
-    return total
+    return dfs(a, inter, length)
 
 
 def _count_cycles(rows: list[int], mask: int, length: int) -> int:
@@ -163,7 +175,9 @@ def wheel_toggle_delta(g: Graph, u: int, v: int, k: int) -> int:
 def count_cliques_in_mask(rows: list[int], mask: int, s: int) -> int:
     """Number of K_s with all vertices inside mask.
 
-    Pivot recursion over a shrinking candidate set: the pivot branch defers
+    K2 and K3 are counted directly: for each x in ascending order, the
+    edges, or the triangles, whose lowest vertex is x.  Larger cliques use a
+    pivot recursion over a shrinking candidate set: the pivot branch defers
     its vertex, link branches commit theirs, and each clique surfaces at
     exactly one leaf as the links plus a subset of the deferred pivots.
     """
@@ -174,6 +188,19 @@ def count_cliques_in_mask(rows: list[int], mask: int, s: int) -> int:
     if s == 1:
         return mask.bit_count()
     total = 0
+    if s <= 3:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            up = rows[low.bit_length() - 1] & mask  # neighbors of x above x
+            if s == 2:
+                total += up.bit_count()
+                continue
+            while up:
+                low = up & -up
+                up ^= low
+                total += (rows[low.bit_length() - 1] & up).bit_count()
+        return total
 
     def rec(P: int, p: int, e: int) -> None:
         nonlocal total

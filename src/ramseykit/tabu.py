@@ -136,6 +136,11 @@ class SearchState:
 
     def __post_init__(self):
         self.pairs = list(pair_iter(self.n))
+        # edge_color_hash(i, c) at [i][c], so a step hashes no candidate
+        colors = range(1, self.coloring.r + 1)
+        self.edge_hashes = [
+            [0, *(edge_color_hash(i, c) for c in colors)] for i in range(len(self.pairs))
+        ]
         if self.best_score is None:
             self.best_score = self.score
 
@@ -174,13 +179,12 @@ def tabu_step(state: SearchState):
     colors = state.coloring.colors
     best_delta = None
     ties = []
-    for i, (u, v) in enumerate(state.pairs):
-        old = colors[i]
-        base = state.hash ^ edge_color_hash(i, old)
+    for (u, v), old, hashes in zip(state.pairs, colors, state.edge_hashes):
+        base = state.hash ^ hashes[old]
         for new in range(1, r + 1):
             if new == old:
                 continue
-            cand_hash = base ^ edge_color_hash(i, new)
+            cand_hash = base ^ hashes[new]
             if cand_hash in state.tabu:
                 continue
             d = state.scorer.delta(u, v, new)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import ramseykit.generate as generate
 from ramseykit.cli import main
 from ramseykit.fixtures import fixture_by_id
 from ramseykit.formats import graph6_decode, graph6_encode, parse_color_matrix
@@ -201,6 +202,17 @@ class TestGenerate:
         )
         assert code == 0
         assert (tmp_path / "n4.g6").read_text().count("\n") == 3
+
+    def test_dumped_witness_failing_reverification_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        # every child is kept, so a level holds a graph with a triangle
+        monkeypatch.setattr(generate, "has_shape_through", lambda *args: False)
+        code = main(
+            ["generate", "--problem", "K3,K3", "--max-n", "4", "--dump", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: generation produced an invalid witness")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestPolycirc:

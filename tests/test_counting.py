@@ -3,6 +3,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ramseykit.counting import (
     CodegreeCache,
@@ -19,7 +21,7 @@ from ramseykit.counting import (
 )
 from ramseykit.errors import InputError
 from ramseykit.fixtures import fixture_by_id
-from ramseykit.graphs import Graph, MultiColoring, all_graphs
+from ramseykit.graphs import Graph, MultiColoring, all_graphs, bits_of
 from ramseykit.oracles import (
     count_books_naive,
     count_cliques_naive,
@@ -45,6 +47,17 @@ def random_coloring(rng, n, r):
         for v in range(u + 1, n):
             mc.set_color(u, v, rng.randint(1, r))
     return mc
+
+
+@hs.composite
+def _graph_mask_order(draw):
+    """A graph on at most 10 vertices, a vertex mask and a clique order 0..6."""
+    n = draw(hs.integers(1, 10))
+    g = Graph(n)
+    for u, v in combinations(range(n), 2):
+        if draw(hs.booleans()):
+            g.add_edge(u, v)
+    return g, draw(hs.integers(0, (1 << n) - 1)), draw(hs.integers(0, 6))
 
 
 def wheel_graph(k):
@@ -120,7 +133,7 @@ class TestOracleAgreement:
         rng = random.Random(61)
         for _ in range(220):
             g = random_graph(rng, rng.randint(4, 12), rng.random())
-            k = rng.randint(4, 6)
+            k = rng.randint(4, 7)
             assert count_wheels(g, k) == count_wheels_naive(g, k)
 
     def test_cliques_random_samples(self):
@@ -129,6 +142,15 @@ class TestOracleAgreement:
             g = random_graph(rng, rng.randint(2, 12), rng.random())
             s = rng.randint(2, 6)
             assert count_cliques(g, s) == count_cliques_naive(g, s)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_graph_mask_order())
+    def test_cliques_in_mask_match_naive(self, case):
+        g, mask, s = case
+        # induced() on no vertices gives a one-vertex graph, so mask 0 is
+        # checked against its own answer: only the empty clique
+        expected = count_cliques_naive(g.induced(bits_of(mask)), s) if mask else int(s == 0)
+        assert count_cliques_in_mask(g.rows, mask, s) == expected
 
     def test_gr_random_samples(self):
         rng = random.Random(63)
@@ -312,4 +334,4 @@ class TestCodegreeCache:
         g = random_graph(rng, 9)
         cache = CodegreeCache(g)
         for u, v in combinations(range(9), 2):
-            assert cache.entry(u, v) == g.codegree(u, v)
+            assert cache.cd[u][v] == g.codegree(u, v)

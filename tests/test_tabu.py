@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -247,7 +248,10 @@ def test_seeded_trajectories_match_pinned_digest(monkeypatch):
     assert digest == PINNED_DIGEST, "\n".join(lines)
 
 
-SHAPES = (Book(1), Book(2), Book(3), Wheel(4), Wheel(5), Clique(3), Clique(4))
+SHAPES = (
+    Book(1), Book(2), Book(3), Wheel(4), Wheel(5), Wheel(6), Wheel(7),
+    Clique(3), Clique(4), Clique(5),
+)
 NAIVE = {Book: count_books_naive, Wheel: count_wheels_naive, Clique: count_cliques_naive}
 GR_PROBLEMS = (
     GeneralizedProblem(3, 3, 1),
@@ -311,3 +315,53 @@ class TestScorerProperties:
     @given(_recolorings(hs.sampled_from(GR_PROBLEMS)))
     def test_gr_delta_matches_recounts(self, case):
         _check_scorer(tabu._GRScorer, *case)
+
+
+# (problem, n): every scorer path at the orders the searches run, where the
+# naive oracles are too slow to check each delta
+PINNED_DELTA_CASES = (
+    ("B2,B8", 19),
+    ("B3,B7", 17),
+    ("W5,W7", 14),
+    ("W5,W9", 15),
+    ("K4,K4", 16),
+    ("K3,K6", 14),
+    ("GR:3,K5,2", 16),
+    ("GR:4,K4,3", 10),
+)
+# color-1 share of the random colorings, so both shapes of a pair get dense
+# and sparse graphs
+PINNED_DELTA_BIASES = (0.35, 0.5, 0.65)
+PINNED_DELTA_DIGEST = "42978cfca3ee8098596c270893e9278d59f4faf0be53afaed9aefd6ae47712c9"
+
+
+def test_every_candidate_delta_matches_pinned_digest():
+    # The digest pins each candidate's delta value, not only the move the
+    # search picks, over seeded colorings and a few applied moves between scans.
+    lines = []
+    for spec, n in PINNED_DELTA_CASES:
+        problem = parse_problem(spec)
+        r = problem.r
+        scorer_type = tabu._TwoColorScorer if r == 2 else tabu._GRScorer
+        pairs = list(pair_iter(n))
+        for seed, bias in enumerate(PINNED_DELTA_BIASES):
+            rng = random.Random(f"{spec}:{n}:{seed}")
+            colors = [
+                1 if rng.random() < bias else rng.randint(2, r) for _ in pairs
+            ]
+            mc = MultiColoring(n, r, colors)
+            scorer = scorer_type(problem, mc)
+            for _ in range(3):
+                deltas = [
+                    scorer.delta(u, v, new)
+                    for i, (u, v) in enumerate(pairs)
+                    for new in range(1, r + 1)
+                    if new != mc.colors[i]
+                ]
+                lines.append(f"{spec} {n} {seed} " + " ".join(map(str, deltas)))
+                for _ in range(2):
+                    i = rng.randrange(len(pairs))
+                    new = (mc.colors[i] + rng.randrange(r - 1)) % r + 1
+                    scorer.apply(*pairs[i], new)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_DELTA_DIGEST
