@@ -8,7 +8,13 @@ parents enumerate all 2^n neighborhoods of the new vertex, multicolor
 parents walk the r^n color assignments depth-first and abandon a prefix as
 soon as some K_s through the new vertex is forced to span too few colors.
 
-Children are deduplicated by canonical form: plain graph isomorphism for
+Only children whose new vertex reaches the largest value of a vertex
+invariant are kept (the cheap filter of McKay's canonical construction
+path, J. Algorithms 26, 1998).  Every class
+still arrives: a witness minus a vertex of largest invariant is a witness,
+so it is isomorphic to some parent, and that parent has a child isomorphic
+to the witness whose new vertex is the image of the deleted one.  The kept
+children are deduplicated by canonical form: plain graph isomorphism for
 two-color problems, vertex relabeling plus color permutation for
 multicolor ones.  A count of 0 at some order certifies every later order
 is 0 as well, so the remaining levels are padded rather than recomputed.
@@ -23,20 +29,68 @@ from itertools import combinations
 from .canon import canonical_key, coloring_canonical_key
 from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from .formats import emit_color_matrix, graph6_encode
-from .graphs import Graph, MultiColoring
+from .graphs import Graph, MultiColoring, bits_of
 from .pool import map_jobs
 from .problems import GeneralizedProblem, Problem, TwoColorProblem
 from .verify import has_shape_through, verify_witness
 
 
+def _invariant(color_rows: list[list[int]], degs: list[list[int]], v: int) -> tuple:
+    """Invariant of vertex v in a graph or coloring given as one adjacency
+    row list per color class, with degs[i][u] the degree of u in class i.
+    For each class v has the tuple (its degree there, the sorted degrees of
+    its neighbors there); its invariant is the sorted vector of its class
+    degrees followed by the sorted list of those tuples.  Both are sorted,
+    so renaming colors changes nothing."""
+    per_color = sorted(
+        (deg[v], tuple(sorted(deg[u] for u in bits_of(rows[v]))))
+        for rows, deg in zip(color_rows, degs)
+    )
+    return tuple(d for d, _ in per_color), tuple(per_color)
+
+
+def _degrees(color_rows: list[list[int]]) -> list[list[int]]:
+    return [[row.bit_count() for row in rows] for rows in color_rows]
+
+
+def vertex_invariants(obj: Graph | MultiColoring) -> list[tuple]:
+    """The invariant that picks the canonical deletion, for every vertex.
+    A graph is its one edge class; a coloring has one class per color."""
+    if isinstance(obj, Graph):
+        color_rows = [obj.rows]
+    else:
+        color_rows = [obj.color_class(c).rows for c in range(1, obj.r + 1)]
+    degs = _degrees(color_rows)
+    return [_invariant(color_rows, degs, v) for v in range(obj.n)]
+
+
+def _last_wins(color_rows: list[list[int]], rivals) -> bool:
+    """Is the last vertex's invariant at least that of every rival?"""
+    degs = _degrees(color_rows)
+    last = _invariant(color_rows, degs, len(color_rows[0]) - 1)
+    return all(_invariant(color_rows, degs, v) <= last for v in rivals)
+
+
 def _two_color_children(g: Graph, problem: TwoColorProblem) -> list[Graph]:
     n = g.n
+    # an old vertex v has degree deg(v) + (mask >> v & 1) in the child, so
+    # the largest old degree is top_deg, plus one when mask meets top
+    top_deg = max(row.bit_count() for row in g.rows)
+    top = sum(1 << v for v, row in enumerate(g.rows) if row.bit_count() == top_deg)
     out = []
     for mask in range(1 << n):
+        k = mask.bit_count()
+        most = top_deg + 1 if mask & top else top_deg
+        if k < most:
+            continue
         child = g.add_vertex(mask)
         if has_shape_through(child, n, problem.left):
             continue
         if has_shape_through(child.complement(), n, problem.right):
+            continue
+        if k == most and not _last_wins(
+            [child.rows], [v for v in range(n) if child.rows[v].bit_count() == k]
+        ):
             continue
         out.append(child)
     return out
@@ -50,12 +104,40 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> list
         for a, b in combinations(S, 2):
             pre |= 1 << mc.get(a, b)
         by_max[S[-1]].append((S, pre))
+    palette = range(1, r + 1)
+    rows = [mc.color_class(c).rows for c in palette]
+    # bumped[v][c]: v's sorted color-degree vector once edge (v, n) has color c
+    bumped = []
+    for v in range(n):
+        deg = [row[v].bit_count() for row in rows]
+        bumped.append([()] + [
+            tuple(sorted(d + (i == c - 1) for i, d in enumerate(deg))) for c in palette
+        ])
     out = []
     assigned = [0] * n
 
+    def keep() -> bool:
+        """Does the new vertex reach the largest invariant of the child?"""
+        vec = tuple(sorted(assigned.count(c) for c in palette))
+        most = max(bumped[v][assigned[v]] for v in range(n))
+        if vec != most:
+            return vec > most
+        child_rows = []
+        for c, prow in zip(palette, rows):
+            new = 0
+            crow = []
+            for v in range(n):
+                hit = assigned[v] == c
+                crow.append(prow[v] | hit << n)
+                new |= hit << v
+            crow.append(new)
+            child_rows.append(crow)
+        return _last_wins(child_rows, [v for v in range(n) if bumped[v][assigned[v]] == vec])
+
     def rec(j: int) -> None:
         if j == n:
-            out.append(mc.add_vertex(list(assigned)))
+            if keep():
+                out.append(mc.add_vertex(list(assigned)))
             return
         for c in range(1, r + 1):
             assigned[j] = c
@@ -75,7 +157,11 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> list
 
 
 def extend_one(obj: Graph | MultiColoring, problem: Problem) -> list:
-    """All valid labeled children of a valid parent, one vertex larger."""
+    """The valid labeled children of a valid parent, one vertex larger,
+    whose new vertex (the last one) reaches the largest value of
+    ``vertex_invariants`` in the child.  The other valid children are
+    dropped unkeyed: each of their classes also has a child of this kind,
+    from the parent isomorphic to it minus a vertex of largest invariant."""
     if isinstance(problem, TwoColorProblem):
         if not isinstance(obj, Graph):
             raise InputError("two-color generation extends Graph objects")
@@ -92,7 +178,7 @@ def _canon(obj, two_color: bool) -> bytes:
 
 
 def _keyed_children(parent, problem: Problem) -> list[tuple[bytes, object]]:
-    """(canonical key, child) for every valid child, in extension order.
+    """(canonical key, child) for every child extend_one returns, in order.
     Worker processes run this, so keys are made where the children are."""
     two_color = isinstance(problem, TwoColorProblem)
     return [(_canon(child, two_color), child) for child in extend_one(parent, problem)]
@@ -133,7 +219,13 @@ def generate_levels(
     workers: int | None = None,
     child_budget: int = 5_000_000,
 ) -> GenerationResult:
-    """Level-by-level counts of witnesses up to isomorphism, orders 1..n_max."""
+    """Level-by-level counts of witnesses up to isomorphism, orders 1..n_max.
+
+    Each level keys the children ``extend_one`` returns and keeps the first
+    child of each canonical key, in frontier order, so the kept objects are
+    the same with or without workers.  ``child_budget`` caps the total of
+    those children, the ones that get a key; children the invariant filter
+    drops are not counted."""
     two_color = isinstance(problem, TwoColorProblem)
     if n_max < 1:
         raise InputError("n_max must be at least 1")

@@ -125,7 +125,7 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         vs = list(vertices)
         pos = {v: i for i, v in enumerate(vs)}
-        out = Graph(len(vs)) if vs else Graph(1)
+        out = Graph(len(vs))
         for i, v in enumerate(vs):
             for w in bits_of(self.rows[v]):
                 if w in pos and pos[w] > i:

@@ -5,16 +5,21 @@ pair by pair, or builds a graph edge by edge from its definition.  The
 production counters in :mod:`ramseykit.counting` use codegrees, DFS path
 extension and pivot recursion instead, and :mod:`ramseykit.polycirculant`
 builds rows by rotating bit masks, so agreement between the two families
-is meaningful evidence of correctness.  Only the test suite should import
-this module.
+is meaningful evidence of correctness.  The generation oracle keys every
+valid child of every parent, where :mod:`ramseykit.generate` keys only the
+children that pass its canonical-deletion filter.  Only the test suite
+should import this module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
+from .canon import canonical_key, coloring_canonical_key
 from .graphs import Graph, MultiColoring
+from .problems import Problem, TwoColorProblem
+from .verify import verify_witness
 
 
 def count_books_naive(g: Graph, k: int) -> int:
@@ -82,3 +87,41 @@ def polycirculant_naive(spec) -> Graph:
         if (j - i) % m in conn[a, b]:
             g.add_edge(u, v)
     return g
+
+
+def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
+    """Canonical keys of the witnesses of each order 1..n_max, unfiltered.
+
+    Every parent gets a new vertex in each of its 2^n neighborhoods or r^n
+    color vectors, each child is verified in full, every valid child is
+    keyed, and the first child of each class becomes a parent of the next
+    level.
+    """
+    if isinstance(problem, TwoColorProblem):
+        frontier: list = [Graph(1)]
+        key = canonical_key
+
+        def children(g):
+            return (g.add_vertex(mask) for mask in range(1 << g.n))
+    else:
+        frontier = [MultiColoring(1, problem.r)]
+
+        def key(mc):
+            return coloring_canonical_key(mc, swap_colors=True)
+
+        def children(mc):
+            colors = range(1, problem.r + 1)
+            return (mc.add_vertex(vec) for vec in product(colors, repeat=mc.n))
+    levels = [{key(frontier[0])}]
+    for _ in range(1, n_max):
+        seen: set[bytes] = set()
+        parents, frontier = frontier, []
+        for parent in parents:
+            for child in children(parent):
+                if verify_witness(child, problem).valid:
+                    k = key(child)
+                    if k not in seen:
+                        seen.add(k)
+                        frontier.append(child)
+        levels.append(seen)
+    return levels

@@ -147,8 +147,8 @@ class TestOracleAgreement:
     @given(_graph_mask_order())
     def test_cliques_in_mask_match_naive(self, case):
         g, mask, s = case
-        # induced() on no vertices gives a one-vertex graph, so mask 0 is
-        # checked against its own answer: only the empty clique
+        # induced() refuses an empty vertex set, so mask 0 is checked
+        # against its own answer: only the empty clique
         expected = count_cliques_naive(g.induced(bits_of(mask)), s) if mask else int(s == 0)
         assert count_cliques_in_mask(g.rows, mask, s) == expected
 

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ramseykit.canon import canonical_key, coloring_canonical_key
 from ramseykit.errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from ramseykit.formats import read_graph6_lines
-from ramseykit.generate import extend_one, generate_levels
-from ramseykit.graphs import Graph, MultiColoring, all_graphs
-from ramseykit.problems import parse_problem
+from ramseykit.generate import extend_one, generate_levels, vertex_invariants
+from ramseykit.graphs import Graph, MultiColoring, all_graphs, pair_iter
+from ramseykit.oracles import generate_keys_naive
+from ramseykit.problems import TwoColorProblem, parse_problem
 from ramseykit.verify import verify_witness
 
 K33 = parse_problem("K3,K3")
@@ -41,6 +44,60 @@ class TestAgainstBruteForce:
         p = parse_problem("W5,W5")
         got = generate_levels(p, 5).counts
         assert got == brute_force_level_counts(p, 5)
+
+
+class TestAgainstUnfilteredOracle:
+    @pytest.mark.parametrize(
+        "text, n_max",
+        [("K3,K3", 7), ("B1,K4", 7), ("W5,W5", 7), ("B2,B3", 8), ("GR:4,K4,3", 8), ("GR:3,K4,2", 7)],
+    )
+    def test_level_key_sets_match(self, text, n_max):
+        # the invariant filter may change which child represents a class,
+        # never which classes there are
+        problem = parse_problem(text)
+        if isinstance(problem, TwoColorProblem):
+            key = canonical_key
+        else:
+            def key(mc):
+                return coloring_canonical_key(mc, swap_colors=True)
+        levels = generate_levels(problem, n_max, keep_levels=True).levels
+        got = [{key(obj) for obj in level.objects} for level in levels]
+        want = generate_keys_naive(problem, n_max)
+        assert got == want[: len(got)]
+        assert all(not keys for keys in want[len(got):])
+
+
+@hs.composite
+def _relabeled(draw):
+    """A random graph or coloring, a vertex permutation p, and the object
+    relabeled by p (colors renamed too for a coloring)."""
+    n = draw(hs.integers(1, 9))
+    m = n * (n - 1) // 2
+    p = draw(hs.permutations(range(n)))
+    if draw(hs.booleans()):
+        bits = draw(hs.integers(0, (1 << m) - 1))
+        g = Graph.from_edges(n, [pair for i, pair in enumerate(pair_iter(n)) if bits >> i & 1])
+        return g, p, g.relabel(p)
+    r = draw(hs.integers(2, 4))
+    mc = MultiColoring(n, r, draw(hs.lists(hs.integers(1, r), min_size=m, max_size=m)))
+    names = draw(hs.permutations(range(1, r + 1)))
+    return mc, p, mc.relabel(p).permute_colors([0, *names])
+
+
+class TestVertexInvariants:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_relabeled())
+    def test_relabeling_moves_the_invariant_with_the_vertex(self, case):
+        # an invariant that saw labels or color names could lose a class
+        obj, p, moved = case
+        before, after = vertex_invariants(obj), vertex_invariants(moved)
+        assert all(after[p[v]] == before[v] for v in range(obj.n))
+
+    def test_graph_invariant_is_degree_then_neighbor_degrees(self):
+        # a path 0-1-2 plus the edge 1-3
+        inv = vertex_invariants(Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]))
+        assert inv[1] == ((3,), ((3, (1, 1, 1)),))
+        assert inv[0] == ((1,), ((1, (3,)),))
 
 
 class TestKnownSequences:
@@ -108,6 +165,21 @@ class TestExtendOne:
         kids = extend_one(Graph(2), K33)
         assert kids and all(k.n == 3 for k in kids)
         assert all(verify_witness(k, K33).valid for k in kids)
+
+    @pytest.mark.parametrize("text", ["B2,B8", "GR:4,K4,3"])
+    def test_children_end_at_the_largest_invariant(self, text):
+        problem = parse_problem(text)
+        parents = generate_levels(problem, 5, keep_levels=True).levels[-1].objects
+        total = 0
+        for parent in parents:
+            for child in extend_one(parent, problem):
+                assert child.n == parent.n + 1
+                assert child.delete_vertex(parent.n) == parent
+                assert verify_witness(child, problem).valid
+                inv = vertex_invariants(child)
+                assert inv[-1] == max(inv)
+                total += 1
+        assert total
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(InputError):

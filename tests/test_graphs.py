@@ -92,6 +92,16 @@ def test_induced_subgraph():
     assert h.edge_count() == 2  # the 0-5 edge is gone
 
 
+def test_induced_on_no_vertices_is_refused():
+    # like Graph(0): there is no graph without vertices
+    with pytest.raises(ValueError):
+        Graph.complete(4).induced([])
+    with pytest.raises(ValueError):
+        Graph(1).delete_vertex(0)
+    with pytest.raises(ValueError):
+        Graph(0)
+
+
 def test_add_then_delete_vertex():
     rng = random.Random(3)
     for _ in range(40):
