@@ -5,7 +5,9 @@ a witness the package built that failed its re-verification), 2 malformed
 input or bad flags, 3 a search or budget limit was hit, 4 a worker process
 was lost (killed, or out of memory) before reporting.  Subcommands wrap
 the library modules one-to-one; anything randomized takes an explicit
---seed, and --deterministic makes the seed mandatory.
+--seed, and --deterministic makes the seed mandatory.  ``search`` is always
+a ``run_parallel`` race, of one seed per worker: with --workers 1 the one
+run is made in this process, and the messages are the same for any count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .generate import generate_levels
 from .graphs import Graph, MultiColoring
 from .polycirculant import enumerate_census
 from .problems import TwoColorProblem, parse_problem
-from .tabu import run_parallel, run_search
+from .tabu import run_parallel
 from .verify import verify_witness
 
 
@@ -120,50 +122,30 @@ def cmd_search(args) -> int:
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
         print(f"seed: {seed}", file=sys.stderr)
-    progress = _progress_to_stderr if args.progress else None
-    if args.workers > 1:
-        outcome = run_parallel(
-            problem,
-            args.n,
-            seeds=[seed + i for i in range(args.workers)],
-            max_steps=args.max_steps,
-            max_seconds=args.max_seconds,
-            progress=progress,
-        )
-        if outcome.found:
-            _emit_witness(outcome.witness, args.output)
-            print(
-                f"found by seed {outcome.winner_seed} in {outcome.elapsed:.1f}s",
-                file=sys.stderr,
-            )
-            return 0
-        lost = [f"worker {i} {f}" for i, f in enumerate(outcome.fates) if f.startswith("lost")]
-        if lost:
-            print("no witness: " + "; ".join(lost), file=sys.stderr)
-            return 4
-        best = min(o.stats.best_score for o in outcome.outcomes)
-        print(f"no witness: best score {best} over {args.workers} workers", file=sys.stderr)
-        return 3
-    outcome = run_search(
+    outcome = run_parallel(
         problem,
         args.n,
-        seed=seed,
+        seeds=[seed + i for i in range(args.workers)],
         max_steps=args.max_steps,
         max_seconds=args.max_seconds,
-        progress=progress,
+        progress=_progress_to_stderr if args.progress else None,
     )
     if outcome.found:
         _emit_witness(outcome.witness, args.output)
+        steps = next(o.stats.steps for o in outcome.outcomes if o.found)
         print(
-            f"found in {outcome.stats.steps} steps, {outcome.stats.elapsed:.1f}s",
+            f"found by seed {outcome.winner_seed} in {steps} steps, {outcome.elapsed:.1f}s",
             file=sys.stderr,
         )
         return 0
-    print(
-        f"no witness ({outcome.reason}): best score {outcome.stats.best_score} "
-        f"after {outcome.stats.steps} steps",
-        file=sys.stderr,
-    )
+    lost = [f"worker {i} {f}" for i, f in enumerate(outcome.fates) if f.startswith("lost")]
+    if lost:
+        print("no witness: " + "; ".join(lost), file=sys.stderr)
+        return 4
+    reasons = ",".join(sorted({o.reason for o in outcome.outcomes}))
+    best = min(o.stats.best_score for o in outcome.outcomes)
+    steps = max(o.stats.steps for o in outcome.outcomes)
+    print(f"no witness ({reasons}): best score {best} after {steps} steps", file=sys.stderr)
     return 3
 
 
@@ -177,9 +159,9 @@ def cmd_generate(args) -> int:
 
 def cmd_polycirc(args) -> int:
     problem = parse_problem(args.problem)
-    filters = tuple(args.filter or ())
+    blocks = "complement-blocks" in (args.filter or ())
     result = enumerate_census(
-        args.k, args.m, problem, filters=filters, budget=args.budget, workers=args.workers
+        args.k, args.m, problem, complement_blocks=blocks, budget=args.budget, workers=args.workers
     )
     for line in result.lines():
         print(line)

@@ -31,10 +31,9 @@ from .problems import Book, Clique, GeneralizedProblem, Shape, Wheel
 class CodegreeCache:
     """Matrix of |N(u) ∩ N(v)| kept current across edge toggles."""
 
-    __slots__ = ("n", "cd")
+    __slots__ = ("cd",)
 
     def __init__(self, g: Graph):
-        self.n = g.n
         rows = g.rows
         self.cd = [[(rows[u] & rows[v]).bit_count() for v in range(g.n)] for u in range(g.n)]
 
@@ -50,14 +49,6 @@ class CodegreeCache:
         for x in bits_of(g.rows[u] & ~(1 << v)):
             cd[v][x] += d
             cd[x][v] += d
-
-    def consistent_with(self, g: Graph) -> bool:
-        rows = g.rows
-        return all(
-            self.cd[u][v] == (rows[u] & rows[v]).bit_count()
-            for u in range(self.n)
-            for v in range(self.n)
-        )
 
 
 def count_books(g: Graph, k: int) -> int:

@@ -251,6 +251,9 @@ def generate_levels(
             stripes = map_jobs(_keyed_stripe, jobs)
             batches = (stripes[i % nstripes][i // nstripes] for i in range(len(frontier)))
         else:
+            # a generator, not one stripe through map_jobs: it lets the
+            # budget below stop the level after any parent, where a stripe
+            # reports only once it has keyed all of its parents
             batches = (_keyed_children(parent, problem) for parent in frontier)
         # batches arrive in frontier order either way, so the first child
         # of each class, and with it the next frontier, is the same

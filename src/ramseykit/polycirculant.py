@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import or_
 
-from .canon import canonical_key
+from .canon import are_isomorphic, canonical_key
 from .errors import (
     BudgetExceededError,
     CapabilityError,
@@ -216,19 +216,6 @@ def _spec(k: int, m: int, diag, off) -> PolycirculantSpec:
     )
 
 
-KNOWN_FILTERS = ("complement-blocks",)
-
-
-def _passes_filters(m: int, diag, filters: tuple[str, ...]) -> bool:
-    from .canon import are_isomorphic
-
-    for name in filters:
-        if name == "complement-blocks":
-            if not are_isomorphic(_circulant(m, diag[0]), _circulant(m, diag[1]).complement()):
-                return False
-    return True
-
-
 _STAGES = ("singles_tried", "singles_passed", "pairs_tried", "pairs_passed", "leaves")
 
 
@@ -236,9 +223,10 @@ _STAGES = ("singles_tried", "singles_passed", "pairs_tried", "pairs_passed", "le
 class CensusResult:
     """The census, plus how many candidates each scan stage tried and passed.
 
-    Probe counts count every single-block and pair check the scan asks for,
-    memo hits included, so they do not depend on how the scan is striped
-    across workers; ``examined`` is the number of assembled specs (leaves).
+    ``stages`` maps each of ``_STAGES`` to its count.  Probe counts count
+    every single-block and pair check the scan asks for, memo hits included,
+    so they do not depend on how the scan is striped across workers;
+    ``examined`` (also ``stages["leaves"]``) is the number of assembled specs.
     """
 
     k: int
@@ -248,19 +236,11 @@ class CensusResult:
     graphs: list[Graph] = field(default_factory=list)
     examined: int = 0
     complete: bool = True
-    singles_tried: int = 0
-    singles_passed: int = 0
-    pairs_tried: int = 0
-    pairs_passed: int = 0
+    stages: dict[str, int] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         return len(self.graphs)
-
-    def stage_counts(self) -> dict[str, int]:
-        counts = {name: getattr(self, name) for name in _STAGES[:-1]}
-        counts["leaves"] = self.examined
-        return counts
 
     def lines(self) -> list[str]:
         out = [graph6_encode(g) + "  # " + s.serialize() for s, g in zip(self.specs, self.graphs)]
@@ -275,7 +255,9 @@ class CensusResult:
 Found = list[tuple[int, int, PolycirculantSpec, Graph]]
 
 
-def _scan_stripe(k, m, problem, filters, stripe, nstripes, budget) -> tuple[dict, bool, Found]:
+def _scan_stripe(
+    k, m, problem, complement_blocks, stripe, nstripes, budget
+) -> tuple[dict, bool, Found]:
     """Scan all specs whose first diagonal index falls in the stripe.
 
     Returns (stage counts, truncated, [(outer_index, seq, spec, graph), ...])
@@ -319,7 +301,9 @@ def _scan_stripe(k, m, problem, filters, stripe, nstripes, budget) -> tuple[dict
         g = Graph(k * m, _realize(k, m, diag, off))
         if k >= 3 and not _sym_valid(g, reps, problem):
             return
-        if not _passes_filters(m, diag, filters):
+        if complement_blocks and not are_isomorphic(
+            _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
+        ):
             return
         found.append((outer, len(found), _spec(k, m, diag, off), g))
 
@@ -362,7 +346,7 @@ def enumerate_census(
     k: int,
     m: int,
     problem: TwoColorProblem,
-    filters: tuple[str, ...] = (),
+    complement_blocks: bool = False,
     budget: int | None = None,
     workers: int | None = None,
 ) -> CensusResult:
@@ -371,7 +355,9 @@ def enumerate_census(
     Scanning is staged: each diagonal set must realize a valid circulant on
     its own block, each off-diagonal set a valid 2-block graph, before the
     full spec is assembled.  ``budget`` caps the number of fully assembled
-    specs; exceeding it raises with the partial census attached.  With
+    specs; exceeding it raises with the partial census attached.
+    ``complement_blocks`` (k = 2 only) keeps the specs whose second block is
+    isomorphic to the complement of the first.  With
     ``workers`` the outer diagonal loop is split across processes by stripe
     (budget is then enforced per worker, and stage counts are summed).
     """
@@ -383,24 +369,21 @@ def enumerate_census(
         raise InputError("m must be at least 2")
     if m > 16:
         raise CapabilityError("census is desk-scale only: m capped at 16")
-    for name in filters:
-        if name not in KNOWN_FILTERS:
-            raise InputError(f"unknown filter {name!r}")
-    if "complement-blocks" in filters and k != 2:
+    if complement_blocks and k != 2:
         raise InputError("complement-blocks filter needs exactly 2 blocks")
 
     # a stripe past the number of outer diagonal sets would scan nothing
     nstripes = max(1, min(workers or 1, len(_diag_options(m))))
-    jobs = [(k, m, problem, tuple(filters), w, nstripes, budget) for w in range(nstripes)]
+    jobs = [(k, m, problem, complement_blocks, w, nstripes, budget) for w in range(nstripes)]
     outcomes = map_jobs(_scan_stripe, jobs)
 
-    totals = {name: sum(c[name] for c, _, _ in outcomes) for name in _STAGES}
+    stages = {name: sum(c[name] for c, _, _ in outcomes) for name in _STAGES}
     truncated = any(t for _, t, _ in outcomes)
     merged = sorted(
         (item for _, _, items in outcomes for item in items),
         key=lambda it: (it[0], it[1]),
     )
-    result = CensusResult(k=k, m=m, problem=problem, examined=totals.pop("leaves"), **totals)
+    result = CensusResult(k=k, m=m, problem=problem, examined=stages["leaves"], stages=stages)
     seen: set[bytes] = set()
     for _, _, spec, g in merged:
         key = canonical_key(g)

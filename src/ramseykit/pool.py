@@ -1,6 +1,7 @@
-"""One process per job, and each job's fate: its result, the exception it
-raised (with the worker's traceback as its cause), or ``WorkerLost`` when
-the worker died without a word, as a killed or out-of-memory worker does."""
+"""Run jobs and report each job's fate: its result, the exception it raised
+(with the worker's traceback as its cause), or ``WorkerLost`` when the
+worker died without a word, as a killed or out-of-memory worker does.
+A lone job runs in the calling process, so no engine decides that itself."""
 
 import multiprocessing
 from contextlib import closing
@@ -22,11 +23,22 @@ def _run_one(fn, args, conn) -> None:
 
 
 def run_jobs(fn, jobs):
-    """Run ``fn(*args)`` for each argument tuple in ``jobs``, each in its own
-    process, and yield ``(index, result | exception | WorkerLost)`` as jobs
-    finish.  A worker's pipe reaches EOF when it exits, so a loss is seen at
-    once.  Closing the generator terminates the workers still running."""
-    # imported here, not at the top, so that importing the package stays cheap
+    """Run ``fn(*args)`` for each argument tuple in the list ``jobs`` and
+    yield ``(index, result | exception | WorkerLost)`` as jobs finish.
+
+    A single job runs in the calling process.  Otherwise each job gets its
+    own process; a worker's pipe reaches EOF when it exits, so a loss is
+    seen at once.  Closing the generator terminates the workers still
+    running."""
+    if len(jobs) == 1:
+        try:
+            value = fn(*jobs[0])
+        except Exception as exc:
+            value = exc
+        yield 0, value
+        return
+    # imported here, not at the top, so that importing the package and
+    # running a single job stay cheap
     from multiprocessing.connection import wait
 
     running = {}
@@ -58,10 +70,8 @@ def run_jobs(fn, jobs):
 
 
 def map_jobs(fn, jobs) -> list:
-    """``[fn(*args) for args in jobs]``, one process per job.  A single job
-    runs in this process.  The first crash or loss is raised."""
-    if len(jobs) == 1:
-        return [fn(*jobs[0])]
+    """``[fn(*args) for args in jobs]`` through ``run_jobs``.  The first crash
+    or loss is raised."""
     results = [None] * len(jobs)
     with closing(run_jobs(fn, jobs)) as finished:
         for i, value in finished:

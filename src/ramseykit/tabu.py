@@ -294,10 +294,10 @@ def run_parallel(
     max_seconds: float | None = None,
     progress=None,
 ) -> ParallelOutcome:
-    """One independent run per seed, each in its own process; the first
-    witness stops the rest.  A lost worker leaves the others running; a
-    worker that raises ends the race, and its exception is re-raised with
-    the worker's traceback as its cause."""
+    """One independent run per seed, each in its own process (a lone seed
+    runs in the calling process); the first witness stops the rest.  A lost
+    worker leaves the others running; a run that raises ends the race, and
+    its exception is re-raised with the worker's traceback as its cause."""
     if not seeds:
         raise InputError("need at least one seed")
     if len(set(seeds)) != len(seeds):

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from ramseykit.cli import main
 from ramseykit.fixtures import fixture_by_id
 from ramseykit.formats import graph6_decode, graph6_encode, parse_color_matrix
 from ramseykit.graphs import Graph
+from ramseykit.polycirculant import enumerate_census
 from ramseykit.problems import parse_problem
 from ramseykit.verify import verify_witness
 
@@ -99,7 +101,7 @@ class TestSearch:
         captured = capsys.readouterr()
         g = graph6_decode(captured.out.strip())
         assert verify_witness(g, parse_problem("K3,K3")).valid
-        assert "found in" in captured.err
+        assert "found by seed 0 in" in captured.err
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "w.g6"
@@ -147,6 +149,22 @@ class TestSearch:
         assert "found by seed" in captured.err
         g = graph6_decode(captured.out.strip())
         assert verify_witness(g, parse_problem("K3,K3")).valid
+
+    def test_one_message_shape_for_any_worker_count(self, capsys):
+        shapes = []
+        for workers in ("1", "2"):
+            hit = ["search", "--problem", "K3,K3", "-n", "5", "--seed", "0", "--workers", workers]
+            assert main(hit) == 0
+            hit_err = capsys.readouterr().err
+            assert re.fullmatch(r"found by seed 0 in \d+ steps, \d+\.\ds\n", hit_err)
+            miss = ["search", "--problem", "K3,K3", "-n", "6", "--seed", "1",
+                    "--max-steps", "50", "--workers", workers]
+            assert main(miss) == 3
+            miss_err = capsys.readouterr().err
+            miss_shape = r"no witness \(max_steps\): best score \d+ after 50 steps\n"
+            assert re.fullmatch(miss_shape, miss_err)
+            shapes.append(re.sub(r"\d+", "#", hit_err + miss_err))
+        assert shapes[0] == shapes[1]
 
     def test_every_worker_lost_is_exit_4(self, monkeypatch, capsys):
         import ramseykit.cli as cli
@@ -234,6 +252,15 @@ class TestPolycirc:
     def test_capability_exit_3(self, capsys):
         assert main(["polycirc", "--problem", "K3,K3", "-k", "4", "-m", "5"]) == 3
         assert "limit:" in capsys.readouterr().err
+
+    def test_complement_blocks_filter(self, capsys):
+        argv = ["polycirc", "--problem", "B2,B8", "-k", "2", "-m", "5"]
+        assert main(argv + ["--filter", "complement-blocks"]) == 0
+        census = enumerate_census(2, 5, parse_problem("B2,B8"), complement_blocks=True)
+        assert capsys.readouterr().out.splitlines() == census.lines()
+        assert main(["polycirc", "--problem", "B2,B8", "-k", "3", "-m", "5",
+                     "--filter", "complement-blocks"]) == 2
+        assert "needs exactly 2 blocks" in capsys.readouterr().err
 
 
 _WORKER_COMMANDS = {

@@ -21,7 +21,6 @@ from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph
 from ramseykit.oracles import polycirculant_naive
 from ramseykit.polycirculant import (
-    KNOWN_FILTERS,
     PolycirculantSpec,
     build,
     enumerate_census,
@@ -190,7 +189,7 @@ CENSUS_DIGESTS = [
      "6615ac0672da1b4cd4dd033b2d9181ab08c5b77cf3717b22865d8dae80c657c7"),
     ("k2-m5-B2,B8-workers2", 2, 5, "B2,B8", {'workers': 2},
      "6615ac0672da1b4cd4dd033b2d9181ab08c5b77cf3717b22865d8dae80c657c7"),
-    ("k2-m5-B2,B8-complement", 2, 5, "B2,B8", {'filters': ('complement-blocks',)},
+    ("k2-m5-B2,B8-complement", 2, 5, "B2,B8", {'complement_blocks': True},
      "15831ad28a014ed3bf0195f2bcc09dc749cf643789e6665fcb2abd83a8c8bd07"),
     ("k2-m5-B2,B8-budget20", 2, 5, "B2,B8", {'budget': 20},
      "3f9d7bed35b2404caa916d4a951184248363509a5a45d395671b6fa05a2d2d11"),
@@ -199,7 +198,7 @@ CENSUS_DIGESTS = [
     ("k2-m7-B3,B7", 2, 7, "B3,B7", {},
      "1440526ad1a10ec6b40fad8831b37506415f097a6bec2d0bd3145dee05d7f564"),
     ("k2-m7-B3,B7-complement-workers2", 2, 7, "B3,B7",
-     {'filters': ('complement-blocks',), 'workers': 2},
+     {'complement_blocks': True, 'workers': 2},
      "7c28e477e9ddd794742469a417c5c9cc3a71325a935dc96c9feb94dd75fd4015"),
     ("k3-m3-B2,B6", 3, 3, "B2,B6", {},
      "abec9a998ead2baee530c89a0ae0f87c8972341e203bb302c2fa7a03d7eb03b5"),
@@ -279,10 +278,11 @@ class TestCensus:
     def test_stage_counts_by_hand(self):
         # C5 and its complement pass among the 4 circulants on 5 vertices
         res = enumerate_census(1, 5, K33)
-        assert res.stage_counts() == {
+        assert res.stages == {
             "singles_tried": 4, "singles_passed": 2,
             "pairs_tried": 0, "pairs_passed": 0, "leaves": 2,
         }
+        assert res.examined == 2
 
     @pytest.mark.parametrize("k, m, text", [(2, 5, "B2,B8"), (3, 3, "B2,B6"), (3, 4, "K3,K5")])
     def test_stage_counts_repeat_and_ignore_workers(self, k, m, text):
@@ -290,15 +290,15 @@ class TestCensus:
         a = enumerate_census(k, m, p)
         b = enumerate_census(k, m, p)
         c = enumerate_census(k, m, p, workers=2)
-        assert a.stage_counts() == b.stage_counts() == c.stage_counts()
-        counts = a.stage_counts()
+        assert a.stages == b.stages == c.stages
+        counts = a.stages
         assert counts["leaves"] == a.examined
         assert 0 < counts["singles_passed"] <= counts["singles_tried"]
         assert 0 < counts["pairs_passed"] <= counts["pairs_tried"]
 
     def test_filter_selects_subset(self):
         full = enumerate_census(2, 5, B2B8)
-        filt = enumerate_census(2, 5, B2B8, filters=("complement-blocks",))
+        filt = enumerate_census(2, 5, B2B8, complement_blocks=True)
         full_keys = {canonical_key(g) for g in full.graphs}
         filt_keys = {canonical_key(g) for g in filt.graphs}
         assert filt_keys <= full_keys
@@ -323,9 +323,7 @@ class TestCensus:
         with pytest.raises(CapabilityError):
             enumerate_census(2, 17, K33)
         with pytest.raises(InputError):
-            enumerate_census(2, 5, K33, filters=("no-such-filter",))
-        with pytest.raises(InputError):
-            enumerate_census(1, 5, K33, filters=KNOWN_FILTERS)
+            enumerate_census(1, 5, K33, complement_blocks=True)
 
     def test_census_lines_parse_back(self):
         res = enumerate_census(2, 5, B2B8)

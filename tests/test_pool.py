@@ -1,16 +1,20 @@
-"""Worker fates: the pool helper itself, and a killed or raising worker in
-each engine that runs one.  Every test starts at most three processes.
+"""Worker fates: the pool helper itself, a lone job run in this process,
+and a killed or raising worker in each engine that runs one.  Every test
+starts at most three processes.
 
-The engine tests patch a module function in the parent; only workers made
-by fork see the patch, so they are skipped under other start methods.
+The engine fate tests patch a module function in the parent; only workers
+made by fork see the patch, so they are skipped under other start methods.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import ramseykit
 import ramseykit.generate as generate
 import ramseykit.polycirculant as polycirculant
 import ramseykit.tabu as tabu
@@ -51,6 +55,28 @@ class TestHelper:
     def test_single_job_runs_in_this_process(self):
         assert map_jobs(_pid, [(0,)]) == [os.getpid()]
 
+    def test_lone_job_yields_in_this_process(self):
+        assert list(run_jobs(_pid, [(0,)])) == [(0, os.getpid())]
+        [(i, exc)] = run_jobs(_fate, [("raise",)])
+        assert i == 0
+        assert isinstance(exc, ValueError) and str(exc) == "boom from the worker"
+
+    def test_serial_runs_import_no_worker_machinery(self):
+        code = (
+            "import sys\n"
+            "from ramseykit import enumerate_census, parse_problem, run_parallel\n"
+            "enumerate_census(2, 5, parse_problem('B2,B8'))\n"
+            "run_parallel(parse_problem('K3,K3'), 5, seeds=[0], max_steps=2000)\n"
+            "print('multiprocessing.connection' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_run_jobs_reports_each_fate(self):
         start = time.perf_counter()
         fates = dict(run_jobs(_fate, [("ok",), ("raise",), ("die",)]))
@@ -74,6 +100,34 @@ class TestHelper:
     def test_map_jobs_raises_a_loss(self):
         with pytest.raises(WorkerLost, match=r"worker 1 lost \(exit code 9\)"):
             map_jobs(_fate, [("ok",), ("die",)])
+
+
+class TestLoneSeed:
+    def test_lone_seed_races_in_this_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a lone seed started a process")
+
+        real = tabu.run_search
+        pids = []
+
+        def recording(*args):
+            pids.append(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(multiprocessing, "Process", no_process)
+        monkeypatch.setattr(tabu, "run_search", recording)
+        out = tabu.run_parallel(K33, 5, seeds=[3], max_steps=2000)
+        assert pids == [os.getpid()]
+        assert out.found and out.winner_seed == 3 and out.fates == ["found"]
+
+    def test_lone_seed_raises_in_the_caller(self, monkeypatch):
+        def broken(problem, n, seed, *rest):
+            raise ValueError(f"seed {seed} is broken")
+
+        monkeypatch.setattr(tabu, "run_search", broken)
+        with pytest.raises(ValueError, match="seed 4 is broken") as ei:
+            tabu.run_parallel(K33, 5, seeds=[4])
+        assert any(entry.name == "broken" for entry in ei.traceback)
 
 
 @needs_fork
