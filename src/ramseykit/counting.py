@@ -7,9 +7,10 @@ popcount: K2 and K3, the completions of a K4 or K5 through an edge, are
 counted directly rather than by the clique recursion, and the path DFS
 counts a path's last two edges as one popcount of common neighbors.  The
 GR score has only its full form here; its recolor delta lives in the tabu
-GR scorer, which keeps the union rows the delta needs.  Counts are plain
-Python ints (arbitrary precision), so the overflow cases other
-implementations must guard against cannot arise here.
+scorer, which keeps the union graphs the delta needs and sums clique
+completions over them.  Counts are plain Python ints (arbitrary
+precision), so the overflow cases other implementations must guard
+against cannot arise here.
 
 Counting conventions: books are spine-labeled (one count per choice of
 spine edge and page set) and wheels are hub-labeled (one count per hub and

@@ -226,7 +226,7 @@ class CensusResult:
     ``stages`` maps each of ``_STAGES`` to its count.  Probe counts count
     every single-block and pair check the scan asks for, memo hits included,
     so they do not depend on how the scan is striped across workers;
-    ``examined`` (also ``stages["leaves"]``) is the number of assembled specs.
+    ``examined`` reads ``stages["leaves"]``, the number of assembled specs.
     """
 
     k: int
@@ -234,9 +234,12 @@ class CensusResult:
     problem: TwoColorProblem
     specs: list[PolycirculantSpec] = field(default_factory=list)
     graphs: list[Graph] = field(default_factory=list)
-    examined: int = 0
     complete: bool = True
     stages: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def examined(self) -> int:
+        return self.stages.get("leaves", 0)
 
     @property
     def count(self) -> int:
@@ -383,7 +386,7 @@ def enumerate_census(
         (item for _, _, items in outcomes for item in items),
         key=lambda it: (it[0], it[1]),
     )
-    result = CensusResult(k=k, m=m, problem=problem, examined=stages["leaves"], stages=stages)
+    result = CensusResult(k=k, m=m, problem=problem, stages=stages)
     seen: set[bytes] = set()
     for _, _, spec, g in merged:
         key = canonical_key(g)

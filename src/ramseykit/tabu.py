@@ -7,12 +7,13 @@ was ever visited (the tabu set grows without bound), and applies a
 minimum-score candidate with uniform random tie-breaking.  Runs never
 restart; a neighborhood with every candidate tabu ends the run as stalled.
 
-The two scorers below hold the only incremental scoring code: two-color
-problems through the counters' toggle deltas, GR problems on the rows of
-every t-color union graph, kept current across recolorings.  Every 2**14
-steps the maintained score is audited against a full recount from the
-coloring itself, so a drift in the scorer's graphs, caches or rows shows
-up even when the score still agrees with them.
+The scorer below holds the only incremental scoring code, for both
+problem kinds.  It keeps one union graph per side of the problem (a set of
+colors and a shape) current across recolorings, and sums the counters'
+toggle deltas over the sides a recolor touches.  Every 2**14 steps the
+maintained score is audited against a full recount from the coloring
+itself, so a drift in the side graphs or caches shows up even when the
+score still agrees with them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import random
 import time
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 
 from .counting import (
@@ -28,97 +30,79 @@ from .counting import (
     book_toggle_delta,
     count_cliques_in_mask,
     count_shape,
-    gr_score,
     shape_toggle_delta,
 )
 from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
 from .pool import run_jobs
-from .problems import Book, GeneralizedProblem, Problem, TwoColorProblem
+from .problems import Book, Clique, Problem, Shape, TwoColorProblem
 from .verify import verify_witness
 
 AUDIT_EVERY = 1 << 14
 PROGRESS_EVERY = 10_000
 
 
-class _TwoColorScorer:
-    """Score = left-shape count in the color-1 graph plus right-shape count
-    in the color-2 graph.  Books get a codegree cache; other shapes do not
-    need one."""
+def _bind_side(shape: Shape, g: Graph) -> tuple:
+    """(delta, g, codegree cache or None) for one side; the delta is a
+    function of (u, v), chosen once.  It looks the counters up in this module
+    at each call, so a name rebound here (as the tracer does) reaches it."""
+    if isinstance(shape, Book):
+        k, cache = shape.k, CodegreeCache(g)
+        return (lambda u, v: book_toggle_delta(g, u, v, k, cache)), g, cache
+    if isinstance(shape, Clique):
+        rows, k = g.rows, shape.k - 2
 
-    def __init__(self, problem: TwoColorProblem, mc: MultiColoring):
-        self.shapes = (problem.left, problem.right)
-        self.graphs = (mc.color_class(1), mc.color_class(2))
-        self.caches = tuple(
-            CodegreeCache(g) if isinstance(shape, Book) else None
-            for shape, g in zip(self.shapes, self.graphs)
-        )
+        def clique_delta(u: int, v: int) -> int:
+            completions = count_cliques_in_mask(rows, rows[u] & rows[v], k)
+            return -completions if rows[u] >> v & 1 else completions
+
+        return clique_delta, g, None
+    return (lambda u, v: shape_toggle_delta(g, u, v, shape)), g, None
+
+
+class _Scorer:
+    """Score = sum over the problem's sides of the side's shape count in the
+    union graph of its colors.  A two-color problem has the sides
+    ((1,), left) and ((2,), right); GR:r,K_s,t has one side per t-subset of
+    colors, each with shape K_s.  Each side keeps its union graph (a book
+    side also its codegree cache) and binds its toggle delta once.  A recolor
+    old -> new toggles the edge in exactly the sides holding one of the two
+    colors."""
+
+    def __init__(self, problem: Problem, mc: MultiColoring):
+        if isinstance(problem, TwoColorProblem):
+            self.sides = [((1,), problem.left), ((2,), problem.right)]
+            self.witness = partial(mc.color_class, 1)
+        else:
+            csets = combinations(range(1, mc.r + 1), problem.t)
+            self.sides = [(cset, Clique(problem.s)) for cset in csets]
+            self.witness = mc.copy
         self.mc = mc
-
-    def full_score(self) -> int:
-        return sum(
-            count_shape(self.mc.color_class(c), shape) for c, shape in enumerate(self.shapes, 1)
-        )
-
-    def delta(self, u: int, v: int, new_color: int) -> int:
-        # any recolor toggles the edge in both graphs; presence is auto-detected
-        total = 0
-        for shape, g, cache in zip(self.shapes, self.graphs, self.caches):
-            if isinstance(shape, Book):
-                total += book_toggle_delta(g, u, v, shape.k, cache)
-            else:
-                total += shape_toggle_delta(g, u, v, shape)
-        return total
-
-    def apply(self, u: int, v: int, new_color: int) -> None:
-        self.mc.set_color(u, v, new_color)
-        for g, cache in zip(self.graphs, self.caches):
-            g.toggle_edge(u, v)
-            if cache is not None:
-                cache.apply_toggle(g, u, v)
-
-    def witness(self) -> Graph:
-        return self.graphs[0].copy()
-
-
-class _GRScorer:
-    """GR score over the rows of every t-color union graph, built once.  A
-    recolor old -> new changes only the unions holding exactly one of the
-    two colors: those with new gain the edge, those with old lose it."""
-
-    def __init__(self, problem: GeneralizedProblem, mc: MultiColoring):
-        self.s, self.t = problem.s, problem.t
-        self.mc = mc
-        colors = range(1, mc.r + 1)
-        unions = [(cset, mc.union_graph(cset).rows) for cset in combinations(colors, self.t)]
-        # per recolor old -> new, the unions it changes: +1 for those gaining
-        # the edge (holding new), -1 for those losing it (holding old)
+        self.graphs = [mc.union_graph(cset) for cset, _ in self.sides]
+        bound = [_bind_side(shape, g) for g, (_, shape) in zip(self.graphs, self.sides)]
+        # per recolor old -> new, the (delta, graph, cache) of each side it toggles
         self.touched = {
             (old, new): [
-                (1 if new in cset else -1, rows)
-                for cset, rows in unions
-                if (old in cset) != (new in cset)
+                b for b, (cset, _) in zip(bound, self.sides) if (old in cset) != (new in cset)
             ]
-            for old, new in permutations(colors, 2)
+            for old, new in permutations(range(1, mc.r + 1), 2)
         }
 
     def full_score(self) -> int:
-        return gr_score(self.mc, self.s, self.t)
+        return sum(count_shape(self.mc.union_graph(cset), shape) for cset, shape in self.sides)
 
     def delta(self, u: int, v: int, new_color: int) -> int:
         total = 0
-        for sign, rows in self.touched[self.mc.get(u, v), new_color]:
-            total += sign * count_cliques_in_mask(rows, rows[u] & rows[v], self.s - 2)
+        for side_delta, _, _ in self.touched[self.mc.get(u, v), new_color]:
+            total += side_delta(u, v)
         return total
 
     def apply(self, u: int, v: int, new_color: int) -> None:
-        for _, rows in self.touched[self.mc.get(u, v), new_color]:
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
+        for _, g, cache in self.touched[self.mc.get(u, v), new_color]:
+            g.toggle_edge(u, v)
+            if cache is not None:
+                cache.apply_toggle(g, u, v)
         self.mc.set_color(u, v, new_color)
-
-    def witness(self) -> MultiColoring:
-        return self.mc.copy()
 
 
 @dataclass
@@ -126,7 +110,7 @@ class SearchState:
     problem: Problem
     n: int
     coloring: MultiColoring
-    scorer: object
+    scorer: _Scorer
     score: int
     hash: int
     tabu: set
@@ -153,10 +137,7 @@ def init_state(problem: Problem, n: int, seed: int) -> SearchState:
     rng = random.Random(seed)
     m = n * (n - 1) // 2
     mc = MultiColoring(n, r, [rng.randint(1, r) for _ in range(m)])
-    if isinstance(problem, TwoColorProblem):
-        scorer = _TwoColorScorer(problem, mc)
-    else:
-        scorer = _GRScorer(problem, mc)
+    scorer = _Scorer(problem, mc)
     h = state_hash(mc)
     return SearchState(
         problem=problem,

@@ -38,13 +38,6 @@ class Violation:
     side: str | None = None          # "graph" / "complement" for two-color
     colors: tuple[int, ...] | None = None  # color set for GR violations
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for vs in self.roles.values():
-            out.extend(vs)
-        return tuple(dict.fromkeys(out))
-
     def __str__(self) -> str:
         parts = [self.description]
         for role, vs in self.roles.items():

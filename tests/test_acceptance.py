@@ -32,7 +32,7 @@ from ramseykit.oracles import (
 )
 from ramseykit.polycirculant import enumerate_census, lemma_witness
 from ramseykit.problems import GeneralizedProblem, parse_problem
-from ramseykit.tabu import _GRScorer, run_parallel, run_search
+from ramseykit.tabu import _Scorer, run_parallel, run_search
 from ramseykit.verify import verify, verify_witness
 
 
@@ -175,7 +175,7 @@ def test_criterion_5_counter_oracle_equivalence():
         before = after
 
     mc = _random_coloring(rng, 9, 3)
-    scorer = _GRScorer(GeneralizedProblem(3, 4, 2), mc)  # the only GR delta
+    scorer = _Scorer(GeneralizedProblem(3, 4, 2), mc)  # the only GR delta
     before = gr_score(mc, 4, 2)
     for _ in range(10_000):
         u, v = rng.randrange(9), rng.randrange(9)

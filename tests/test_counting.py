@@ -29,7 +29,7 @@ from ramseykit.oracles import (
     gr_score_naive,
 )
 from ramseykit.problems import Book, Clique, GeneralizedProblem, Wheel
-from ramseykit.tabu import _GRScorer
+from ramseykit.tabu import _Scorer
 
 
 def random_graph(rng, n, p=0.5):
@@ -291,7 +291,7 @@ class TestDeltas:
         rng = random.Random(74)
         s, t, r = 4, 2, 3
         mc = random_coloring(rng, 9, r)
-        scorer = _GRScorer(GeneralizedProblem(r, s, t), mc)
+        scorer = _Scorer(GeneralizedProblem(r, s, t), mc)
         before = gr_score(mc, s, t)
         for _ in range(4_000):
             u = rng.randrange(9)
@@ -310,7 +310,7 @@ class TestDeltas:
             before = after
 
     def test_gr_delta_mono_k4(self):
-        scorer = _GRScorer(GeneralizedProblem(3, 4, 2), MultiColoring(4, 3))
+        scorer = _Scorer(GeneralizedProblem(3, 4, 2), MultiColoring(4, 3))
         # recoloring one edge of the monochromatic K4 drops the score by 1
         assert scorer.delta(0, 1, 2) == -1
 

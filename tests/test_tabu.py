@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import ramseykit.tabu as tabu
-from ramseykit.counting import count_cliques_in_mask, count_shape
+from ramseykit.counting import count_shape
 from ramseykit.errors import InputError, VerificationError
 from ramseykit.graphs import MultiColoring, pair_iter, state_hash
 from ramseykit.oracles import (
@@ -173,28 +173,17 @@ class TestReverification:
         with pytest.raises(VerificationError, match="score drifted"):
             tabu_step(st)
 
-    def test_audit_recounts_two_color_score_from_the_coloring(self, monkeypatch):
-        # maintained graphs drift off the coloring while the score still
-        # agrees with them; only a recount from the coloring can see it
+    @pytest.mark.parametrize("problem, seed", [(K33, 3), (GR342, 13)], ids=["K3,K3", "GR:3,K4,2"])
+    def test_audit_recounts_score_from_the_coloring(self, monkeypatch, problem, seed):
+        # the maintained side graphs drift off the coloring while the score
+        # still agrees with them; only a recount from the coloring can see it
         monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
-        st = init_state(K33, 7, seed=3)
-        for g in st.scorer.graphs:
+        st = init_state(problem, 7, seed=seed)
+        scorer = st.scorer
+        for g in scorer.graphs:
             g.toggle_edge(0, 1)
-        st.score = sum(count_shape(g, s) for g, s in zip(st.scorer.graphs, st.scorer.shapes))
-        assert st.score != _naive_score(K33, st.coloring)
-        with pytest.raises(VerificationError, match="score drifted"):
-            tabu_step(st)
-
-    def test_audit_recounts_gr_score_from_the_coloring(self, monkeypatch):
-        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
-        st = init_state(GR342, 7, seed=13)
-        unions = list({
-            id(rows): rows for moves in st.scorer.touched.values() for _, rows in moves
-        }.values())
-        unions[0][0] ^= 1 << 1
-        unions[0][1] ^= 1 << 0
-        st.score = sum(count_cliques_in_mask(rows, (1 << 7) - 1, 4) for rows in unions)
-        assert st.score != _naive_score(GR342, st.coloring)
+        st.score = sum(count_shape(g, shape) for g, (_, shape) in zip(scorer.graphs, scorer.sides))
+        assert st.score != _naive_score(problem, st.coloring)
         with pytest.raises(VerificationError, match="score drifted"):
             tabu_step(st)
 
@@ -285,10 +274,10 @@ def _recolorings(draw, problems):
     return problem, MultiColoring(n, problem.r, colors), moves
 
 
-def _check_scorer(scorer_type, problem, mc, moves):
+def _check_scorer(problem, mc, moves):
     # delta must equal the difference of two independent recounts, and apply
     # must leave the scorer in step with the coloring for the next delta
-    scorer = scorer_type(problem, mc)
+    scorer = tabu._Scorer(problem, mc)
     pairs = list(pair_iter(mc.n))
     before = _naive_score(problem, mc)
     assert scorer.full_score() == before
@@ -309,12 +298,12 @@ class TestScorerProperties:
         TwoColorProblem, hs.sampled_from(SHAPES), hs.sampled_from(SHAPES)
     )))
     def test_two_color_delta_matches_recounts(self, case):
-        _check_scorer(tabu._TwoColorScorer, *case)
+        _check_scorer(*case)
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(_recolorings(hs.sampled_from(GR_PROBLEMS)))
     def test_gr_delta_matches_recounts(self, case):
-        _check_scorer(tabu._GRScorer, *case)
+        _check_scorer(*case)
 
 
 # (problem, n): every scorer path at the orders the searches run, where the
@@ -342,7 +331,6 @@ def test_every_candidate_delta_matches_pinned_digest():
     for spec, n in PINNED_DELTA_CASES:
         problem = parse_problem(spec)
         r = problem.r
-        scorer_type = tabu._TwoColorScorer if r == 2 else tabu._GRScorer
         pairs = list(pair_iter(n))
         for seed, bias in enumerate(PINNED_DELTA_BIASES):
             rng = random.Random(f"{spec}:{n}:{seed}")
@@ -350,7 +338,7 @@ def test_every_candidate_delta_matches_pinned_digest():
                 1 if rng.random() < bias else rng.randint(2, r) for _ in pairs
             ]
             mc = MultiColoring(n, r, colors)
-            scorer = scorer_type(problem, mc)
+            scorer = tabu._Scorer(problem, mc)
             for _ in range(3):
                 deltas = [
                     scorer.delta(u, v, new)
