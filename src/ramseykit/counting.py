@@ -5,7 +5,10 @@ form.  Deltas enumerate only the copies through the toggled edge, so a
 search step costs far less than a recount.  Their innermost work is a
 popcount: K2 and K3, the completions of a K4 or K5 through an edge, are
 counted directly rather than by the clique recursion, and the path DFS
-counts a path's last two edges as one popcount of common neighbors.  The
+counts a path's last two edges as one popcount of common neighbors.  Book
+and wheel deltas can instead read a cache kept current across toggles:
+CodegreeCache holds the codegree matrix, and WheelCache per-hub rim-path
+tables of which a toggle rebuilds only the hubs it can change.  The
 GR score has only its full form here; its recolor delta lives in the tabu
 scorer, which keeps the union graphs the delta needs and sums clique
 completions over them.  Counts are plain Python ints (arbitrary
@@ -50,6 +53,75 @@ class CodegreeCache:
         for x in bits_of(g.rows[u] & ~(1 << v)):
             cd[v][x] += d
             cd[x][v] += d
+
+
+class WheelCache:
+    """Per-hub rim-path tables for W_k deltas, kept current across toggles.
+
+    With rim length L = k - 1, for each hub h and a, b in N(h), inside the
+    induced graph G[N(h)]:
+      P[h][a][b]  simple a -> b paths with L - 1 edges,
+      Q[h][a][b]  simple a -> b paths with L - 2 edges,
+      C[h][a]     L-cycles through a.
+    Rows for vertices outside N(h) are zero and are never read.
+    Toggling (a, b) changes G[N(h)] only for h in {a, b} or h in
+    N(a) ∩ N(b), so only those hubs are rebuilt."""
+
+    __slots__ = ("k", "P", "Q", "C")
+
+    def __init__(self, g: Graph, k: int):
+        if k < 4:
+            raise InputError("wheel order must be at least 4")
+        self.k = k
+        n = g.n
+        self.P: list = [None] * n
+        self.Q: list = [None] * n
+        self.C: list = [None] * n
+        for h in range(n):
+            self._rebuild(g.rows, h)
+
+    def _rebuild(self, rows: list[int], h: int) -> None:
+        """Fresh tables for hub h.  From each start a, the simple paths in
+        G[N(h)] grow one edge per round to L - 3 edges; the next edge ends
+        the Q paths, and the last one is a bit loop over the P endpoints."""
+        n = len(rows)
+        nbhd = rows[h]
+        last = self.k - 3  # edges before the last one of a P path
+        zero = [0] * n  # the rows outside N(h), never written
+        P, Q, C = [zero] * n, [zero] * n, [0] * n
+        for a in bits_of(nbhd):
+            Pa = P[a] = [0] * n
+            Qa = Q[a] = [0] * n
+            paths = [(a, nbhd & ~(1 << a))]  # (end, vertices still free)
+            for _ in range(last - 1):
+                longer = []
+                for x, avail in paths:
+                    m = rows[x] & avail
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        longer.append((low.bit_length() - 1, avail ^ low))
+                paths = longer
+            for x, avail in paths:  # each next vertex w ends a Q path
+                m = rows[x] & avail
+                while m:
+                    low = m & -m
+                    m ^= low
+                    w = low.bit_length() - 1
+                    Qa[w] += 1
+                    ends = rows[w] & avail  # w is not its own neighbor
+                    while ends:
+                        low = ends & -ends
+                        ends ^= low
+                        Pa[low.bit_length() - 1] += 1
+            C[a] = sum(Pa[b] for b in bits_of(rows[a] & nbhd)) // 2
+        self.P[h], self.Q[h], self.C[h] = P, Q, C
+
+    def apply_toggle(self, g: Graph, u: int, v: int) -> None:
+        """Update after edge (u,v) was toggled in g (call with g already new)."""
+        rows = g.rows
+        for h in (u, v, *bits_of(rows[u] & rows[v])):
+            self._rebuild(rows, h)
 
 
 def count_books(g: Graph, k: int) -> int:
@@ -145,15 +217,40 @@ def count_wheels(g: Graph, k: int) -> int:
     return sum(_count_cycles(g.rows, g.rows[h], k - 1) for h in range(g.n))
 
 
-def wheel_toggle_delta(g: Graph, u: int, v: int, k: int) -> int:
+def wheel_toggle_delta(g: Graph, u: int, v: int, k: int, cache: WheelCache | None = None) -> int:
     """Change in count_wheels if edge (u,v) were toggled.  Pure.
 
     Wheels through the edge come in two kinds: it is a rim edge (hub in the
     common neighborhood; rim completions are u-v paths inside the hub's
     neighborhood) or a spoke (hub u with v on the rim, or vice versa; rim
-    completions are cycles through the far endpoint).
+    completions are cycles through the far endpoint).  Without a cache both
+    kinds are counted by DFS; with a WheelCache(g, k) kept current by
+    apply_toggle they are read from its tables.  On a missing edge a spoke
+    rim through v is v, w, ..., w', v with w, w' in N(u) ∩ N(v) joined by an
+    (L - 2)-edge path inside N(u).
     """
     rows = g.rows
+    if cache is not None:
+        if cache.k != k:
+            raise InputError(f"wheel cache is for W{cache.k}, not W{k}")
+        P = cache.P
+        common = []
+        total = 0
+        m = rows[u] & rows[v]
+        while m:
+            low = m & -m
+            m ^= low
+            h = low.bit_length() - 1
+            common.append(h)
+            total += P[h][u][v]
+        if rows[u] >> v & 1:
+            return -(total + cache.C[u][v] + cache.C[v][u])
+        Qu, Qv = cache.Q[u], cache.Q[v]
+        for i, w in enumerate(common):
+            qu, qv = Qu[w], Qv[w]
+            for w2 in common[i + 1 :]:
+                total += qu[w2] + qv[w2]
+        return total
     L = k - 1
     both = ~(1 << u) & ~(1 << v)
     total = 0
@@ -239,11 +336,17 @@ def count_shape(g: Graph, shape: Shape) -> int:
     raise InputError(f"unknown shape {shape!r}")
 
 
-def shape_toggle_delta(g: Graph, u: int, v: int, shape: Shape) -> int:
+def shape_toggle_delta(
+    g: Graph, u: int, v: int, shape: Shape, cache: CodegreeCache | WheelCache | None = None
+) -> int:
+    """Change in count_shape if edge (u,v) were toggled.  A book or wheel
+    delta reads `cache` when given: a CodegreeCache(g) for a book, a
+    WheelCache(g, k) for W_k, kept current by its apply_toggle.  Cliques
+    take no cache."""
     if isinstance(shape, Book):
-        return book_toggle_delta(g, u, v, shape.k)
+        return book_toggle_delta(g, u, v, shape.k, cache)
     if isinstance(shape, Wheel):
-        return wheel_toggle_delta(g, u, v, shape.k)
+        return wheel_toggle_delta(g, u, v, shape.k, cache)
     if isinstance(shape, Clique):
         return clique_toggle_delta(g, u, v, shape.k)
     raise InputError(f"unknown shape {shape!r}")

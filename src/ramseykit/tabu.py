@@ -27,6 +27,7 @@ from itertools import combinations, permutations
 
 from .counting import (
     CodegreeCache,
+    WheelCache,
     book_toggle_delta,
     count_cliques_in_mask,
     count_shape,
@@ -43,7 +44,7 @@ PROGRESS_EVERY = 10_000
 
 
 def _bind_side(shape: Shape, g: Graph) -> tuple:
-    """(delta, g, codegree cache or None) for one side; the delta is a
+    """(delta, g, cache or None) for one side; the delta is a
     function of (u, v), chosen once.  It looks the counters up in this module
     at each call, so a name rebound here (as the tracer does) reaches it."""
     if isinstance(shape, Book):
@@ -57,7 +58,8 @@ def _bind_side(shape: Shape, g: Graph) -> tuple:
             return -completions if rows[u] >> v & 1 else completions
 
         return clique_delta, g, None
-    return (lambda u, v: shape_toggle_delta(g, u, v, shape)), g, None
+    cache = WheelCache(g, shape.k)
+    return (lambda u, v: shape_toggle_delta(g, u, v, shape, cache)), g, cache
 
 
 class _Scorer:
@@ -65,9 +67,9 @@ class _Scorer:
     union graph of its colors.  A two-color problem has the sides
     ((1,), left) and ((2,), right); GR:r,K_s,t has one side per t-subset of
     colors, each with shape K_s.  Each side keeps its union graph (a book
-    side also its codegree cache) and binds its toggle delta once.  A recolor
-    old -> new toggles the edge in exactly the sides holding one of the two
-    colors."""
+    side also its codegree cache, a wheel side its per-hub rim-path cache)
+    and binds its toggle delta once.  A recolor old -> new toggles the edge
+    in exactly the sides holding one of the two colors."""
 
     def __init__(self, problem: Problem, mc: MultiColoring):
         if isinstance(problem, TwoColorProblem):

@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 from ramseykit.counting import (
     CodegreeCache,
+    WheelCache,
     book_toggle_delta,
     clique_toggle_delta,
     count_books,
@@ -335,3 +336,48 @@ class TestCodegreeCache:
         cache = CodegreeCache(g)
         for u, v in combinations(range(9), 2):
             assert cache.cd[u][v] == g.codegree(u, v)
+
+
+class TestWheelCache:
+    """The cached wheel delta against the uncached DFS, on graphs that hold
+    W8 and W9, which the tabu scorer properties (n <= 8) cannot reach."""
+
+    @pytest.mark.parametrize("k", range(4, 10))
+    def test_matches_uncached_delta_across_toggles(self, k):
+        rng = random.Random(f"wheel-cache:{k}")
+        for n in range(6, 14):
+            pairs = list(combinations(range(n), 2))
+            for p in (0.35, 0.5, 0.65):
+                g = random_graph(rng, n, p)
+                cache = WheelCache(g, k)
+                for _ in range(3):
+                    before = count_wheels_naive(g, k) if n <= 8 else None
+                    for u, v in pairs:
+                        d = wheel_toggle_delta(g, u, v, k, cache)
+                        assert d == wheel_toggle_delta(g, u, v, k)
+                        assert d == wheel_toggle_delta(g, v, u, k, cache)
+                        if before is not None:
+                            g.toggle_edge(u, v)
+                            assert count_wheels_naive(g, k) - before == d
+                            g.toggle_edge(u, v)
+                    for _ in range(3):
+                        u, v = rng.sample(range(n), 2)
+                        g.toggle_edge(u, v)
+                        cache.apply_toggle(g, u, v)
+                fresh = WheelCache(g, k)
+                assert (cache.P, cache.Q, cache.C) == (fresh.P, fresh.Q, fresh.C)
+
+    def test_tables_on_the_wheel(self):
+        # W6: hub 5 on the rim cycle 0-1-2-3-4, so L = 5
+        cache = WheelCache(wheel_graph(6), 6)
+        assert cache.C[5] == [1, 1, 1, 1, 1, 0]
+        assert cache.P[5][0][1] == 1  # the rim minus the edge 01
+        assert cache.Q[5][0][2] == 1  # 0-4-3-2
+        assert cache.Q[5][0][1] == 0
+
+    def test_rejects_bad_orders(self):
+        g = Graph.complete(5)
+        with pytest.raises(InputError):
+            WheelCache(g, 3)
+        with pytest.raises(InputError):
+            wheel_toggle_delta(g, 0, 1, 5, WheelCache(g, 6))

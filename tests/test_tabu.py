@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import ramseykit.tabu as tabu
-from ramseykit.counting import count_shape
+from ramseykit.counting import WheelCache, count_shape
 from ramseykit.errors import InputError, VerificationError
 from ramseykit.graphs import MultiColoring, pair_iter, state_hash
 from ramseykit.oracles import (
@@ -193,6 +193,27 @@ class TestReverification:
         st.hash ^= 1
         with pytest.raises(VerificationError, match="hash drifted"):
             tabu_step(st)
+
+    def test_audit_catches_a_skipped_wheel_hub_rebuild(self, monkeypatch):
+        # a wheel cache that keeps hub u's old tables after a toggle of (u, v)
+        # feeds stale deltas to the search; the recount must catch the drift
+        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
+        problem = parse_problem("W5,W7")
+        st = init_state(problem, 10, seed=2)
+        while st.score > 0 and st.steps < 10:  # the real update does not drift
+            tabu_step(st)
+        real = WheelCache.apply_toggle
+
+        def skip_hub_u(cache, g, u, v):
+            stale = cache.P[u], cache.Q[u], cache.C[u]
+            real(cache, g, u, v)
+            cache.P[u], cache.Q[u], cache.C[u] = stale
+
+        monkeypatch.setattr(WheelCache, "apply_toggle", skip_hub_u)
+        st = init_state(problem, 10, seed=2)
+        with pytest.raises(VerificationError, match="incremental score drifted"):
+            for _ in range(10):
+                tabu_step(st)
 
 
 # (problem, n, step cap): a few seeds down every scorer path, capped so the
