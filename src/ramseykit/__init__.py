@@ -50,15 +50,11 @@ from .formats import (
     graph6_decode,
     graph6_encode,
     parse_color_matrix,
+    read_color_matrices,
     read_graph6_lines,
 )
 from .generate import GenerationLevel, GenerationResult, extend_one, generate_levels
-from .graphs import (
-    Graph,
-    MultiColoring,
-    edge_color_hash,
-    state_hash,
-)
+from .graphs import Graph, MultiColoring
 from .polycirculant import (
     CensusResult,
     PolycirculantSpec,
@@ -80,12 +76,9 @@ from .problems import (
 from .tabu import (
     ParallelOutcome,
     SearchOutcome,
-    SearchState,
     SearchStats,
-    init_state,
     run_parallel,
     run_search,
-    tabu_step,
 )
 from .verify import (
     Verdict,
@@ -93,7 +86,6 @@ from .verify import (
     find_gr_violation,
     find_shape,
     has_shape_through,
-    verify,
     verify_gr,
     verify_witness,
     violation_holds,
@@ -135,6 +127,7 @@ __all__ = [
     "graph6_decode",
     "graph6_encode",
     "parse_color_matrix",
+    "read_color_matrices",
     "read_graph6_lines",
     "GenerationLevel",
     "GenerationResult",
@@ -142,8 +135,6 @@ __all__ = [
     "generate_levels",
     "Graph",
     "MultiColoring",
-    "edge_color_hash",
-    "state_hash",
     "CensusResult",
     "PolycirculantSpec",
     "build",
@@ -160,18 +151,14 @@ __all__ = [
     "parse_shape",
     "ParallelOutcome",
     "SearchOutcome",
-    "SearchState",
     "SearchStats",
-    "init_state",
     "run_parallel",
     "run_search",
-    "tabu_step",
     "Verdict",
     "Violation",
     "find_gr_violation",
     "find_shape",
     "has_shape_through",
-    "verify",
     "verify_gr",
     "verify_witness",
     "violation_holds",

@@ -261,15 +261,6 @@ def canonical_key(g: Graph) -> bytes:
     return canonical_form(g)[0]
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative: g relabeled into its canonical order."""
-    _, order = canonical_form(g)
-    perm = [0] * g.n
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    return g.relabel(perm)
-
-
 def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes:
     """Canonical key of a coloring under vertex relabeling, and under color
     permutation too when swap_colors is set.

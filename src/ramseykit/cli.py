@@ -27,12 +27,7 @@ from .errors import (
     WorkerLost,
 )
 from .fixtures import run_fixture_suite
-from .formats import (
-    emit_color_matrix,
-    graph6_encode,
-    parse_color_matrix,
-    read_graph6_lines,
-)
+from .formats import emit_color_matrix, graph6_encode, read_color_matrices, read_graph6_lines
 from .generate import generate_levels
 from .graphs import Graph, MultiColoring
 from .polycirculant import enumerate_census
@@ -48,22 +43,23 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_inputs(paths: list[str], fmt: str) -> list[tuple[str, Graph | MultiColoring]]:
-    """(label, object) pairs; graph6 files may hold many lines, matrix files one."""
+def _load_inputs(paths: list[str], fmt: str, r: int) -> list[tuple[str, Graph | MultiColoring]]:
+    """(path:line, object) pairs; a file may hold many graph6 lines or many
+    matrices, and each matrix gets the problem's color count r."""
     out: list[tuple[str, Graph | MultiColoring]] = []
     for path in paths:
         text = _read_text(path)
         if fmt == "graph6":
-            for lineno, g in read_graph6_lines(text):
-                out.append((f"{path}:{lineno}", g))
+            objs = read_graph6_lines(text)
         else:
-            out.append((path, parse_color_matrix(text)))
+            objs = read_color_matrices(text, r)
+        out += [(f"{path}:{lineno}", obj) for lineno, obj in objs]
     return out
 
 
 def cmd_verify(args) -> int:
     problem = parse_problem(args.problem)
-    inputs = _load_inputs(args.inputs, args.format)
+    inputs = _load_inputs(args.inputs, args.format, problem.r)
     if not inputs:
         raise InputError("no inputs to verify")
     bad = 0
@@ -79,14 +75,12 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     problem = parse_problem(args.problem)
-    inputs = _load_inputs(args.inputs, args.format)
+    inputs = _load_inputs(args.inputs, args.format, problem.r)
     if not inputs:
         raise InputError("no inputs to count")
     for label, obj in inputs:
         if isinstance(problem, TwoColorProblem):
             if isinstance(obj, MultiColoring):
-                if obj.r != 2:
-                    raise InputError(f"{label}: two-color problem but {obj.r} colors")
                 obj = obj.color_class(1)
             left = count_shape(obj, problem.left)
             right = count_shape(obj.complement(), problem.right)

@@ -8,7 +8,8 @@ the byte count must match the order exactly, and padding bits must be zero.
 
 Color matrices are whitespace-separated integer rows, one row per vertex,
 with 0 on the diagonal and colors 1..r off it.  Blank lines and '#' comment
-lines are skipped.
+lines are skipped.  A file may hold several matrices in a row; each one's
+order is the length of its first row.
 """
 
 from __future__ import annotations
@@ -152,6 +153,31 @@ def parse_color_matrix(text: str, r: int | None = None) -> MultiColoring:
         raise MalformedInputError(f"color {top} exceeds declared color count {r}")
     colors = [rows[u][v] for u, v in pair_iter(n)]
     return MultiColoring(n, r, colors)
+
+
+def read_color_matrices(text: str, r: int) -> list[tuple[int, MultiColoring]]:
+    """Parse consecutive color matrices, keeping the 1-based line number of
+    each one's first row; a matrix's order is the length of its first row.
+    Blank and '#' lines are skipped, inside a matrix too."""
+    rows = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    out = []
+    i = 0
+    while i < len(rows):
+        lineno, first = rows[i]
+        n = len(first.split())
+        group = rows[i:i + n]
+        i += n
+        try:
+            if len(group) < n:
+                raise MalformedInputError(f"{len(group)} rows, expected {n}")
+            out.append((lineno, parse_color_matrix("\n".join(line for _, line in group), r)))
+        except MalformedInputError as e:
+            raise MalformedInputError(f"line {lineno}: {e}") from None
+    return out
 
 
 def emit_color_matrix(mc: MultiColoring) -> str:

@@ -193,10 +193,6 @@ class GenerationLevel:
     order: int
     objects: list
 
-    @property
-    def count(self) -> int:
-        return len(self.objects)
-
 
 @dataclass
 class GenerationResult:

@@ -8,8 +8,6 @@ column-major pair order, the same order graph6 uses:
 
 from __future__ import annotations
 
-import itertools
-
 _M64 = (1 << 64) - 1
 
 
@@ -86,10 +84,6 @@ class Graph:
             raise ValueError("no loops")
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self.rows[u] &= ~(1 << v)
-        self.rows[v] &= ~(1 << u)
 
     def toggle_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -212,10 +206,6 @@ class MultiColoring:
             out.colors[pair_index(perm[u], perm[v])] = self.colors[pair_index(u, v)]
         return out
 
-    def permute_colors(self, mapping) -> "MultiColoring":
-        """New coloring with color c renamed mapping[c] (mapping is 1-based)."""
-        return MultiColoring(self.n, self.r, [mapping[c] for c in self.colors])
-
     def add_vertex(self, edge_colors) -> "MultiColoring":
         """New coloring with vertex n appended; edge_colors[v] colors edge (v, n)."""
         ec = list(edge_colors)
@@ -231,13 +221,6 @@ class MultiColoring:
                 out.colors[pair_index(j, i)] = self.get(keep[j], u)
         return out
 
-    def color_counts(self) -> list[int]:
-        """Number of edges per color, index 0 unused."""
-        counts = [0] * (self.r + 1)
-        for c in self.colors:
-            counts[c] += 1
-        return counts
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiColoring)
@@ -250,14 +233,6 @@ class MultiColoring:
 
     def __repr__(self):
         return f"MultiColoring(n={self.n}, r={self.r})"
-
-
-def coloring_from_graph(g: Graph, r: int = 2) -> MultiColoring:
-    """2-coloring view of a graph: its edges get color 1, non-edges color 2."""
-    mc = MultiColoring(g.n, r)
-    for i, (u, v) in enumerate(pair_iter(g.n)):
-        mc.colors[i] = 1 if g.has_edge(u, v) else 2
-    return mc
 
 
 def _mix64(x: int) -> int:
@@ -285,21 +260,3 @@ def state_hash(mc: MultiColoring) -> int:
         h ^= edge_color_hash(i, c)
     return h
 
-
-def all_graphs(n: int):
-    """Every labeled graph on n vertices (2^C(n,2) of them)."""
-    m = n * (n - 1) // 2
-    pairs = list(pair_iter(n))
-    for bits in range(1 << m):
-        g = Graph(n)
-        for i in range(m):
-            if bits >> i & 1:
-                g.add_edge(*pairs[i])
-        yield g
-
-
-def all_colorings(n: int, r: int):
-    """Every labeled r-coloring of K_n (r^C(n,2) of them)."""
-    m = n * (n - 1) // 2
-    for combo in itertools.product(range(1, r + 1), repeat=m):
-        yield MultiColoring(n, r, list(combo))

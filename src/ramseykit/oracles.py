@@ -7,8 +7,9 @@ extension and pivot recursion instead, and :mod:`ramseykit.polycirculant`
 builds rows by rotating bit masks, so agreement between the two families
 is meaningful evidence of correctness.  The generation oracle keys every
 valid child of every parent, where :mod:`ramseykit.generate` keys only the
-children that pass its canonical-deletion filter.  Only the test suite
-should import this module.
+children that pass its canonical-deletion filter.  The exhaustive
+generators of labeled graphs and colorings feed these checks.  Only the
+test suite should import this module.
 """
 
 from __future__ import annotations
@@ -17,9 +18,28 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from .canon import canonical_key, coloring_canonical_key
-from .graphs import Graph, MultiColoring
+from .graphs import Graph, MultiColoring, pair_iter
 from .problems import Problem, TwoColorProblem
 from .verify import verify_witness
+
+
+def all_graphs(n: int):
+    """Every labeled graph on n vertices (2^C(n,2) of them)."""
+    m = n * (n - 1) // 2
+    pairs = list(pair_iter(n))
+    for bits in range(1 << m):
+        g = Graph(n)
+        for i in range(m):
+            if bits >> i & 1:
+                g.add_edge(*pairs[i])
+        yield g
+
+
+def all_colorings(n: int, r: int):
+    """Every labeled r-coloring of K_n (r^C(n,2) of them)."""
+    m = n * (n - 1) // 2
+    for combo in product(range(1, r + 1), repeat=m):
+        yield MultiColoring(n, r, list(combo))
 
 
 def count_books_naive(g: Graph, k: int) -> int:

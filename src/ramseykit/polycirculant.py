@@ -27,12 +27,11 @@ from functools import lru_cache
 from itertools import combinations
 from operator import or_
 
-from .canon import are_isomorphic, canonical_key
+from .canon import N_CAP, are_isomorphic, canonical_key
 from .errors import (
     BudgetExceededError,
     CapabilityError,
     InputError,
-    ParseError,
     VerificationError,
     WitnessNotFoundError,
 )
@@ -46,11 +45,6 @@ from .verify import has_shape_through, verify
 def block_pairs(k: int) -> list[tuple[int, int]]:
     """Block-label pairs (a, b), a < b, in the serialization order."""
     return list(combinations(range(1, k + 1), 2))
-
-
-def pair_classes(m: int) -> list[frozenset[int]]:
-    """The symmetric difference classes {d, m-d} of Z_m, d = 1 .. m//2."""
-    return [frozenset({d, m - d}) for d in range(1, m // 2 + 1)]
 
 
 @dataclass(frozen=True)
@@ -93,42 +87,6 @@ class PolycirculantSpec:
         for (a, b), S in zip(block_pairs(self.k), self.off):
             parts.append(f"S{a}{b}=" + ",".join(str(d) for d in sorted(S)))
         return ";".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "PolycirculantSpec":
-        fields_: dict[str, str] = {}
-        for chunk in text.strip().split(";"):
-            if "=" not in chunk:
-                raise ParseError(f"expected key=value, got {chunk!r}")
-            key, _, value = chunk.partition("=")
-            key = key.strip()
-            if key in fields_:
-                raise ParseError(f"duplicate key {key!r}")
-            fields_[key] = value.strip()
-        try:
-            k = int(fields_.pop("k"))
-            m = int(fields_.pop("m"))
-        except KeyError as exc:
-            raise ParseError(f"missing key {exc.args[0]!r}") from None
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-
-        def grab(name: str) -> frozenset[int]:
-            if name not in fields_:
-                raise ParseError(f"missing key {name!r}")
-            raw = fields_.pop(name)
-            if not raw:
-                return frozenset()
-            try:
-                return frozenset(int(x) for x in raw.split(","))
-            except ValueError:
-                raise ParseError(f"bad integer list for {name}: {raw!r}") from None
-
-        diag = tuple(grab(f"S{a}{a}") for a in range(1, k + 1))
-        off = tuple(grab(f"S{a}{b}") for a, b in block_pairs(k))
-        if fields_:
-            raise ParseError(f"unexpected keys {sorted(fields_)!r}")
-        return cls(k=k, m=m, diag=diag, off=off)
 
 
 def _mask(S) -> int:
@@ -174,11 +132,6 @@ def build(spec: PolycirculantSpec) -> Graph:
     diag = [_mask(S) for S in spec.diag]
     off = [_mask(S) for S in spec.off]
     return Graph(spec.n, _realize(spec.k, spec.m, diag, off))
-
-
-def rotation_perm(k: int, m: int) -> list[int]:
-    """The automorphism rho: (a, i) -> (a, i+1 mod m)."""
-    return [a * m + (i + 1) % m for a in range(k) for i in range(m)]
 
 
 def _sym_valid(g: Graph, reps: tuple[int, ...], problem: TwoColorProblem) -> bool:
@@ -372,6 +325,8 @@ def enumerate_census(
         raise InputError("m must be at least 2")
     if m > 16:
         raise CapabilityError("census is desk-scale only: m capped at 16")
+    if k * m > N_CAP:
+        raise CapabilityError(f"census graphs need exact canonical forms: k*m capped at {N_CAP}")
     if complement_blocks and k != 2:
         raise InputError("complement-blocks filter needs exactly 2 blocks")
 

@@ -93,9 +93,9 @@ class _Scorer:
     def full_score(self) -> int:
         return sum(count_shape(self.mc.union_graph(cset), shape) for cset, shape in self.sides)
 
-    def delta(self, u: int, v: int, new_color: int) -> int:
+    def delta(self, u: int, v: int, old: int, new: int) -> int:
         total = 0
-        for side_delta, _, _ in self.touched[self.mc.get(u, v), new_color]:
+        for side_delta, _, _ in self.touched[old, new]:
             total += side_delta(u, v)
         return total
 
@@ -109,7 +109,6 @@ class _Scorer:
 
 @dataclass
 class SearchState:
-    problem: Problem
     n: int
     coloring: MultiColoring
     scorer: _Scorer
@@ -142,7 +141,6 @@ def init_state(problem: Problem, n: int, seed: int) -> SearchState:
     scorer = _Scorer(problem, mc)
     h = state_hash(mc)
     return SearchState(
-        problem=problem,
         n=n,
         coloring=mc,
         scorer=scorer,
@@ -170,7 +168,7 @@ def tabu_step(state: SearchState):
             cand_hash = base ^ hashes[new]
             if cand_hash in state.tabu:
                 continue
-            d = state.scorer.delta(u, v, new)
+            d = state.scorer.delta(u, v, old, new)
             if best_delta is None or d < best_delta:
                 best_delta = d
                 ties = [(u, v, new, cand_hash)]

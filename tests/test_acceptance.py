@@ -23,8 +23,9 @@ from ramseykit.errors import MalformedInputError
 from ramseykit.fixtures import load_fixtures, run_fixture_suite
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.generate import generate_levels
-from ramseykit.graphs import Graph, MultiColoring, all_graphs
+from ramseykit.graphs import Graph, MultiColoring
 from ramseykit.oracles import (
+    all_graphs,
     count_books_naive,
     count_cliques_naive,
     count_wheels_naive,
@@ -182,7 +183,7 @@ def test_criterion_5_counter_oracle_equivalence():
         if u == v:
             continue
         new = rng.choice([c for c in (1, 2, 3) if c != mc.get(u, v)])
-        d = scorer.delta(u, v, new)
+        d = scorer.delta(u, v, mc.get(u, v), new)
         scorer.apply(u, v, new)
         after = gr_score(mc, 4, 2)
         assert after - before == d

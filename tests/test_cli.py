@@ -56,7 +56,7 @@ class TestVerify:
         path = tmp_path / "m.txt"
         path.write_text(rec.payload)
         assert main(["verify", "--problem", "GR:3,K4,2", "--format", "matrix", str(path)]) == 0
-        assert "ok n=9" in capsys.readouterr().out
+        assert f"{path}:1: ok n=9" in capsys.readouterr().out
 
     def test_malformed_graph6_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
@@ -225,6 +225,23 @@ class TestGenerate:
         assert code == 0
         assert (tmp_path / "n4.g6").read_text().count("\n") == 3
 
+    def test_dumped_matrices_verify(self, tmp_path, capsys):
+        # a level file holds one matrix per witness, and the first levels
+        # use fewer colors than the problem has
+        argv = ["--problem", "GR:3,K4,2", "--format", "matrix"]
+        assert main(["generate", "--problem", "GR:3,K4,2", "--max-n", "5",
+                     "--dump", str(tmp_path)]) == 0
+        counts = capsys.readouterr().out.splitlines()[-1].removeprefix("counts: ").split(",")
+        assert counts == ["1", "1", "3", "9", "34"]
+        for order, count in enumerate(map(int, counts), 1):
+            path = tmp_path / f"n{order}.txt"
+            assert main(["verify", *argv, str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == count
+            assert all(f": ok n={order} problem=GR:3,K4,2" in line for line in lines)
+            assert main(["count", *argv, str(path)]) == 0
+            assert capsys.readouterr().out.count("score=0") == count
+
     def test_dumped_witness_failing_reverification_is_exit_1(self, tmp_path, monkeypatch, capsys):
         # every child is kept, so a level holds a graph with a triangle
         monkeypatch.setattr(generate, "has_shape_through", lambda *args: False)
@@ -256,6 +273,20 @@ class TestPolycirc:
     def test_capability_exit_3(self, capsys):
         assert main(["polycirc", "--problem", "K3,K3", "-k", "4", "-m", "5"]) == 3
         assert "limit:" in capsys.readouterr().err
+
+    def test_census_past_the_canonical_cap_is_refused_before_scanning(self, monkeypatch, capsys):
+        # 3 * 11 = 33 vertices: refused up front, not after the budget is spent
+        import ramseykit.polycirculant as poly
+
+        def no_scan(*args):
+            raise AssertionError("the census scanned")
+
+        monkeypatch.setattr(poly, "map_jobs", no_scan)
+        argv = ["polycirc", "--problem", "K12,K12", "-k", "3", "-m", "11", "--budget", "5"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "limit:" in captured.err and "capped at 32" in captured.err
+        assert captured.out == ""
 
     def test_complement_blocks_filter(self, capsys):
         argv = ["polycirc", "--problem", "B2,B8", "-k", "2", "-m", "5"]

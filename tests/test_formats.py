@@ -11,6 +11,7 @@ from ramseykit.formats import (
     graph6_decode,
     graph6_encode,
     parse_color_matrix,
+    read_color_matrices,
     read_graph6_lines,
 )
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
@@ -157,6 +158,20 @@ def test_matrix_color_exceeding_r_rejected():
         parse_color_matrix("0 3\n3 0", r=2)
 
 
+def test_read_color_matrices_splits_by_first_row():
+    text = "# two matrices\n0\n\n0 1 2\n1 0 1\n# inside one\n2 1 0\n"
+    out = read_color_matrices(text, r=3)
+    assert [lineno for lineno, _ in out] == [2, 4]
+    assert out[0][1] == MultiColoring(1, 3)
+    assert out[1][1] == MultiColoring(3, 3, [1, 2, 1])
+    # r comes from the caller, not from the colors present
+    assert read_color_matrices("0 1\n1 0\n", r=3)[0][1].r == 3
+    with pytest.raises(MalformedInputError, match="line 3: 2 rows, expected 3"):
+        read_color_matrices("0 1\n1 0\n0 1 2\n1 0 1\n", r=2)
+    with pytest.raises(MalformedInputError, match="line 2: row 1 has 3 entries"):
+        read_color_matrices("0\n0 1\n1 0 1\n", r=2)
+
+
 _PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
@@ -217,4 +232,8 @@ class TestCodecProperties:
             if data.draw(hs.booleans()):
                 padded.append(data.draw(hs.sampled_from(["", "   ", "# note 1 2"])))
             padded.append("  " + row.replace(" ", data.draw(hs.sampled_from([" ", "\t", "  "]))))
-        assert parse_color_matrix("\n".join(padded), r=mc.r) == mc
+        padded_text = "\n".join(padded)
+        assert parse_color_matrix(padded_text, r=mc.r) == mc
+        # and two copies in a row read back as two matrices
+        twice = read_color_matrices(padded_text + "\n" + padded_text, r=mc.r)
+        assert [obj for _, obj in twice] == [mc, mc]

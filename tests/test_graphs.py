@@ -5,13 +5,12 @@ import pytest
 from ramseykit.graphs import (
     Graph,
     MultiColoring,
-    all_colorings,
-    all_graphs,
-    coloring_from_graph,
     edge_color_hash,
     pair_index,
+    pair_iter,
     state_hash,
 )
+from ramseykit.oracles import all_colorings, all_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -44,7 +43,7 @@ def test_graph_edge_ops():
     assert not g.has_edge(0, 3)
     g.toggle_edge(2, 4)
     assert g.has_edge(4, 2)
-    g.remove_edge(2, 4)
+    g.toggle_edge(2, 4)
     assert g.edge_count() == 0
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
@@ -86,7 +85,7 @@ def test_relabel_roundtrip():
 
 def test_induced_subgraph():
     g = Graph.complete(6)
-    g.remove_edge(0, 5)
+    g.toggle_edge(0, 5)
     h = g.induced([0, 2, 5])
     assert h.n == 3
     assert h.edge_count() == 2  # the 0-5 edge is gone
@@ -118,7 +117,7 @@ def test_multicoloring_roundtrip():
     mc = MultiColoring(4, 3)
     mc.set_color(1, 3, 2)
     assert mc.get(3, 1) == 2
-    assert mc.color_counts() == [0, 5, 1, 0]  # index 0 unused
+    assert [mc.colors.count(c) for c in (1, 2, 3)] == [5, 1, 0]
     with pytest.raises(ValueError):
         mc.set_color(0, 0, 1)
     with pytest.raises(ValueError):
@@ -137,26 +136,8 @@ def test_union_graph_and_color_class():
         cls = mc.color_class(c)
         for u, v in cls.edges():
             assert mc.get(u, v) == c
-    assert sum(mc.color_counts()) == 21  # index 0 stays zero
-
-
-def test_coloring_from_graph_partition():
-    g = Graph.cycle(6)
-    mc = coloring_from_graph(g)
-    assert mc.r == 2
-    assert mc.color_class(1) == g
-    assert mc.color_class(2) == g.complement()
-
-
-def test_permute_colors():
-    rng = random.Random(17)
-    mc = MultiColoring(6, 3)
-    for u in range(6):
-        for v in range(u + 1, 6):
-            mc.set_color(u, v, rng.randint(1, 3))
-    swapped = mc.permute_colors({1: 2, 2: 1, 3: 3})
-    assert swapped.color_class(2) == mc.color_class(1)
-    assert swapped.permute_colors({1: 2, 2: 1, 3: 3}) == mc
+    # the color classes partition the edges of K_7
+    assert sum(mc.color_class(c).edge_count() for c in (1, 2, 3)) == 21
 
 
 def test_state_hash_is_incremental_xor():
@@ -185,7 +166,9 @@ def test_state_hash_is_incremental_xor():
 def test_state_hash_no_trivial_collisions():
     seen = {}
     for g in all_graphs(5):
-        h = state_hash(coloring_from_graph(g))
+        # the graph as a 2-coloring: edges color 1, non-edges color 2
+        colors = [1 if g.has_edge(u, v) else 2 for u, v in pair_iter(5)]
+        h = state_hash(MultiColoring(5, 2, colors))
         assert h not in seen
         seen[h] = g
 

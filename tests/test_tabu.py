@@ -305,7 +305,7 @@ def _check_scorer(problem, mc, moves):
     for i, shift in moves:
         u, v = pairs[i]
         new = (mc.colors[i] - 1 + shift) % problem.r + 1
-        d = scorer.delta(u, v, new)
+        d = scorer.delta(u, v, mc.colors[i], new)
         scorer.apply(u, v, new)
         after = _naive_score(problem, mc)
         assert after - before == d
@@ -362,7 +362,7 @@ def test_every_candidate_delta_matches_pinned_digest():
             scorer = tabu._Scorer(problem, mc)
             for _ in range(3):
                 deltas = [
-                    scorer.delta(u, v, new)
+                    scorer.delta(u, v, mc.colors[i], new)
                     for i, (u, v) in enumerate(pairs)
                     for new in range(1, r + 1)
                     if new != mc.colors[i]

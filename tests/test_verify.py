@@ -12,7 +12,8 @@ import ramseykit
 from ramseykit.counting import count_shape
 from ramseykit.errors import InputError
 from ramseykit.fixtures import fixture_by_id
-from ramseykit.graphs import Graph, MultiColoring, all_graphs, pair_iter
+from ramseykit.graphs import Graph, MultiColoring, pair_iter
+from ramseykit.oracles import all_graphs
 from ramseykit.problems import Book, Clique, TwoColorProblem, Wheel, parse_problem
 from ramseykit.verify import (
     Verdict,
@@ -188,6 +189,17 @@ def test_verifier_and_oracles_import_nothing_from_counting():
         ), name
 
 
+def test_package_namespace_names_its_modules():
+    # no function in the package namespace shadows the submodule of its name
+    import types
+
+    import ramseykit.verify as verify_module
+
+    assert isinstance(verify_module, types.ModuleType)
+    assert verify_module.verify_witness is ramseykit.verify_witness
+    assert all(hasattr(ramseykit, name) for name in ramseykit.__all__)
+
+
 class TestTwoColorVerify:
     def test_complement_duality(self):
         rng = random.Random(25)
@@ -239,7 +251,7 @@ class TestTwoColorVerify:
         bad = v.violation
         bad.roles["clique"] = (0, 1, 5) if bad.roles["clique"] != (0, 1, 5) else (0, 2, 5)
         g = Graph.complete(6)
-        g.remove_edge(*bad.roles["clique"][:2])
+        g.toggle_edge(*bad.roles["clique"][:2])
         assert not violation_holds(g, p, bad)
 
     def test_verdict_is_truthy(self):
