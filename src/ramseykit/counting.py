@@ -8,10 +8,15 @@ counted directly rather than by the clique recursion, and the path DFS
 counts a path's last two edges as one popcount of common neighbors.  Book
 and wheel deltas can instead read a cache kept current across toggles:
 CodegreeCache holds the codegree matrix, and WheelCache per-hub rim-path
-tables of which a toggle rebuilds only the hubs it can change.  The
-GR score has only its full form here; its recolor delta lives in the tabu
-scorer, which keeps the union graphs the delta needs and sums clique
-completions over them.  Counts are plain Python ints (arbitrary
+tables of which a toggle rebuilds only the hubs it can change.
+changed_pairs gives, per shape kind, the pairs whose delta a toggle can
+change, so a caller holding every pair's delta (the tabu scorer does)
+recomputes only those: for books the pairs meeting the toggled edge or
+joining its common neighborhood to its neighborhood union, for cliques the
+pairs meeting the edge or inside its common neighborhood, for wheels every
+pair.  The GR score has only its full form here; its recolor delta lives
+in the tabu scorer, which keeps the union graphs the delta needs and sums
+clique completions over them.  Counts are plain Python ints (arbitrary
 precision), so the overflow cases other implementations must guard
 against cannot arise here.
 
@@ -122,6 +127,40 @@ class WheelCache:
         rows = g.rows
         for h in (u, v, *bits_of(rows[u] & rows[v])):
             self._rebuild(rows, h)
+
+
+def changed_pairs(shape: Shape, rows: list[int], a: int, b: int) -> list[int]:
+    """The pairs whose toggle delta for `shape` a toggle of edge (a, b) can
+    change, as one mask per vertex y of the partners x < y, so pair_iter
+    order.  With I = N(a) ∩ N(b) and U = N(a) ∪ N(b):
+      books    the pairs meeting {a, b}, and those with one end in I and
+               the other in U: a book delta reads codegrees at its ends,
+               and only cd(a, x) for x in N(b) and cd(b, x) for x in N(a)
+               change;
+      cliques  the pairs meeting {a, b}, and those inside I: a clique delta
+               counts cliques in N(x) ∩ N(y), which holds the edge ab
+               exactly when x and y are both in I;
+      wheels   every pair: the rebuilt hubs a, b and I cover most pairs.
+    The rule reads no row but a's and b's, and those only off {a, b}, so it
+    holds before or after the toggle."""
+    n = len(rows)
+    if isinstance(shape, Wheel):
+        return [(1 << y) - 1 for y in range(n)]
+    ends = 1 << a | 1 << b
+    inner = rows[a] & rows[b]  # holds neither a nor b
+    outer = (rows[a] | rows[b]) & ~ends if isinstance(shape, Book) else inner
+    out = []
+    for y in range(n):
+        if ends >> y & 1:
+            reach = ~0
+        elif inner >> y & 1:
+            reach = ends | outer
+        elif outer >> y & 1:
+            reach = ends | inner
+        else:
+            reach = ends
+        out.append(reach & ((1 << y) - 1))
+    return out
 
 
 def count_books(g: Graph, k: int) -> int:

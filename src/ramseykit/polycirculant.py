@@ -329,6 +329,8 @@ def enumerate_census(
         raise CapabilityError(f"census graphs need exact canonical forms: k*m capped at {N_CAP}")
     if complement_blocks and k != 2:
         raise InputError("complement-blocks filter needs exactly 2 blocks")
+    if budget is not None and budget < 0:
+        raise InputError(f"census budget must be at least 0, not {budget}")
 
     # a stripe past the number of outer diagonal sets would scan nothing
     nstripes = max(1, min(workers or 1, len(_diag_options(m))))

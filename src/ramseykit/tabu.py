@@ -1,19 +1,23 @@
 """Tabu local search over edge recolorings.
 
 One engine serves both problem kinds: two-color problems run as r=2
-colorings (color 1 is the graph, color 2 the complement).  Each step
-evaluates every single-edge recoloring, skips candidates whose state hash
-was ever visited (the tabu set grows without bound), and applies a
-minimum-score candidate with uniform random tie-breaking.  Runs never
-restart; a neighborhood with every candidate tabu ends the run as stalled.
+colorings (color 1 is the graph, color 2 the complement).  Each step scans
+every single-edge recoloring, skips candidates whose state hash was ever
+visited (the tabu set grows without bound), and applies a minimum-score
+candidate with uniform random tie-breaking.  Runs never restart; a
+neighborhood with every candidate tabu ends the run as stalled.
 
 The scorer below holds the only incremental scoring code, for both
 problem kinds.  It keeps one union graph per side of the problem (a set of
-colors and a shape) current across recolorings, and sums the counters'
-toggle deltas over the sides a recolor touches.  Every 2**14 steps the
-maintained score is audited against a full recount from the coloring
-itself, so a drift in the side graphs or caches shows up even when the
-score still agrees with them.
+colors and a shape) current across recolorings, and with it a table of the
+side's toggle delta at every pair.  A move toggles its edge in the sides it
+touches and recomputes their tables only at the pairs counting's
+changed_pairs names (books and cliques: the pairs near the edge; wheels:
+all), so a scan reads each candidate's delta as a sum of table entries and
+calls no counter.  Every 2**14 steps the maintained score is audited
+against a full recount from the coloring itself, so a drift in the side
+graphs or caches shows up even when the score still agrees with them, and
+each table against its side's delta at every pair.
 """
 
 from __future__ import annotations
@@ -23,18 +27,19 @@ import time
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .counting import (
     CodegreeCache,
     WheelCache,
     book_toggle_delta,
+    changed_pairs,
     count_cliques_in_mask,
     count_shape,
     shape_toggle_delta,
 )
 from .errors import InputError, VerificationError, WorkerLost
-from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
+from .graphs import Graph, MultiColoring, edge_color_hash, pair_index, pair_iter, state_hash
 from .pool import run_jobs
 from .problems import Book, Clique, Problem, Shape, TwoColorProblem
 from .verify import verify_witness
@@ -43,13 +48,13 @@ AUDIT_EVERY = 1 << 14
 PROGRESS_EVERY = 10_000
 
 
-def _bind_side(shape: Shape, g: Graph) -> tuple:
-    """(delta, g, cache or None) for one side; the delta is a
-    function of (u, v), chosen once.  It looks the counters up in this module
-    at each call, so a name rebound here (as the tracer does) reaches it."""
+def _bind_delta(shape: Shape, g: Graph) -> tuple:
+    """(delta, cache or None) for one side; the delta is a function of
+    (u, v), chosen once.  It looks the counters up in this module at each
+    call, so a name rebound here (as the tracer does) reaches it."""
     if isinstance(shape, Book):
         k, cache = shape.k, CodegreeCache(g)
-        return (lambda u, v: book_toggle_delta(g, u, v, k, cache)), g, cache
+        return (lambda u, v: book_toggle_delta(g, u, v, k, cache)), cache
     if isinstance(shape, Clique):
         rows, k = g.rows, shape.k - 2
 
@@ -57,19 +62,52 @@ def _bind_side(shape: Shape, g: Graph) -> tuple:
             completions = count_cliques_in_mask(rows, rows[u] & rows[v], k)
             return -completions if rows[u] >> v & 1 else completions
 
-        return clique_delta, g, None
+        return clique_delta, None
     cache = WheelCache(g, shape.k)
-    return (lambda u, v: shape_toggle_delta(g, u, v, shape, cache)), g, cache
+    return (lambda u, v: shape_toggle_delta(g, u, v, shape, cache)), cache
+
+
+class _Side:
+    """One side's union graph g, its cache (a book side's codegrees, a wheel
+    side's rim paths, none for cliques), its toggle delta bound once, and
+    `table`, that delta at every pair in pair_iter order."""
+
+    __slots__ = ("shape", "g", "cache", "delta", "table")
+
+    def __init__(self, shape: Shape, g: Graph):
+        self.shape, self.g = shape, g
+        self.delta, self.cache = _bind_delta(shape, g)
+        self.table = self.fresh_table()
+
+    def fresh_table(self) -> list[int]:
+        delta = self.delta
+        return [delta(u, v) for u, v in pair_iter(self.g.n)]
+
+    def toggle(self, u: int, v: int) -> None:
+        """Toggle (u, v) in g, update the cache, then recompute the table at
+        the pairs whose delta the toggle can change, and only there."""
+        g, delta, table = self.g, self.delta, self.table
+        g.toggle_edge(u, v)
+        if self.cache is not None:
+            self.cache.apply_toggle(g, u, v)
+        for y, lower in enumerate(changed_pairs(self.shape, g.rows, u, v)):
+            base = y * (y - 1) // 2
+            while lower:
+                low = lower & -lower
+                lower ^= low
+                x = low.bit_length() - 1
+                table[base + x] = delta(x, y)
 
 
 class _Scorer:
     """Score = sum over the problem's sides of the side's shape count in the
     union graph of its colors.  A two-color problem has the sides
     ((1,), left) and ((2,), right); GR:r,K_s,t has one side per t-subset of
-    colors, each with shape K_s.  Each side keeps its union graph (a book
-    side also its codegree cache, a wheel side its per-hub rim-path cache)
-    and binds its toggle delta once.  A recolor old -> new toggles the edge
-    in exactly the sides holding one of the two colors."""
+    colors, each with shape K_s.  A recolor old -> new toggles the edge in
+    exactly the sides holding one of the two colors, so its delta at a pair
+    is the sum of those sides' table entries there.  `sums` holds that sum
+    at every pair for each recolor, and `moves[old]` the (new, sums) of each
+    recolor from old, in ascending new; both are current after apply."""
 
     def __init__(self, problem: Problem, mc: MultiColoring):
         if isinstance(problem, TwoColorProblem):
@@ -81,30 +119,43 @@ class _Scorer:
             self.witness = mc.copy
         self.mc = mc
         self.graphs = [mc.union_graph(cset) for cset, _ in self.sides]
-        bound = [_bind_side(shape, g) for g, (_, shape) in zip(self.graphs, self.sides)]
-        # per recolor old -> new, the (delta, graph, cache) of each side it toggles
-        self.touched = {
-            (old, new): [
-                b for b, (cset, _) in zip(bound, self.sides) if (old in cset) != (new in cset)
+        self.bound = [_Side(shape, g) for g, (_, shape) in zip(self.graphs, self.sides)]
+        colors = range(1, mc.r + 1)
+        # a recolor and its reverse toggle the same sides, so they share both
+        self.touched, self.sums = {}, {}
+        for old, new in combinations(colors, 2):
+            sides = [
+                side
+                for side, (cset, _) in zip(self.bound, self.sides)
+                if (old in cset) != (new in cset)
             ]
-            for old, new in permutations(range(1, mc.r + 1), 2)
-        }
+            self.touched[old, new] = self.touched[new, old] = sides
+            self.sums[old, new] = self.sums[new, old] = []
+        self.moves = [[]] + [  # indexed by color, so 0 holds nothing
+            [(new, self.sums[old, new]) for new in colors if new != old] for old in colors
+        ]
+        self._sum_tables()
+
+    def _sum_tables(self) -> None:
+        for (old, new), sides in self.touched.items():
+            if old < new:
+                self.sums[old, new][:] = map(sum, zip(*(side.table for side in sides)))
 
     def full_score(self) -> int:
         return sum(count_shape(self.mc.union_graph(cset), shape) for cset, shape in self.sides)
 
+    def tables_agree(self) -> bool:
+        """Whether every side's table equals its delta at every pair now."""
+        return all(side.table == side.fresh_table() for side in self.bound)
+
     def delta(self, u: int, v: int, old: int, new: int) -> int:
-        total = 0
-        for side_delta, _, _ in self.touched[old, new]:
-            total += side_delta(u, v)
-        return total
+        return self.sums[old, new][pair_index(u, v)]
 
     def apply(self, u: int, v: int, new_color: int) -> None:
-        for _, g, cache in self.touched[self.mc.get(u, v), new_color]:
-            g.toggle_edge(u, v)
-            if cache is not None:
-                cache.apply_toggle(g, u, v)
+        for side in self.touched[self.mc.get(u, v), new_color]:
+            side.toggle(u, v)
         self.mc.set_color(u, v, new_color)
+        self._sum_tables()
 
 
 @dataclass
@@ -156,31 +207,31 @@ def tabu_step(state: SearchState):
     or None when every candidate is tabu."""
     if state.score <= 0:
         raise InputError("search is already at score 0")
-    r = state.coloring.r
-    colors = state.coloring.colors
+    moves = state.scorer.moves
+    tabu = state.tabu
+    h = state.hash
     best_delta = None
     ties = []
-    for (u, v), old, hashes in zip(state.pairs, colors, state.edge_hashes):
-        base = state.hash ^ hashes[old]
-        for new in range(1, r + 1):
-            if new == old:
-                continue
+    for i, (old, hashes) in enumerate(zip(state.coloring.colors, state.edge_hashes)):
+        base = h ^ hashes[old]
+        for new, deltas in moves[old]:
             cand_hash = base ^ hashes[new]
-            if cand_hash in state.tabu:
+            if cand_hash in tabu:
                 continue
-            d = state.scorer.delta(u, v, old, new)
+            d = deltas[i]
             if best_delta is None or d < best_delta:
                 best_delta = d
-                ties = [(u, v, new, cand_hash)]
+                ties = [(i, new, cand_hash)]
             elif d == best_delta:
-                ties.append((u, v, new, cand_hash))
+                ties.append((i, new, cand_hash))
     if best_delta is None:
         return None
-    u, v, new, cand_hash = ties[state.rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+    i, new, cand_hash = ties[state.rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+    u, v = state.pairs[i]
     state.scorer.apply(u, v, new)
     state.score += best_delta
     state.hash = cand_hash
-    state.tabu.add(cand_hash)
+    tabu.add(cand_hash)
     state.steps += 1
     state.best_score = min(state.best_score, state.score)
     if state.steps % AUDIT_EVERY == 0:
@@ -188,7 +239,17 @@ def tabu_step(state: SearchState):
             raise VerificationError("incremental score drifted")
         if state.hash != state_hash(state.coloring):
             raise VerificationError("incremental hash drifted")
+        if not state.scorer.tables_agree():
+            raise VerificationError("delta table drifted")
     return u, v, new, best_delta
+
+
+def _check_limits(max_steps: int | None, max_seconds: float | None) -> None:
+    # `not >= 0` also refuses NaN, against which every comparison is false
+    if max_steps is not None and max_steps < 0:
+        raise InputError(f"max_steps must be at least 0, not {max_steps}")
+    if max_seconds is not None and not max_seconds >= 0:
+        raise InputError(f"max_seconds must be at least 0, not {max_seconds}")
 
 
 @dataclass
@@ -222,6 +283,7 @@ def run_search(
 ) -> SearchOutcome:
     """Iterate tabu_step until score 0, a limit, or exhaustion.  Witnesses are
     re-verified before being returned; never restarts within a run."""
+    _check_limits(max_steps, max_seconds)
     state = init_state(problem, n, seed)
     start = time.perf_counter()
 
@@ -283,6 +345,7 @@ def run_parallel(
         raise InputError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise InputError("seeds must be distinct")
+    _check_limits(max_steps, max_seconds)
     start = time.perf_counter()
     jobs = [(problem, n, seed, max_steps, max_seconds, progress, w) for w, seed in enumerate(seeds)]
     fates = ["stopped"] * len(seeds)

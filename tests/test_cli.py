@@ -134,6 +134,21 @@ class TestSearch:
         assert main(["search", "--problem", "K3,K3", "-n", "5", "--deterministic"]) == 2
         assert "requires --seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-seconds", "nan", "max_seconds must be at least 0, not nan"),
+            ("--max-steps", "-5", "max_steps must be at least 0, not -5"),
+            ("--max-seconds", "-1", "max_seconds must be at least 0, not -1.0"),
+        ],
+    )
+    def test_a_limit_that_is_no_limit_is_exit_2(self, flag, value, message, capsys):
+        # NaN compares false with everything, so it used to run uncapped; a
+        # negative limit used to report a miss after 0 steps
+        argv = ["search", "--problem", "K3,K3", "-n", "6", "--seed", "1", flag, value]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_invented_seed_is_reported(self, capsys):
         code = main(["search", "--problem", "K3,K3", "-n", "5", "--max-steps", "2000"])
         err = capsys.readouterr().err
@@ -269,6 +284,13 @@ class TestPolycirc:
         captured = capsys.readouterr()
         assert "limit:" in captured.err
         assert "[truncated]" in captured.out
+
+    def test_negative_budget_is_exit_2(self, capsys):
+        argv = ["polycirc", "--problem", "B2,B8", "-k", "2", "-m", "5", "--budget", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: census budget must be at least 0, not -1" in captured.err
+        assert captured.out == ""
 
     def test_capability_exit_3(self, capsys):
         assert main(["polycirc", "--problem", "K3,K3", "-k", "4", "-m", "5"]) == 3

@@ -10,6 +10,7 @@ from ramseykit.counting import (
     CodegreeCache,
     WheelCache,
     book_toggle_delta,
+    changed_pairs,
     clique_toggle_delta,
     count_books,
     count_cliques,
@@ -22,7 +23,7 @@ from ramseykit.counting import (
 )
 from ramseykit.errors import InputError
 from ramseykit.fixtures import fixture_by_id
-from ramseykit.graphs import Graph, MultiColoring, bits_of
+from ramseykit.graphs import Graph, MultiColoring, bits_of, pair_iter
 from ramseykit.oracles import (
     all_graphs,
     count_books_naive,
@@ -383,3 +384,46 @@ class TestWheelCache:
             WheelCache(g, 3)
         with pytest.raises(InputError):
             wheel_toggle_delta(g, 0, 1, 5, WheelCache(g, 6))
+
+
+class TestChangedPairs:
+    """A toggle of (a, b) changes the uncached delta only at pairs the rule
+    names, so the tabu scorer's tables stay exact."""
+
+    @pytest.mark.parametrize(
+        "shape", [Book(1), Book(2), Book(3), Clique(3), Clique(4), Clique(5)], ids=repr
+    )
+    def test_changed_deltas_lie_inside_the_rule(self, shape):
+        rng = random.Random(f"changed-pairs:{shape!r}")
+        for n in range(4, 10):
+            pairs = list(pair_iter(n))
+            for p in (0.35, 0.5, 0.65):
+                g = random_graph(rng, n, p)
+                for _ in range(4):
+                    a, b = sorted(rng.sample(range(n), 2))
+                    before = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
+                    ruled = changed_pairs(shape, g.rows, a, b)
+                    g.toggle_edge(a, b)
+                    assert changed_pairs(shape, g.rows, a, b) == ruled
+                    for (x, y), d in zip(pairs, before):
+                        if shape_toggle_delta(g, x, y, shape) != d:
+                            assert ruled[y] >> x & 1, (n, (a, b), (x, y))
+
+    def test_rule_sets(self):
+        # toggling (0, 3) has N(0) ∩ N(3) = {1, 2} and N(0) ∪ N(3) = {1, 2, 4};
+        # toggling (0, 4) has no common neighbour
+        g = Graph(5)
+        for u, v in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)):
+            g.add_edge(u, v)
+
+        def ruled(shape, a, b):
+            masks = changed_pairs(shape, g.rows, a, b)
+            return {(x, y) for y in range(5) for x in bits_of(masks[y])}
+
+        def meeting(a, b):
+            return {(x, y) for x, y in pair_iter(5) if {x, y} & {a, b}}
+
+        assert ruled(Book(2), 0, 3) == meeting(0, 3) | {(1, 2), (1, 4), (2, 4)}
+        assert ruled(Clique(4), 0, 3) == meeting(0, 3) | {(1, 2)}
+        assert ruled(Wheel(5), 0, 3) == set(pair_iter(5))
+        assert ruled(Book(2), 0, 4) == ruled(Clique(4), 0, 4) == meeting(0, 4)

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import ramseykit.tabu as tabu
-from ramseykit.counting import WheelCache, count_shape
+from ramseykit.counting import (
+    WheelCache,
+    book_toggle_delta,
+    clique_toggle_delta,
+    count_shape,
+    wheel_toggle_delta,
+)
 from ramseykit.errors import InputError, VerificationError
 from ramseykit.graphs import MultiColoring, pair_iter, state_hash
 from ramseykit.oracles import (
@@ -215,6 +221,34 @@ class TestReverification:
             for _ in range(10):
                 tabu_step(st)
 
+    @pytest.mark.parametrize("spec", ["B2,B8", "K4,K4"])
+    def test_audit_catches_a_pair_dropped_from_the_changed_pair_rule(self, monkeypatch, spec):
+        # a rule that misses one pair off the toggled edge leaves a stale
+        # table entry; the table audit must see it in the step it happens
+        monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
+        st = init_state(parse_problem(spec), 12, seed=4)
+        for _ in range(10):  # the real rule does not drift
+            if st.score == 0:
+                break
+            tabu_step(st)
+        real = tabu.changed_pairs
+
+        def drop_one_pair(shape, rows, a, b):
+            masks = real(shape, rows, a, b)
+            ends = 1 << a | 1 << b
+            for y, lower in enumerate(masks):
+                off_edge = lower & ~ends
+                if off_edge and not ends >> y & 1:
+                    masks[y] ^= off_edge & -off_edge  # its lowest partner
+                    break
+            return masks
+
+        monkeypatch.setattr(tabu, "changed_pairs", drop_one_pair)
+        st = init_state(parse_problem(spec), 12, seed=4)
+        with pytest.raises(VerificationError, match="delta table drifted"):
+            for _ in range(10):
+                tabu_step(st)
+
 
 # (problem, n, step cap): a few seeds down every scorer path, capped so the
 # whole table runs in a few seconds
@@ -295,13 +329,35 @@ def _recolorings(draw, problems):
     return problem, MultiColoring(n, problem.r, colors), moves
 
 
+UNCACHED = {Book: book_toggle_delta, Wheel: wheel_toggle_delta, Clique: clique_toggle_delta}
+
+
+def _check_every_candidate(scorer, mc):
+    # each recolor's delta is the sum of the uncached toggle deltas of the
+    # sides holding exactly one of its two colors, on graphs built afresh
+    sides = [(cset, shape, mc.union_graph(cset)) for cset, shape in scorer.sides]
+    for i, (u, v) in enumerate(pair_iter(mc.n)):
+        old = mc.colors[i]
+        for new in range(1, mc.r + 1):
+            if new == old:
+                continue
+            want = sum(
+                UNCACHED[type(shape)](g, u, v, shape.k)
+                for cset, shape, g in sides
+                if (old in cset) != (new in cset)
+            )
+            assert scorer.delta(u, v, old, new) == want, ((u, v), old, new)
+
+
 def _check_scorer(problem, mc, moves):
     # delta must equal the difference of two independent recounts, and apply
-    # must leave the scorer in step with the coloring for the next delta
+    # must leave the scorer in step with the coloring for the next delta,
+    # at every candidate and not only the applied one
     scorer = tabu._Scorer(problem, mc)
     pairs = list(pair_iter(mc.n))
     before = _naive_score(problem, mc)
     assert scorer.full_score() == before
+    _check_every_candidate(scorer, mc)
     for i, shift in moves:
         u, v = pairs[i]
         new = (mc.colors[i] - 1 + shift) % problem.r + 1
@@ -310,6 +366,7 @@ def _check_scorer(problem, mc, moves):
         after = _naive_score(problem, mc)
         assert after - before == d
         before = after
+        _check_every_candidate(scorer, mc)
     assert scorer.full_score() == before
 
 
