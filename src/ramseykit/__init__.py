@@ -10,7 +10,6 @@ rejection, and polycirculant census enumeration.
 
 from .canon import (
     are_isomorphic,
-    canonical_form,
     canonical_key,
     coloring_canonical_key,
 )
@@ -41,7 +40,6 @@ from .fixtures import (
     FixtureRecord,
     FixtureReport,
     FixtureResult,
-    fixture_by_id,
     load_fixtures,
     run_fixture_suite,
 )
@@ -53,7 +51,7 @@ from .formats import (
     read_color_matrices,
     read_graph6_lines,
 )
-from .generate import GenerationLevel, GenerationResult, extend_one, generate_levels
+from .generate import GenerationResult, extend_one, generate_levels
 from .graphs import Graph, MultiColoring
 from .polycirculant import (
     CensusResult,
@@ -83,7 +81,6 @@ from .tabu import (
 from .verify import (
     Verdict,
     Violation,
-    find_gr_violation,
     find_shape,
     has_shape_through,
     verify_gr,
@@ -95,7 +92,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "are_isomorphic",
-    "canonical_form",
     "canonical_key",
     "coloring_canonical_key",
     "CodegreeCache",
@@ -120,7 +116,6 @@ __all__ = [
     "FixtureRecord",
     "FixtureReport",
     "FixtureResult",
-    "fixture_by_id",
     "load_fixtures",
     "run_fixture_suite",
     "emit_color_matrix",
@@ -129,7 +124,6 @@ __all__ = [
     "parse_color_matrix",
     "read_color_matrices",
     "read_graph6_lines",
-    "GenerationLevel",
     "GenerationResult",
     "extend_one",
     "generate_levels",
@@ -156,7 +150,6 @@ __all__ = [
     "run_search",
     "Verdict",
     "Violation",
-    "find_gr_violation",
     "find_shape",
     "has_shape_through",
     "verify_gr",

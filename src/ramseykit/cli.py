@@ -146,8 +146,8 @@ def cmd_search(args) -> int:
 def cmd_generate(args) -> int:
     problem = parse_problem(args.problem)
     result = generate_levels(problem, args.max_n, dump_dir=args.dump, workers=args.workers)
-    print(result.table())
-    print("counts: " + ",".join(str(c) for c in result.counts))
+    for line in result.lines():
+        print(line)
     return 0
 
 
@@ -240,10 +240,8 @@ def main(argv=None) -> int:
         return 1
     except BudgetExceededError as exc:
         print(f"limit: {exc}", file=sys.stderr)
-        partial = exc.partial
-        if partial is not None and hasattr(partial, "lines"):
-            for line in partial.lines():
-                print(line)
+        for line in exc.partial.lines():
+            print(line)
         return 3
     except CapabilityError as exc:
         print(f"limit: {exc}", file=sys.stderr)

@@ -75,13 +75,6 @@ def load_fixtures() -> list[FixtureRecord]:
     return records
 
 
-def fixture_by_id(fixture_id: str) -> FixtureRecord:
-    for rec in load_fixtures():
-        if rec.id == fixture_id:
-            return rec
-    raise InputError(f"no fixture named {fixture_id!r}")
-
-
 @dataclass
 class FixtureResult:
     record: FixtureRecord

@@ -98,12 +98,14 @@ def _two_color_children(g: Graph, problem: TwoColorProblem) -> list[Graph]:
 
 def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> list[MultiColoring]:
     n, r, s, t = mc.n, mc.r, problem.s, problem.t
+    # by_max[j]: each (s-1)-subset S with largest vertex j, as its other
+    # vertices and the color set of the parent's edges inside S
     by_max: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
     for S in combinations(range(n), s - 1):
         pre = 0
         for a, b in combinations(S, 2):
             pre |= 1 << mc.get(a, b)
-        by_max[S[-1]].append((S, pre))
+        by_max[S[-1]].append((S[:-1], pre))
     palette = range(1, r + 1)
     rows = [mc.color_class(c).rows for c in palette]
     # bumped[v][c]: v's sorted color-degree vector once edge (v, n) has color c
@@ -139,17 +141,22 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> list
             if keep():
                 out.append(mc.add_vertex(list(assigned)))
             return
-        for c in range(1, r + 1):
-            assigned[j] = c
-            ok = True
-            for S, pre in by_max[j]:
-                colors = pre
-                for v in S:
-                    colors |= 1 << assigned[v]
-                if colors.bit_count() <= t:
-                    ok = False
-                    break
-            if ok:
+        # a K_s through j and the new vertex spans its subset's colors plus
+        # the one tried at j: fewer than t of them fail with any color, and
+        # exactly t fail with each of their own
+        banned = 0
+        for rest, pre in by_max[j]:
+            colors = pre
+            for v in rest:
+                colors |= 1 << assigned[v]
+            k = colors.bit_count()
+            if k < t:
+                return
+            if k == t:
+                banned |= colors
+        for c in palette:
+            if not banned >> c & 1:
+                assigned[j] = c
                 rec(j + 1)
 
     rec(0)
@@ -184,33 +191,36 @@ def _keyed_children(parent, problem: Problem) -> list[tuple[bytes, object]]:
     return [(_canon(child, two_color), child) for child in extend_one(parent, problem)]
 
 
-def _keyed_stripe(parents: list, problem: Problem) -> list[list[tuple[bytes, object]]]:
-    return [_keyed_children(parent, problem) for parent in parents]
-
-
-@dataclass
-class GenerationLevel:
-    order: int
-    objects: list
+def _keyed_stripe(parents: list, problem: Problem, budget: int) -> list[list[tuple[bytes, object]]]:
+    """_keyed_children of each parent in turn, stopping after the parent
+    that takes the stripe's count of children past budget: the level is
+    over budget then, whatever the other stripes hold."""
+    out = []
+    spent = 0
+    for parent in parents:
+        out.append(_keyed_children(parent, problem))
+        spent += len(out[-1])
+        if spent > budget:
+            break
+    return out
 
 
 @dataclass
 class GenerationResult:
     problem: Problem
     counts: list[int]
-    levels: list[GenerationLevel] | None = None
 
-    def table(self) -> str:
-        lines = [f"order  count   ({self.problem})"]
-        for i, c in enumerate(self.counts, 1):
-            lines.append(f"{i:>5}  {c}")
-        return "\n".join(lines)
+    def lines(self) -> list[str]:
+        """The count table, then a ``counts:`` line for scripts."""
+        out = [f"order  count   ({self.problem})"]
+        out += [f"{i:>5}  {c}" for i, c in enumerate(self.counts, 1)]
+        out.append("counts: " + ",".join(str(c) for c in self.counts))
+        return out
 
 
 def generate_levels(
     problem: Problem,
     n_max: int,
-    keep_levels: bool = False,
     dump_dir: str | None = None,
     workers: int | None = None,
     child_budget: int = 5_000_000,
@@ -219,9 +229,13 @@ def generate_levels(
 
     Each level keys the children ``extend_one`` returns and keeps the first
     child of each canonical key, in frontier order, so the kept objects are
-    the same with or without workers.  ``child_budget`` caps the total of
-    those children, the ones that get a key; children the invariant filter
-    drops are not counted."""
+    the same with or without workers.  With ``dump_dir`` each level is
+    re-verified in full and written there, one object a line: ``n<order>.g6``
+    in graph6 for two-color problems, ``n<order>.txt`` as color matrices
+    for generalized ones.  ``child_budget`` caps the total of the keyed
+    children; the ones the invariant filter drops are not counted.  Going
+    past it raises ``BudgetExceededError`` whose ``partial`` is the
+    ``GenerationResult`` of the levels finished so far."""
     two_color = isinstance(problem, TwoColorProblem)
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -233,7 +247,6 @@ def generate_levels(
     root = Graph(1) if two_color else MultiColoring(1, problem.r)
     frontier = [root]
     counts = [1]
-    levels = [GenerationLevel(1, list(frontier))] if keep_levels else None
     if dump_dir:
         _dump_level(dump_dir, 1, frontier, problem)
     spent = 0
@@ -243,13 +256,17 @@ def generate_levels(
         next_frontier = []
         nstripes = min(workers or 1, len(frontier))
         if nstripes > 1:
-            jobs = [(frontier[w::nstripes], problem) for w in range(nstripes)]
+            left = child_budget - spent
+            jobs = [(frontier[w::nstripes], problem, left) for w in range(nstripes)]
             stripes = map_jobs(_keyed_stripe, jobs)
+            # a stripe cut short by the budget never has its missing
+            # batches read: its batches come first in frontier order, and
+            # once all are read the level is past the budget and raises
             batches = (stripes[i % nstripes][i // nstripes] for i in range(len(frontier)))
         else:
-            # a generator, not one stripe through map_jobs: it lets the
-            # budget below stop the level after any parent, where a stripe
-            # reports only once it has keyed all of its parents
+            # a generator, not one stripe through map_jobs: duplicates are
+            # dropped one parent at a time, so the level never holds more
+            # than one parent's children beyond the kept frontier
             batches = (_keyed_children(parent, problem) for parent in frontier)
         # batches arrive in frontier order either way, so the first child
         # of each class, and with it the next frontier, is the same
@@ -258,7 +275,7 @@ def generate_levels(
             if spent > child_budget:
                 raise BudgetExceededError(
                     f"child budget {child_budget} exceeded at order {order}",
-                    partial=counts,
+                    partial=GenerationResult(problem, counts),
                 )
             for key, child in batch:
                 if key not in seen:
@@ -266,14 +283,12 @@ def generate_levels(
                     next_frontier.append(child)
         counts.append(len(next_frontier))
         frontier = next_frontier
-        if keep_levels:
-            levels.append(GenerationLevel(order, list(frontier)))
         if dump_dir:
             _dump_level(dump_dir, order, frontier, problem)
         if not frontier:
             counts.extend([0] * (n_max - order))
             break
-    return GenerationResult(problem=problem, counts=counts, levels=levels)
+    return GenerationResult(problem, counts)
 
 
 def _dump_level(dump_dir: str, order: int, objects, problem: Problem) -> None:

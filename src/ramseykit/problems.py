@@ -26,10 +26,6 @@ class Book:
         if self.k < 1:
             raise InputError("book page count must be at least 1")
 
-    @property
-    def order(self) -> int:
-        return self.k + 2
-
     def __str__(self) -> str:
         return f"B{self.k}"
 
@@ -44,10 +40,6 @@ class Wheel:
         if self.k < 4:
             raise InputError("wheel order must be at least 4")
 
-    @property
-    def order(self) -> int:
-        return self.k
-
     def __str__(self) -> str:
         return f"W{self.k}"
 
@@ -61,10 +53,6 @@ class Clique:
     def __post_init__(self):
         if self.k < 2:
             raise InputError("clique order must be at least 2")
-
-    @property
-    def order(self) -> int:
-        return self.k
 
     def __str__(self) -> str:
         return f"K{self.k}"

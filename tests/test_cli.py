@@ -8,17 +8,19 @@ import pytest
 
 import ramseykit.generate as generate
 from ramseykit.cli import main
-from ramseykit.fixtures import fixture_by_id
+from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_decode, graph6_encode, parse_color_matrix
 from ramseykit.graphs import Graph
 from ramseykit.polycirculant import enumerate_census
 from ramseykit.problems import parse_problem
 from ramseykit.verify import verify_witness
 
+FIXTURES = {rec.id: rec for rec in load_fixtures()}
+
 
 @pytest.fixture
 def witness_file(tmp_path):
-    rec = fixture_by_id("RB2B8-20")
+    rec = FIXTURES["RB2B8-20"]
     path = tmp_path / "w.g6"
     path.write_text(rec.payload + "\n")
     return str(path)
@@ -52,7 +54,7 @@ class TestVerify:
         assert "-:1: ok n=4" in capsys.readouterr().out
 
     def test_matrix_format(self, tmp_path, capsys):
-        rec = fixture_by_id("GR3K4T2-9")
+        rec = FIXTURES["GR3K4T2-9"]
         path = tmp_path / "m.txt"
         path.write_text(rec.payload)
         assert main(["verify", "--problem", "GR:3,K4,2", "--format", "matrix", str(path)]) == 0
@@ -81,7 +83,7 @@ class TestCount:
         assert "left=6 right=0 score=6" in capsys.readouterr().out
 
     def test_gr_score(self, tmp_path, capsys):
-        rec = fixture_by_id("GR3K4T2-9")
+        rec = FIXTURES["GR3K4T2-9"]
         path = tmp_path / "m.txt"
         path.write_text(rec.payload)
         assert main(["count", "--problem", "GR:3,K4,2", "--format", "matrix", str(path)]) == 0
@@ -256,6 +258,23 @@ class TestGenerate:
             assert all(f": ok n={order} problem=GR:3,K4,2" in line for line in lines)
             assert main(["count", *argv, str(path)]) == 0
             assert capsys.readouterr().out.count("score=0") == count
+
+    def test_budget_prints_partial_and_exit_3(self, monkeypatch, capsys):
+        import ramseykit.cli as cli
+
+        def budgeted(*args, **kwargs):
+            return generate.generate_levels(*args, child_budget=300, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_levels", budgeted)
+        assert main(["generate", "--problem", "B2,B8", "--max-n", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "limit: child budget 300 exceeded at order 7\n"
+        lines = captured.out.splitlines()
+        assert lines[0] == "order  count   (B2,B8)"
+        assert [line.split() for line in lines[1:-1]] == [
+            [str(i), c] for i, c in enumerate(["1", "2", "4", "9", "22", "69"], 1)
+        ]
+        assert lines[-1] == "counts: 1,2,4,9,22,69"
 
     def test_dumped_witness_failing_reverification_is_exit_1(self, tmp_path, monkeypatch, capsys):
         # every child is kept, so a level holds a graph with a triangle

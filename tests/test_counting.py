@@ -22,7 +22,7 @@ from ramseykit.counting import (
     wheel_toggle_delta,
 )
 from ramseykit.errors import InputError
-from ramseykit.fixtures import fixture_by_id
+from ramseykit.fixtures import load_fixtures
 from ramseykit.graphs import Graph, MultiColoring, bits_of, pair_iter
 from ramseykit.oracles import (
     all_graphs,
@@ -33,6 +33,8 @@ from ramseykit.oracles import (
 )
 from ramseykit.problems import Book, Clique, GeneralizedProblem, Wheel
 from ramseykit.tabu import _Scorer
+
+FIXTURES = {rec.id: rec for rec in load_fixtures()}
 
 
 def random_graph(rng, n, p=0.5):
@@ -77,7 +79,7 @@ class TestSpotValues:
         assert count_books(Graph.complete(4), 1) == 12
 
     def test_fixture_has_zero_books(self):
-        g = fixture_by_id("RB2B8-20").load()
+        g = FIXTURES["RB2B8-20"].load()
         assert count_books(g, 2) == 0
         assert count_books(g.complement(), 8) == 0
 
@@ -102,7 +104,7 @@ class TestSpotValues:
         assert gr_score(mc, 4, 2) == 2
 
     def test_gr_fixture_scores_zero(self):
-        mc = fixture_by_id("GR3K4T2-9").load()
+        mc = FIXTURES["GR3K4T2-9"].load()
         assert gr_score(mc, 4, 2) == 0
 
 

@@ -1,9 +1,6 @@
 import time
 
-import pytest
-
-from ramseykit.errors import InputError
-from ramseykit.fixtures import fixture_by_id, load_fixtures, run_fixture_suite
+from ramseykit.fixtures import load_fixtures, run_fixture_suite
 from ramseykit.graphs import Graph, MultiColoring
 from ramseykit.problems import GeneralizedProblem, TwoColorProblem
 from ramseykit.verify import verify_witness
@@ -49,11 +46,9 @@ def test_problem_kinds():
 
 
 def test_individual_lookup():
-    rec = fixture_by_id("RW5W9-17")
+    rec = next(rec for rec in load_fixtures() if rec.id == "RW5W9-17")
     assert rec.order == 17
     assert verify_witness(rec.load(), rec.problem).valid
-    with pytest.raises(InputError):
-        fixture_by_id("NOPE-0")
 
 
 def test_pass_lines_are_stable():

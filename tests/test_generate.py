@@ -6,8 +6,8 @@ from hypothesis import strategies as hs
 
 from ramseykit.canon import canonical_key, coloring_canonical_key
 from ramseykit.errors import BudgetExceededError, CapabilityError, InputError, VerificationError
-from ramseykit.formats import read_graph6_lines
-from ramseykit.generate import extend_one, generate_levels, vertex_invariants
+from ramseykit.formats import read_color_matrices, read_graph6_lines
+from ramseykit.generate import _keyed_stripe, extend_one, generate_levels, vertex_invariants
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.oracles import all_graphs, generate_keys_naive
 from ramseykit.problems import TwoColorProblem, parse_problem
@@ -16,6 +16,23 @@ from ramseykit.verify import verify_witness
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")
 GR443 = parse_problem("GR:4,K4,3")
+
+
+def dumped_levels(problem, n_max, dump_dir):
+    """Run generate_levels with a dump and read each level file back, in
+    order; the files stop at the first empty level."""
+    counts = generate_levels(problem, n_max, dump_dir=str(dump_dir)).counts
+    two_color = isinstance(problem, TwoColorProblem)
+    levels = []
+    for order in range(1, n_max + 1):
+        path = dump_dir / (f"n{order}.g6" if two_color else f"n{order}.txt")
+        if not path.exists():
+            break
+        text = path.read_text()
+        rows = read_graph6_lines(text) if two_color else read_color_matrices(text, problem.r)
+        levels.append([obj for _, obj in rows])
+    assert [len(level) for level in levels] == counts[: len(levels)]
+    return levels
 
 
 def brute_force_level_counts(problem, n_max):
@@ -49,9 +66,12 @@ class TestAgainstBruteForce:
 class TestAgainstUnfilteredOracle:
     @pytest.mark.parametrize(
         "text, n_max",
-        [("K3,K3", 7), ("B1,K4", 7), ("W5,W5", 7), ("B2,B3", 8), ("GR:4,K4,3", 8), ("GR:3,K4,2", 7)],
+        [
+            ("K3,K3", 7), ("B1,K4", 7), ("W5,W5", 7), ("B2,B3", 8),
+            ("GR:4,K4,3", 8), ("GR:3,K4,2", 7), ("GR:3,K5,2", 6),
+        ],
     )
-    def test_level_key_sets_match(self, text, n_max):
+    def test_level_key_sets_match(self, text, n_max, tmp_path):
         # the invariant filter may change which child represents a class,
         # never which classes there are
         problem = parse_problem(text)
@@ -60,8 +80,8 @@ class TestAgainstUnfilteredOracle:
         else:
             def key(mc):
                 return coloring_canonical_key(mc, swap_colors=True)
-        levels = generate_levels(problem, n_max, keep_levels=True).levels
-        got = [{key(obj) for obj in level.objects} for level in levels]
+        levels = dumped_levels(problem, n_max, tmp_path)
+        got = [{key(obj) for obj in level} for level in levels]
         want = generate_keys_naive(problem, n_max)
         assert got == want[: len(got)]
         assert all(not keys for keys in want[len(got):])
@@ -117,44 +137,45 @@ class TestKnownSequences:
 
 
 class TestLevelContents:
-    def test_levels_hold_verified_pairwise_nonisomorphic_witnesses(self):
-        res = generate_levels(K33, 5, keep_levels=True)
-        assert res.levels is not None
-        for level in res.levels:
-            keys = [canonical_key(g) for g in level.objects]
+    def test_levels_hold_verified_pairwise_nonisomorphic_witnesses(self, tmp_path):
+        levels = dumped_levels(K33, 5, tmp_path)
+        assert len(levels) == 5
+        for order, level in enumerate(levels, 1):
+            keys = [canonical_key(g) for g in level]
             assert len(set(keys)) == len(keys)
-            for g in level.objects:
-                assert g.n == level.order
+            for g in level:
+                assert g.n == order
                 assert verify_witness(g, K33).valid
 
-    def test_multicolor_levels_verified(self):
-        res = generate_levels(GR443, 6, keep_levels=True)
-        for level in res.levels:
-            keys = [coloring_canonical_key(mc, swap_colors=True) for mc in level.objects]
+    def test_multicolor_levels_verified(self, tmp_path):
+        levels = dumped_levels(GR443, 6, tmp_path)
+        assert len(levels) == 6
+        for order, level in enumerate(levels, 1):
+            keys = [coloring_canonical_key(mc, swap_colors=True) for mc in level]
             assert len(set(keys)) == len(keys)
-            for mc in level.objects:
+            for mc in level:
+                assert mc.n == order
                 assert verify_witness(mc, GR443).valid
 
-    def test_hereditary_soundness(self):
+    def test_hereditary_soundness(self, tmp_path):
         # any witness minus a vertex is again a witness, so levels nest
         rng = random.Random(33)
-        res = generate_levels(B2B8, 6, keep_levels=True)
-        tops = res.levels[-1].objects
+        levels = dumped_levels(B2B8, 6, tmp_path)
+        tops = levels[-1]
         for g in rng.sample(tops, min(10, len(tops))):
             x = rng.randrange(g.n)
             assert verify_witness(g.delete_vertex(x), B2B8).valid
 
     def test_counts_only_by_default(self):
         res = generate_levels(K33, 4)
-        assert res.levels is None
         assert res.counts == [1, 2, 2, 3]
 
     def test_table_output(self):
-        res = generate_levels(K33, 3)
-        lines = res.table().splitlines()
+        lines = generate_levels(K33, 3).lines()
         assert "K3,K3" in lines[0]
         assert lines[1].split() == ["1", "1"]
         assert lines[3].split() == ["3", "2"]
+        assert lines[-1] == "counts: 1,2,2"
 
 
 class TestExtendOne:
@@ -167,9 +188,9 @@ class TestExtendOne:
         assert all(verify_witness(k, K33).valid for k in kids)
 
     @pytest.mark.parametrize("text", ["B2,B8", "GR:4,K4,3"])
-    def test_children_end_at_the_largest_invariant(self, text):
+    def test_children_end_at_the_largest_invariant(self, text, tmp_path):
         problem = parse_problem(text)
-        parents = generate_levels(problem, 5, keep_levels=True).levels[-1].objects
+        parents = dumped_levels(problem, 5, tmp_path)[-1]
         total = 0
         for parent in parents:
             for child in extend_one(parent, problem):
@@ -200,18 +221,43 @@ class TestLimitsAndModes:
     def test_budget_carries_partial_counts(self):
         with pytest.raises(BudgetExceededError) as ei:
             generate_levels(B2B8, 7, child_budget=300)
+        assert "at order 7" in str(ei.value)
         partial = ei.value.partial
-        assert partial[: len(partial)] == [1, 2, 4, 9, 22, 69, 255][: len(partial)]
+        assert partial.problem == B2B8
+        assert partial.counts == [1, 2, 4, 9, 22, 69]
 
-    def test_workers_match_serial(self):
-        # same counts and the same frontier, object for object, in the same order
-        for problem, n, key in ((GR443, 7, coloring_canonical_key), (B2B8, 6, canonical_key)):
-            serial = generate_levels(problem, n, keep_levels=True)
-            par = generate_levels(problem, n, keep_levels=True, workers=2)
+    def test_workers_obey_the_budget_like_serial(self):
+        # stripes cut short by the budget raise at the same order, with the
+        # same finished levels, as the serial run
+        errors = []
+        for workers in (None, 2):
+            with pytest.raises(BudgetExceededError) as ei:
+                generate_levels(B2B8, 7, workers=workers, child_budget=300)
+            errors.append((str(ei.value), ei.value.partial.counts))
+        assert errors[0] == errors[1]
+
+    def test_stripe_stops_past_its_budget(self, tmp_path):
+        # a stripe keys no parent after the one that takes it past budget
+        parents = dumped_levels(B2B8, 5, tmp_path)[-1]
+        full = _keyed_stripe(parents, B2B8, 10**9)
+        cut = _keyed_stripe(parents, B2B8, 10)
+        assert len(full) == len(parents)
+        assert len(cut) < len(parents)
+        assert cut == full[: len(cut)]
+        assert sum(map(len, cut[:-1])) <= 10 < sum(map(len, cut))
+
+    def test_workers_match_serial(self, tmp_path):
+        # the same counts and the same level files, byte for byte
+        for problem, n in ((GR443, 7), (B2B8, 6)):
+            one, two = tmp_path / f"{problem}-serial", tmp_path / f"{problem}-workers"
+            serial = generate_levels(problem, n, dump_dir=str(one))
+            par = generate_levels(problem, n, dump_dir=str(two), workers=2)
             assert par.counts == serial.counts
-            for a, b in zip(serial.levels, par.levels):
-                assert [key(x) for x in b.objects] == [key(x) for x in a.objects]
-                assert b.objects == a.objects
+            names = sorted(p.name for p in one.iterdir())
+            assert len(names) == n
+            assert names == sorted(p.name for p in two.iterdir())
+            for name in names:
+                assert (two / name).read_bytes() == (one / name).read_bytes()
 
     def test_dumped_levels_are_reverified(self, tmp_path, monkeypatch):
         # with every child accepted, K3 turns up at order 3: the dump must

@@ -15,7 +15,7 @@ from ramseykit.errors import (
     InputError,
     VerificationError,
 )
-from ramseykit.fixtures import fixture_by_id
+from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph
 from ramseykit.oracles import polycirculant_naive
@@ -30,6 +30,7 @@ from ramseykit.verify import verify
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")
+FIXTURES = {rec.id: rec for rec in load_fixtures()}
 
 
 def pair_classes(m):
@@ -139,7 +140,7 @@ class TestBuild:
 
     def test_known_circulant_matches_fixture_color_classes(self):
         # each color class of the 19-vertex 3-coloring is the same circulant
-        mc = fixture_by_id("GR3K5T2-19").load()
+        mc = FIXTURES["GR3K5T2-19"].load()
         ref = build(PolycirculantSpec(1, 19, (frozenset({1, 7, 8, 11, 12, 18}),)))
         for c in (1, 2, 3):
             assert are_isomorphic(mc.color_class(c), ref)

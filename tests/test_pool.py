@@ -182,11 +182,11 @@ class TestEngineFates:
     def test_generation_names_the_lost_stripe(self, monkeypatch):
         real = generate._keyed_stripe
 
-        def dies_on_an_edge(parents, problem):
+        def dies_on_an_edge(parents, problem, budget):
             # the order-2 frontier is [empty graph, K2]: K2 is stripe 1
             if parents[0].edge_count():
                 os._exit(9)
-            return real(parents, problem)
+            return real(parents, problem, budget)
 
         monkeypatch.setattr(generate, "_keyed_stripe", dies_on_an_edge)
         start = time.perf_counter()

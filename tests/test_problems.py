@@ -30,12 +30,6 @@ def test_shape_tokens_tolerate_surrounding_space():
     assert parse_problem("B2, B8") == TwoColorProblem(Book(2), Book(8))
 
 
-def test_shape_orders():
-    assert Book(2).order == 4
-    assert Wheel(5).order == 5
-    assert Clique(4).order == 4
-
-
 def test_shape_range_validation():
     with pytest.raises(InputError):
         Book(0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 import ramseykit
 from ramseykit.counting import count_shape
 from ramseykit.errors import InputError
-from ramseykit.fixtures import fixture_by_id
+from ramseykit.fixtures import load_fixtures
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.oracles import all_graphs
 from ramseykit.problems import Book, Clique, TwoColorProblem, Wheel, parse_problem
@@ -27,6 +27,8 @@ from ramseykit.verify import (
     verify_witness,
     violation_holds,
 )
+
+FIXTURES = {rec.id: rec for rec in load_fixtures()}
 
 
 def random_graph(rng, n, p=0.5):
@@ -225,7 +227,7 @@ class TestTwoColorVerify:
 
     def test_fixture_witnesses_pass(self):
         for fid in ("RB2B8-20", "RW5W7-14", "RB3B6-18"):
-            rec = fixture_by_id(fid)
+            rec = FIXTURES[fid]
             assert verify(rec.load(), rec.problem).valid
 
     def test_invalid_verdicts_carry_checkable_certificates(self):
@@ -260,7 +262,7 @@ class TestTwoColorVerify:
 
 class TestGrVerify:
     def test_valid_fixture(self):
-        rec = fixture_by_id("GR3K4T2-9")
+        rec = FIXTURES["GR3K4T2-9"]
         assert verify_gr(rec.load(), rec.problem).valid
 
     def test_monochromatic_violation(self):
@@ -299,7 +301,7 @@ class TestGrVerify:
 
 class TestDispatch:
     def test_two_color_accepts_r2_coloring(self):
-        rec = fixture_by_id("RB2B8-20")
+        rec = FIXTURES["RB2B8-20"]
         g = rec.load()
         mc = MultiColoring(g.n, 2)
         for u in range(g.n):
