@@ -89,70 +89,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "are_isomorphic",
-    "canonical_key",
-    "coloring_canonical_key",
-    "CodegreeCache",
-    "WheelCache",
-    "book_toggle_delta",
-    "clique_toggle_delta",
-    "count_books",
-    "count_cliques",
-    "count_shape",
-    "count_wheels",
-    "gr_score",
-    "shape_toggle_delta",
-    "wheel_toggle_delta",
-    "BudgetExceededError",
-    "CapabilityError",
-    "InputError",
-    "MalformedInputError",
-    "ParseError",
-    "RamseyKitError",
-    "VerificationError",
-    "WitnessNotFoundError",
-    "FixtureRecord",
-    "FixtureReport",
-    "FixtureResult",
-    "load_fixtures",
-    "run_fixture_suite",
-    "emit_color_matrix",
-    "graph6_decode",
-    "graph6_encode",
-    "parse_color_matrix",
-    "read_color_matrices",
-    "read_graph6_lines",
-    "GenerationResult",
-    "extend_one",
-    "generate_levels",
-    "Graph",
-    "MultiColoring",
-    "CensusResult",
-    "PolycirculantSpec",
-    "build",
-    "enumerate_census",
-    "lemma_witness",
-    "Book",
-    "Clique",
-    "GeneralizedProblem",
-    "Problem",
-    "Shape",
-    "TwoColorProblem",
-    "Wheel",
-    "parse_problem",
-    "parse_shape",
-    "ParallelOutcome",
-    "SearchOutcome",
-    "SearchStats",
-    "run_parallel",
-    "run_search",
-    "Verdict",
-    "Violation",
-    "find_shape",
-    "has_shape_through",
-    "verify_gr",
-    "verify_witness",
-    "violation_holds",
-]

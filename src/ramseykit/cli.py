@@ -37,10 +37,13 @@ from .verify import verify_witness
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def _load_inputs(paths: list[str], fmt: str, r: int) -> list[tuple[str, Graph | MultiColoring]]:

@@ -47,7 +47,9 @@ def _decode_order(data: bytes) -> tuple[int, int]:
 def graph6_decode(s: str | bytes) -> Graph:
     """Decode one graph6 string (surrounding whitespace tolerated)."""
     if isinstance(s, str):
-        s = s.encode("ascii", errors="replace")
+        if not s.isascii():
+            raise MalformedInputError("graph6 text must be ASCII")
+        s = s.encode("ascii")
     s = s.strip()
     n, off = _decode_order(s)
     if n < 1:

@@ -6,7 +6,9 @@ A lone job runs in the calling process, so no engine decides that itself."""
 import multiprocessing
 from contextlib import closing
 
-from .errors import WorkerLost
+from .errors import CapabilityError, WorkerLost
+
+MAX_JOBS = 64  # the most worker processes one call may start
 
 
 class _WorkerTraceback(Exception):
@@ -29,7 +31,10 @@ def run_jobs(fn, jobs):
     A single job runs in the calling process.  Otherwise each job gets its
     own process; a worker's pipe reaches EOF when it exits, so a loss is
     seen at once.  Closing the generator terminates the workers still
-    running."""
+    running.  More than ``MAX_JOBS`` jobs raise ``CapabilityError`` before
+    any process starts."""
+    if len(jobs) > MAX_JOBS:
+        raise CapabilityError(f"{len(jobs)} jobs exceed the cap of {MAX_JOBS} worker processes")
     if len(jobs) == 1:
         try:
             value = fn(*jobs[0])

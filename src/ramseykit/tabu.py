@@ -118,8 +118,7 @@ class _Scorer:
             self.sides = [(cset, Clique(problem.s)) for cset in csets]
             self.witness = mc.copy
         self.mc = mc
-        self.graphs = [mc.union_graph(cset) for cset, _ in self.sides]
-        self.bound = [_Side(shape, g) for g, (_, shape) in zip(self.graphs, self.sides)]
+        self.bound = [_Side(shape, mc.union_graph(cset)) for cset, shape in self.sides]
         colors = range(1, mc.r + 1)
         # a recolor and its reverse toggle the same sides, so they share both
         self.touched, self.sums = {}, {}

@@ -8,8 +8,7 @@ builds rows by rotating bit masks, so agreement between the two families
 is meaningful evidence of correctness.  The generation oracle keys every
 valid child of every parent, where :mod:`ramseykit.generate` keys only the
 children that pass its canonical-deletion filter.  The exhaustive
-generators of labeled graphs and colorings feed these checks.  Only the
-test suite should import this module.
+generators of labeled graphs and colorings feed these checks.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import comb
 
-from .canon import canonical_key, coloring_canonical_key
-from .graphs import Graph, MultiColoring, pair_iter
-from .problems import Problem, TwoColorProblem
-from .verify import verify_witness
+from ramseykit.canon import canonical_key, coloring_canonical_key
+from ramseykit.graphs import Graph, MultiColoring, pair_iter
+from ramseykit.problems import Problem, TwoColorProblem
+from ramseykit.verify import verify_witness
 
 
 def all_graphs(n: int):

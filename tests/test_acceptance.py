@@ -24,17 +24,18 @@ from ramseykit.fixtures import load_fixtures, run_fixture_suite
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.generate import generate_levels
 from ramseykit.graphs import Graph, MultiColoring
-from ramseykit.oracles import (
+from ramseykit.polycirculant import enumerate_census, lemma_witness
+from ramseykit.problems import GeneralizedProblem, parse_problem
+from ramseykit.tabu import _Scorer, run_parallel, run_search
+from ramseykit.verify import verify, verify_witness
+
+from oracles import (
     all_graphs,
     count_books_naive,
     count_cliques_naive,
     count_wheels_naive,
     gr_score_naive,
 )
-from ramseykit.polycirculant import enumerate_census, lemma_witness
-from ramseykit.problems import GeneralizedProblem, parse_problem
-from ramseykit.tabu import _Scorer, run_parallel, run_search
-from ramseykit.verify import verify, verify_witness
 
 
 def _random_graph(rng, n, p=0.5):

@@ -17,7 +17,8 @@ from ramseykit.errors import CapabilityError
 from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_decode
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
-from ramseykit.oracles import all_graphs
+
+from oracles import all_graphs
 
 
 def random_graph(rng, n, p=0.5):

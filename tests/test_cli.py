@@ -1,4 +1,5 @@
 import io
+import multiprocessing
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ from ramseykit.cli import main
 from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_decode, graph6_encode, parse_color_matrix
 from ramseykit.graphs import Graph
+from ramseykit.pool import MAX_JOBS
 from ramseykit.polycirculant import enumerate_census
 from ramseykit.problems import parse_problem
 from ramseykit.verify import verify_witness
@@ -65,6 +67,12 @@ class TestVerify:
         path.write_text("Dq\n")
         assert main(["verify", "--problem", "K3,K3", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_ascii_graph6_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_text("A\u00e9\n", encoding="utf-8")
+        assert main(["verify", "--problem", "K3,K3", str(path)]) == 2
+        assert "must be ASCII" in capsys.readouterr().err
 
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["verify", "--problem", "K3,K3", "/no/such/file.g6"]) == 2
@@ -351,6 +359,25 @@ _WORKER_COMMANDS = {
 def test_workers_below_one_is_exit_2(command, workers, capsys):
     assert main(_WORKER_COMMANDS[command] + ["--workers", workers]) == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+def test_workers_past_the_cap_is_exit_3(monkeypatch, capsys):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    assert main(_WORKER_COMMANDS["search"] + ["--workers", str(MAX_JOBS + 1)]) == 3
+    assert f"cap of {MAX_JOBS} worker processes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--problem", "K3,K3"],
+                                     ["count", "--problem", "GR:3,K4,2", "--format", "matrix"]],
+                         ids=["verify", "count-matrix"])
+def test_file_not_utf8_is_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"A\xe9\n")
+    assert main(command + [str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, engine", [("generate", "generate_levels"),

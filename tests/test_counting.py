@@ -24,15 +24,16 @@ from ramseykit.counting import (
 from ramseykit.errors import InputError
 from ramseykit.fixtures import load_fixtures
 from ramseykit.graphs import Graph, MultiColoring, bits_of, pair_iter
-from ramseykit.oracles import (
+from ramseykit.problems import Book, Clique, GeneralizedProblem, Wheel
+from ramseykit.tabu import _Scorer
+
+from oracles import (
     all_graphs,
     count_books_naive,
     count_cliques_naive,
     count_wheels_naive,
     gr_score_naive,
 )
-from ramseykit.problems import Book, Clique, GeneralizedProblem, Wheel
-from ramseykit.tabu import _Scorer
 
 FIXTURES = {rec.id: rec for rec in load_fixtures()}
 

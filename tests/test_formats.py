@@ -86,6 +86,7 @@ def test_fixture_strings_roundtrip_byte_for_byte():
         "~",               # long header with nothing after it
         "~??",             # long header truncated
         "@@",              # n=1 expects no body bytes
+        "A\u00e9",        # non-ASCII text, once read as '?' (byte 63)
     ],
 )
 def test_malformed_graph6_rejected(bad):

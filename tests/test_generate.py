@@ -9,9 +9,10 @@ from ramseykit.errors import BudgetExceededError, CapabilityError, InputError, V
 from ramseykit.formats import read_color_matrices, read_graph6_lines
 from ramseykit.generate import _keyed_stripe, extend_one, generate_levels, vertex_invariants
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
-from ramseykit.oracles import all_graphs, generate_keys_naive
 from ramseykit.problems import TwoColorProblem, parse_problem
 from ramseykit.verify import verify_witness
+
+from oracles import all_graphs, generate_keys_naive
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")

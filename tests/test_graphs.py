@@ -10,7 +10,8 @@ from ramseykit.graphs import (
     pair_iter,
     state_hash,
 )
-from ramseykit.oracles import all_colorings, all_graphs
+
+from oracles import all_colorings, all_graphs
 
 
 def random_graph(rng, n, p=0.5):

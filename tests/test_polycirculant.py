@@ -18,7 +18,6 @@ from ramseykit.errors import (
 from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_encode
 from ramseykit.graphs import Graph
-from ramseykit.oracles import polycirculant_naive
 from ramseykit.polycirculant import (
     PolycirculantSpec,
     build,
@@ -27,6 +26,8 @@ from ramseykit.polycirculant import (
 )
 from ramseykit.problems import parse_problem
 from ramseykit.verify import verify
+
+from oracles import polycirculant_naive
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")

@@ -18,8 +18,8 @@ import ramseykit
 import ramseykit.generate as generate
 import ramseykit.polycirculant as polycirculant
 import ramseykit.tabu as tabu
-from ramseykit.errors import WorkerLost
-from ramseykit.pool import map_jobs, run_jobs
+from ramseykit.errors import CapabilityError, WorkerLost
+from ramseykit.pool import MAX_JOBS, map_jobs, run_jobs
 from ramseykit.problems import parse_problem
 
 K33 = parse_problem("K3,K3")
@@ -96,6 +96,18 @@ class TestHelper:
         finished.close()
         assert time.perf_counter() - start < 5
         assert not multiprocessing.active_children()
+
+    def test_jobs_past_the_cap_start_no_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing, "Process", no_process)
+        jobs = [(i,) for i in range(MAX_JOBS + 1)]
+        with pytest.raises(CapabilityError, match=f"{MAX_JOBS + 1} jobs exceed the cap"):
+            map_jobs(_square, jobs)
+        # at the cap the helper goes on to start the first process
+        with pytest.raises(AssertionError, match="a process was started"):
+            map_jobs(_square, jobs[:MAX_JOBS])
 
     def test_map_jobs_raises_a_loss(self):
         with pytest.raises(WorkerLost, match=r"worker 1 lost \(exit code 9\)"):

@@ -15,12 +15,6 @@ from ramseykit.counting import (
 )
 from ramseykit.errors import InputError, VerificationError
 from ramseykit.graphs import MultiColoring, pair_iter, state_hash
-from ramseykit.oracles import (
-    count_books_naive,
-    count_cliques_naive,
-    count_wheels_naive,
-    gr_score_naive,
-)
 from ramseykit.problems import (
     Book,
     Clique,
@@ -31,6 +25,13 @@ from ramseykit.problems import (
 )
 from ramseykit.tabu import init_state, run_parallel, run_search, tabu_step
 from ramseykit.verify import Verdict, verify_witness
+
+from oracles import (
+    count_books_naive,
+    count_cliques_naive,
+    count_wheels_naive,
+    gr_score_naive,
+)
 
 K33 = parse_problem("K3,K3")
 GR342 = parse_problem("GR:3,K4,2")
@@ -185,10 +186,9 @@ class TestReverification:
         # still agrees with them; only a recount from the coloring can see it
         monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
         st = init_state(problem, 7, seed=seed)
-        scorer = st.scorer
-        for g in scorer.graphs:
-            g.toggle_edge(0, 1)
-        st.score = sum(count_shape(g, shape) for g, (_, shape) in zip(scorer.graphs, scorer.sides))
+        for side in st.scorer.bound:
+            side.g.toggle_edge(0, 1)
+        st.score = sum(count_shape(side.g, side.shape) for side in st.scorer.bound)
         assert st.score != _naive_score(problem, st.coloring)
         with pytest.raises(VerificationError, match="score drifted"):
             tabu_step(st)
