@@ -30,7 +30,7 @@ from .canon import canonical_key, coloring_canonical_key
 from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from .formats import emit_color_matrix, graph6_encode
 from .graphs import Graph, MultiColoring, bits_of
-from .pool import map_jobs
+from .pool import check_workers, map_jobs
 from .problems import GeneralizedProblem, Problem, TwoColorProblem
 from .verify import has_shape_through, verify_witness
 
@@ -229,13 +229,15 @@ def generate_levels(
 
     Each level keys the children ``extend_one`` returns and keeps the first
     child of each canonical key, in frontier order, so the kept objects are
-    the same with or without workers.  With ``dump_dir`` each level is
-    re-verified in full and written there, one object a line: ``n<order>.g6``
-    in graph6 for two-color problems, ``n<order>.txt`` as color matrices
-    for generalized ones.  ``child_budget`` caps the total of the keyed
-    children; the ones the invariant filter drops are not counted.  Going
-    past it raises ``BudgetExceededError`` whose ``partial`` is the
-    ``GenerationResult`` of the levels finished so far."""
+    the same with or without ``workers`` (1 to ``pool.MAX_JOBS``; a level's
+    frontier is dealt round-robin to at most that many processes).  With
+    ``dump_dir`` each level is re-verified in full and written there, one
+    object a line: ``n<order>.g6`` in graph6 for two-color problems,
+    ``n<order>.txt`` as color matrices for generalized ones.
+    ``child_budget`` caps the total of the keyed children; the ones the
+    invariant filter drops are not counted.  Going past it raises
+    ``BudgetExceededError`` whose ``partial`` is the ``GenerationResult`` of
+    the levels finished so far."""
     two_color = isinstance(problem, TwoColorProblem)
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -243,6 +245,7 @@ def generate_levels(
         raise CapabilityError("generation is desk-scale only: n_max capped at 12")
     if not two_color and problem.r > 4:
         raise CapabilityError("multicolor generation capped at 4 colors")
+    workers = check_workers(workers)
 
     root = Graph(1) if two_color else MultiColoring(1, problem.r)
     frontier = [root]
@@ -254,7 +257,7 @@ def generate_levels(
     for order in range(2, n_max + 1):
         seen: set[bytes] = set()
         next_frontier = []
-        nstripes = min(workers or 1, len(frontier))
+        nstripes = min(workers, len(frontier))
         if nstripes > 1:
             left = child_budget - spent
             jobs = [(frontier[w::nstripes], problem, left) for w in range(nstripes)]

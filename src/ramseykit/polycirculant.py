@@ -14,10 +14,10 @@ on masks from its option lists to its memo keys and probe graphs; only the
 specs it emits become frozenset-based ``PolycirculantSpec`` objects.
 
 Because rho is vertex-transitive on each block, a forbidden shape exists in
-a realized graph iff one exists through some block representative, so
-census scanning verifies candidates with k through-vertex checks instead of
-full searches.  Diagonal sets are enumerated as unions of the pair classes
-{d, m-d}, which builds in the required symmetry and halves the exponent.
+a realized graph iff one exists through some block representative, so one
+probe checks a candidate with k through-vertex checks per colour.  The census
+descends through k diagonal sets, each a union of the pair classes {d, m-d},
+then one set per block pair, probing each set on the blocks it joins.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .formats import graph6_encode
 from .graphs import Graph, bits_of
-from .pool import map_jobs
+from .pool import check_workers, map_jobs
 from .problems import Book, TwoColorProblem
 from .verify import has_shape_through, verify
 
@@ -134,14 +134,6 @@ def build(spec: PolycirculantSpec) -> Graph:
     return Graph(spec.n, _realize(spec.k, spec.m, diag, off))
 
 
-def _sym_valid(g: Graph, reps: tuple[int, ...], problem: TwoColorProblem) -> bool:
-    # every shape embedding rotates onto a block representative
-    if any(has_shape_through(g, x, problem.left) for x in reps):
-        return False
-    comp = g.complement()
-    return not any(has_shape_through(comp, x, problem.right) for x in reps)
-
-
 def _diag_options(m: int) -> list[int]:
     """Masks of every symmetric set, as unions of the pair classes {d, m-d}."""
     classes = [1 << d | 1 << (m - d) for d in range(1, m // 2 + 1)]
@@ -151,16 +143,21 @@ def _diag_options(m: int) -> list[int]:
     ]
 
 
-def _off_options(m: int) -> range:
-    return range(1 << m)
-
-
 def _circulant(m: int, S: int) -> Graph:
     return Graph(m, _realize(1, m, (S,), ()))
 
 
-def _two_block(m: int, Sa: int, Sb: int, Sab: int) -> Graph:
-    return Graph(2 * m, _realize(2, m, (Sa, Sb), (Sab,)))
+def _probe(k: int, m: int, diag, off, problem: TwoColorProblem) -> Graph | None:
+    """The realized graph, or None when a left shape passes through a block
+    representative in it, or a right shape does in its complement."""
+    g = Graph(k * m, _realize(k, m, diag, off))
+    reps = range(0, k * m, m)
+    if any(has_shape_through(g, x, problem.left) for x in reps):
+        return None
+    comp = g.complement()
+    if any(has_shape_through(comp, x, problem.right) for x in reps):
+        return None
+    return g
 
 
 def _spec(k: int, m: int, diag, off) -> PolycirculantSpec:
@@ -211,10 +208,12 @@ class CensusResult:
 Found = list[tuple[int, int, PolycirculantSpec, Graph]]
 
 
-def _scan_stripe(
-    k, m, problem, complement_blocks, stripe, nstripes, budget
-) -> tuple[dict, bool, Found]:
-    """Scan all specs whose first diagonal index falls in the stripe.
+def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict, bool, Found]:
+    """Scan every spec whose first diagonal set is in ``outers``, a list of
+    ``(outer index, mask)`` pairs dealt from ``_diag_options(m)``.  One
+    descent fills k diagonal slots, each with a set that probes valid as a
+    circulant, then one slot per block pair, with a set that probes valid on
+    the pair's two diagonal sets.  With three blocks a full spec is probed.
 
     Returns (stage counts, truncated, [(outer_index, seq, spec, graph), ...])
     with seq ascending, so merged results sorted by (outer_index, seq)
@@ -222,9 +221,7 @@ def _scan_stripe(
     masks throughout; a spec is made only for a graph the stripe keeps.
     """
     diag_opts = _diag_options(m)
-    off_opts = _off_options(m)
-    pairs = block_pairs(k)
-    reps = tuple(a * m for a in range(k))
+    slots = [None] * k + block_pairs(k)
     counts = dict.fromkeys(_STAGES, 0)
 
     single_memo: dict[int, bool] = {}
@@ -233,7 +230,7 @@ def _scan_stripe(
     def single_ok(S: int) -> bool:
         counts["singles_tried"] += 1
         if S not in single_memo:
-            single_memo[S] = _sym_valid(_circulant(m, S), (0,), problem)
+            single_memo[S] = _probe(1, m, (S,), (), problem) is not None
         counts["singles_passed"] += single_memo[S]
         return single_memo[S]
 
@@ -242,7 +239,7 @@ def _scan_stripe(
         key = (Sa, Sb, Sab)
         ok = pair_memo.get(key)
         if ok is None:
-            ok = _sym_valid(_two_block(m, Sa, Sb, Sab), (0, m), problem)
+            ok = _probe(2, m, (Sa, Sb), (Sab,), problem) is not None
             if k >= 3:  # with two blocks each (Sa, Sb) is scanned once: no key repeats
                 pair_memo[key] = ok
         counts["pairs_passed"] += ok
@@ -254,45 +251,30 @@ def _scan_stripe(
         if budget is not None and counts["leaves"] >= budget:
             raise BudgetExceededError(f"census budget {budget} exhausted")
         counts["leaves"] += 1
-        g = Graph(k * m, _realize(k, m, diag, off))
-        if k >= 3 and not _sym_valid(g, reps, problem):
-            return
-        if complement_blocks and not are_isomorphic(
+        g = _probe(k, m, diag, off, problem) if k >= 3 else Graph(k * m, _realize(k, m, diag, off))
+        if g is None or (complement_blocks and not are_isomorphic(
             _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
-        ):
+        )):
             return
         found.append((outer, len(found), _spec(k, m, diag, off), g))
 
-    def descend_off(outer: int, diag: tuple[int, ...], chosen: tuple[int, ...]):
-        idx = len(chosen)
-        if idx == len(pairs):
-            leaf(outer, diag, chosen)
-            return
-        a, b = pairs[idx]
-        for S in off_opts:
-            if not pair_ok(diag[a - 1], diag[b - 1], S):
-                continue
-            descend_off(outer, diag, chosen + (S,))
-
-    def descend_diag(outer: int, chosen: tuple[int, ...]):
-        if len(chosen) == k:
-            if k == 1:
-                leaf(outer, chosen, ())
-            else:
-                descend_off(outer, chosen, ())
-            return
-        for S in diag_opts:
-            if not single_ok(S):
-                continue
-            descend_diag(outer, chosen + (S,))
+    def descend(outer: int, chosen: tuple[int, ...]):
+        if len(chosen) == len(slots):
+            leaf(outer, chosen[:k], chosen[k:])
+        elif (slot := slots[len(chosen)]) is None:
+            for S in diag_opts:
+                if single_ok(S):
+                    descend(outer, chosen + (S,))
+        else:
+            Sa, Sb = chosen[slot[0] - 1], chosen[slot[1] - 1]
+            for S in range(1 << m):
+                if pair_ok(Sa, Sb, S):
+                    descend(outer, chosen + (S,))
 
     try:
-        for outer, S0 in enumerate(diag_opts):
-            if outer % nstripes != stripe:
-                continue
-            if not single_ok(S0):
-                continue
-            descend_diag(outer, (S0,))
+        for outer, S0 in outers:
+            if single_ok(S0):
+                descend(outer, (S0,))
     except BudgetExceededError:
         return counts, True, found
     return counts, False, found
@@ -313,9 +295,10 @@ def enumerate_census(
     full spec is assembled.  ``budget`` caps the number of fully assembled
     specs; exceeding it raises with the partial census attached.
     ``complement_blocks`` (k = 2 only) keeps the specs whose second block is
-    isomorphic to the complement of the first.  With
-    ``workers`` the outer diagonal loop is split across processes by stripe
-    (budget is then enforced per worker, and stage counts are summed).
+    isomorphic to the complement of the first.  ``workers`` (1 to
+    ``pool.MAX_JOBS``) deals the first diagonal sets round-robin to at most
+    that many processes, as generation deals its frontier (budget is then
+    enforced per worker, and stage counts are summed).
     """
     if not isinstance(problem, TwoColorProblem):
         raise InputError("census enumeration covers two-color problems only")
@@ -331,18 +314,20 @@ def enumerate_census(
         raise InputError("complement-blocks filter needs exactly 2 blocks")
     if budget is not None and budget < 0:
         raise InputError(f"census budget must be at least 0, not {budget}")
+    workers = check_workers(workers)
 
+    outers = list(enumerate(_diag_options(m)))
     # a stripe past the number of outer diagonal sets would scan nothing
-    nstripes = max(1, min(workers or 1, len(_diag_options(m))))
-    jobs = [(k, m, problem, complement_blocks, w, nstripes, budget) for w in range(nstripes)]
+    nstripes = min(workers, len(outers))
+    jobs = [
+        (k, m, problem, complement_blocks, outers[w::nstripes], budget) for w in range(nstripes)
+    ]
     outcomes = map_jobs(_scan_stripe, jobs)
 
     stages = {name: sum(c[name] for c, _, _ in outcomes) for name in _STAGES}
     truncated = any(t for _, t, _ in outcomes)
-    merged = sorted(
-        (item for _, _, items in outcomes for item in items),
-        key=lambda it: (it[0], it[1]),
-    )
+    # (outer_index, seq) pairs are distinct, so the sort never compares specs
+    merged = sorted(item for _, _, items in outcomes for item in items)
     result = CensusResult(k=k, m=m, problem=problem, stages=stages)
     seen: set[bytes] = set()
     for _, _, spec, g in merged:
@@ -381,14 +366,11 @@ def lemma_witness(n: int) -> Graph:
     problem = TwoColorProblem(Book(n - 1), Book(n))
     full = (1 << m) - 2  # every difference 1..m-1
     for S in _diag_options(m):
-        if not (
-            _sym_valid(_circulant(m, S), (0,), problem)
-            and _sym_valid(_circulant(m, full ^ S), (0,), problem)
-        ):
+        if any(_probe(1, m, (D,), (), problem) is None for D in (S, full ^ S)):
             continue
-        for S12 in _off_options(m):
-            g = _two_block(m, S, full ^ S, S12)
-            if _sym_valid(g, (0, m), problem):
+        for S12 in range(1 << m):
+            g = _probe(2, m, (S, full ^ S), (S12,), problem)
+            if g is not None:
                 verdict = verify(g, problem)
                 if not verdict.valid:
                     raise VerificationError(

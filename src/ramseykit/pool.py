@@ -6,9 +6,21 @@ A lone job runs in the calling process, so no engine decides that itself."""
 import multiprocessing
 from contextlib import closing
 
-from .errors import CapabilityError, WorkerLost
+from .errors import CapabilityError, InputError, WorkerLost
 
 MAX_JOBS = 64  # the most worker processes one call may start
+
+
+def check_workers(workers: int | None) -> int:
+    """An engine's worker count, checked before any work: ``None`` is 1, below
+    1 raises ``InputError`` and past ``MAX_JOBS`` ``CapabilityError``."""
+    if workers is None:
+        return 1
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, not {workers}")
+    if workers > MAX_JOBS:
+        raise CapabilityError(f"{workers} workers exceed the cap of {MAX_JOBS} worker processes")
+    return workers
 
 
 class _WorkerTraceback(Exception):

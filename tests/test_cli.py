@@ -361,12 +361,13 @@ def test_workers_below_one_is_exit_2(command, workers, capsys):
     assert "--workers must be at least 1" in capsys.readouterr().err
 
 
-def test_workers_past_the_cap_is_exit_3(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["search", "generate", "polycirc"])
+def test_workers_past_the_cap_is_exit_3(command, monkeypatch, capsys):
     def no_process(*args, **kwargs):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(multiprocessing, "Process", no_process)
-    assert main(_WORKER_COMMANDS["search"] + ["--workers", str(MAX_JOBS + 1)]) == 3
+    assert main(_WORKER_COMMANDS[command] + ["--workers", str(MAX_JOBS + 1)]) == 3
     assert f"cap of {MAX_JOBS} worker processes" in capsys.readouterr().err
 
 

@@ -168,6 +168,8 @@ CENSUS_DIGESTS = [
      "eb10bc42e8207c0c6563f1835c78151c74d46fdc2e5c17fac316f4db257d61b7"),
     ("k1-m13-K4,K4", 1, 13, "K4,K4", {},
      "92278052017546e9f070c5ae7aedd7e8792dbf3a1111399fb736723f23baaedb"),
+    ("k1-m13-K4,K4-workers3", 1, 13, "K4,K4", {'workers': 3},
+     "92278052017546e9f070c5ae7aedd7e8792dbf3a1111399fb736723f23baaedb"),
     ("k1-m16-B3,B6", 1, 16, "B3,B6", {},
      "36b7be49cb3730a669276121024b64a1046e7daa41b0b3cff2341e1b7c86990f"),
     ("k2-m5-K3,K3-empty", 2, 5, "K3,K3", {},
@@ -188,6 +190,8 @@ CENSUS_DIGESTS = [
      {'complement_blocks': True, 'workers': 2},
      "7c28e477e9ddd794742469a417c5c9cc3a71325a935dc96c9feb94dd75fd4015"),
     ("k3-m3-B2,B6", 3, 3, "B2,B6", {},
+     "abec9a998ead2baee530c89a0ae0f87c8972341e203bb302c2fa7a03d7eb03b5"),
+    ("k3-m3-B2,B6-workers3", 3, 3, "B2,B6", {'workers': 3},
      "abec9a998ead2baee530c89a0ae0f87c8972341e203bb302c2fa7a03d7eb03b5"),
     ("k3-m3-K3,K5", 3, 3, "K3,K5", {},
      "ce2b41d0b0b7db8629ffd004704d126f4542f18b4aefea83439bd9236beec76d"),

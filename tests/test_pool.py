@@ -18,7 +18,7 @@ import ramseykit
 import ramseykit.generate as generate
 import ramseykit.polycirculant as polycirculant
 import ramseykit.tabu as tabu
-from ramseykit.errors import CapabilityError, WorkerLost
+from ramseykit.errors import CapabilityError, InputError, WorkerLost
 from ramseykit.pool import MAX_JOBS, map_jobs, run_jobs
 from ramseykit.problems import parse_problem
 
@@ -108,6 +108,20 @@ class TestHelper:
         # at the cap the helper goes on to start the first process
         with pytest.raises(AssertionError, match="a process was started"):
             map_jobs(_square, jobs[:MAX_JOBS])
+
+    @pytest.mark.parametrize("workers, error", [(0, InputError), (-2, InputError),
+                                                (MAX_JOBS + 1, CapabilityError)])
+    def test_engines_check_workers_before_any_work(self, workers, error, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was started")
+
+        for module, name in [(generate, "map_jobs"), (generate, "_keyed_children"),
+                             (polycirculant, "map_jobs")]:
+            monkeypatch.setattr(module, name, no_work)
+        with pytest.raises(error, match="workers"):
+            generate.generate_levels(K33, 5, workers=workers)
+        with pytest.raises(error, match="workers"):
+            polycirculant.enumerate_census(2, 5, K33, workers=workers)
 
     def test_map_jobs_raises_a_loss(self):
         with pytest.raises(WorkerLost, match=r"worker 1 lost \(exit code 9\)"):
@@ -209,10 +223,11 @@ class TestEngineFates:
     def test_census_names_the_lost_stripe(self, monkeypatch):
         real = polycirculant._scan_stripe
 
-        def dies_on_stripe_1(k, m, problem, filters, stripe, nstripes, budget):
-            if stripe == 1:
+        def dies_on_stripe_1(k, m, problem, filters, outers, budget):
+            # two stripes are dealt outer indices 0, 2 and 1, 3: 1 is stripe 1
+            if outers[0][0] == 1:
                 os._exit(9)
-            return real(k, m, problem, filters, stripe, nstripes, budget)
+            return real(k, m, problem, filters, outers, budget)
 
         monkeypatch.setattr(polycirculant, "_scan_stripe", dies_on_stripe_1)
         start = time.perf_counter()
