@@ -10,11 +10,13 @@ and wheel deltas can instead read a cache kept current across toggles:
 CodegreeCache holds the codegree matrix, and WheelCache per-hub rim-path
 tables of which a toggle rebuilds only the hubs it can change.
 changed_pairs gives, per shape kind, the pairs whose delta a toggle can
-change, so a caller holding every pair's delta (the tabu scorer does)
-recomputes only those: for books the pairs meeting the toggled edge or
-joining its common neighborhood to its neighborhood union, for cliques the
-pairs meeting the edge or inside its common neighborhood, for wheels every
-pair.  The GR score has only its full form here; its recolor delta lives
+change: for books the pairs meeting the toggled edge or joining its common
+neighborhood to its neighborhood union, for cliques the pairs meeting the
+edge or inside its common neighborhood, for wheels every pair.  A caller
+holding every pair's delta (the tabu scorer does) hands those pairs to
+update_table, which corrects a book or clique entry in place by the few
+terms the toggle moved and recomputes only a book's pairs meeting the edge
+and every wheel pair.  The GR score has only its full form here; its recolor delta lives
 in the tabu scorer, which keeps the union graphs the delta needs and sums
 clique completions over them.  Counts are plain Python ints (arbitrary
 precision), so the overflow cases other implementations must guard
@@ -163,6 +165,99 @@ def changed_pairs(shape: Shape, rows: list[int], a: int, b: int) -> list[int]:
     return out
 
 
+def update_table(
+    shape: Shape,
+    rows: list[int],
+    table: list[int],
+    a: int,
+    b: int,
+    masks: list[int],
+    delta,
+    cache: CodegreeCache | None = None,
+    pages: list[int] | None = None,
+) -> None:
+    """Bring `table`, the toggle delta of `shape` at every pair in pair_iter
+    order, up to date after a toggle of edge (a, b).  `rows`, and a book's
+    `cache`, already hold the toggle; `masks` are changed_pairs' masks, and
+    only the pairs they name are touched.  `delta(x, y)` recomputes an
+    entry, and a book passes `pages`, C(i, k - 1) at i = 0 .. n - 1.  With
+    d = +1 for an added edge and -1 for a removed one, I = N(a) ∩ N(b) and
+    o the edge bit of the pair xy:
+      books    a pair meeting {a, b} is recomputed.  Off {a, b}, cd(x, y),
+               N(x) ∩ N(y) and o do not change, so only the page terms
+               C(cd(e, z) - o, k - 1) with z in {a, b} ∩ N(x) ∩ N(y) can
+               move, and only at an end e in I, where cd(e, z) moved by d;
+               the entry gains their change, negated when o = 1;
+      cliques  each case gains sign(o)·d times a smaller clique count, with
+               sign(o) = -1 on an edge: (a, b) keeps its common
+               neighbourhood and only negates; (a, y) with y in N(b), whose
+               N(a) ∩ N(y) gained or lost b, gains the K_{s-3} in I ∩ N(y),
+               and (b, y) with y in N(a) likewise; a pair inside I gains the
+               K_{s-4} in N(x) ∩ N(y) ∩ I, the completions using ab; every
+               other named pair stays;
+      wheels   every named pair is recomputed."""
+    if isinstance(shape, Wheel):
+        for y, lower in enumerate(masks):
+            base = y * (y - 1) // 2
+            for x in bits_of(lower):
+                table[base + x] = delta(x, y)
+        return
+    ends = 1 << a | 1 << b
+    ra, rb = rows[a], rows[b]
+    inner = ra & rb
+    d = 1 if ra >> b & 1 else -1
+    if isinstance(shape, Book):
+        cda, cdb = cache.cd[a], cache.cd[b]
+        # no pages index is negative, where a list read would wrap: with
+        # d = 1 the moved cd(e, z) counts the far end of ab, and with o = 1
+        # it also counts e's partner in xy
+        for y, lower in enumerate(masks):
+            base = y * (y - 1) // 2
+            meet = lower if ends >> y & 1 else lower & ends
+            for x in bits_of(meet):
+                table[base + x] = delta(x, y)
+            row = rows[y]
+            ya, yb = ra >> y & 1, rb >> y & 1
+            for x in bits_of(lower & ~meet):
+                o = row >> x & 1
+                xa, xb = ra >> x & 1, rb >> x & 1
+                c = 0
+                if xa and ya:  # a is a page of xy, and cd(e, a) moved at ends e in N(b)
+                    if yb:
+                        c += pages[cda[y] - o] - pages[cda[y] - d - o]
+                    if xb:
+                        c += pages[cda[x] - o] - pages[cda[x] - d - o]
+                if xb and yb:
+                    if ya:
+                        c += pages[cdb[y] - o] - pages[cdb[y] - d - o]
+                    if xa:
+                        c += pages[cdb[x] - o] - pages[cdb[x] - d - o]
+                table[base + x] += -c if o else c
+        return
+    s = shape.k
+    sign = (d, -d)  # indexed by o
+    for y, lower in enumerate(masks):
+        base = y * (y - 1) // 2
+        row = rows[y]
+        if ends >> y & 1:
+            far = rows[a ^ b ^ y]  # the other end's row
+            for x in bits_of(lower):
+                if ends >> x & 1:  # the pair (a, b)
+                    table[base + x] = -table[base + x]
+                elif far >> x & 1:
+                    c = count_cliques_in_mask(rows, inner & rows[x], s - 3)
+                    table[base + x] += sign[row >> x & 1] * c
+            continue
+        for x in bits_of(lower):
+            if not ends >> x & 1:  # x and y in I
+                c = count_cliques_in_mask(rows, inner & row & rows[x], s - 4)
+            elif rows[a ^ b ^ x] >> y & 1:
+                c = count_cliques_in_mask(rows, inner & row, s - 3)
+            else:
+                continue
+            table[base + x] += sign[row >> x & 1] * c
+
+
 def count_books(g: Graph, k: int) -> int:
     """Spine-labeled B_k count: sum over edges of C(codegree, k)."""
     if k < 1:
@@ -176,12 +271,18 @@ def count_books(g: Graph, k: int) -> int:
 
 def book_toggle_delta(g: Graph, u: int, v: int, k: int, cache: CodegreeCache | None = None) -> int:
     """Change in count_books if edge (u,v) were toggled.  Pure; O(n)."""
+    if k < 1:
+        raise InputError("book page count must be at least 1")
     rows = g.rows
     if cache is None:
         cdu = [(rows[u] & row).bit_count() for row in rows]
         cdv = [(rows[v] & row).bit_count() for row in rows]
     else:
-        cdu, cdv = cache.cd[u], cache.cd[v]
+        try:
+            cdu, cdv = cache.cd[u], cache.cd[v]
+        except AttributeError:
+            kind = type(cache).__name__
+            raise InputError(f"a book delta reads a CodegreeCache, not a {kind}") from None
     # the books on spine ux with page v number comb(cdu[x] - off, k - 1), where
     # off is 1 on a removed edge, whose v the codegree still counts.
     # math.comb raises on a negative argument, and no call in this module
@@ -270,8 +371,13 @@ def wheel_toggle_delta(g: Graph, u: int, v: int, k: int, cache: WheelCache | Non
     """
     rows = g.rows
     if cache is not None:
-        if cache.k != k:
-            raise InputError(f"wheel cache is for W{cache.k}, not W{k}")
+        try:
+            cached = cache.k  # at least 4, as the cache checked
+        except AttributeError:
+            kind = type(cache).__name__
+            raise InputError(f"a wheel delta reads a WheelCache, not a {kind}") from None
+        if cached != k:
+            raise InputError(f"wheel cache is for W{cached}, not W{k}")
         P = cache.P
         common = []
         total = 0
@@ -290,6 +396,8 @@ def wheel_toggle_delta(g: Graph, u: int, v: int, k: int, cache: WheelCache | Non
             for w2 in common[i + 1 :]:
                 total += qu[w2] + qv[w2]
         return total
+    if k < 4:
+        raise InputError("wheel order must be at least 4")
     L = k - 1
     both = ~(1 << u) & ~(1 << v)
     total = 0
@@ -361,6 +469,8 @@ def count_cliques(g: Graph, s: int) -> int:
 
 def clique_toggle_delta(g: Graph, u: int, v: int, s: int) -> int:
     """Change in count_cliques if edge (u,v) were toggled.  Pure."""
+    if s < 2:
+        raise InputError("clique order must be at least 2")
     completions = count_cliques_in_mask(g.rows, g.rows[u] & g.rows[v], s - 2)
     return -completions if g.has_edge(u, v) else completions
 

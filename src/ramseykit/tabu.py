@@ -7,17 +7,20 @@ visited (the tabu set grows without bound), and applies a minimum-score
 candidate with uniform random tie-breaking.  Runs never restart; a
 neighborhood with every candidate tabu ends the run as stalled.
 
-The scorer below holds the only incremental scoring code, for both
-problem kinds.  It keeps one union graph per side of the problem (a set of
-colors and a shape) current across recolorings, and with it a table of the
-side's toggle delta at every pair.  A move toggles its edge in the sides it
-touches and recomputes their tables only at the pairs counting's
+The scorer below is the only incremental scorer, for both problem kinds.
+It keeps one union graph per side of the problem (a set of colors and a
+shape) current across recolorings, and with it a table of the side's
+toggle delta at every pair.  A move toggles its edge in the sides it
+touches and brings their tables up to date only at the pairs counting's
 changed_pairs names (books and cliques: the pairs near the edge; wheels:
-all), so a scan reads each candidate's delta as a sum of table entries and
-calls no counter.  Every 2**14 steps the maintained score is audited
-against a full recount from the coloring itself, so a drift in the side
-graphs or caches shows up even when the score still agrees with them, and
-each table against its side's delta at every pair.
+all), through counting's update_table: book and clique entries are
+corrected in place, and a book's pairs meeting the edge and every wheel
+pair are recomputed by the side's delta.  A scan reads each candidate's
+delta as a sum of table entries and calls no counter.  Every 2**14 steps
+the maintained score is audited against a full recount from the coloring
+itself, so a drift in the side graphs or caches shows up even when the
+score still agrees with them, and each table against its side's delta at
+every pair.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from math import comb
 
 from .counting import (
     CodegreeCache,
@@ -37,6 +41,7 @@ from .counting import (
     count_cliques_in_mask,
     count_shape,
     shape_toggle_delta,
+    update_table,
 )
 from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_index, pair_iter, state_hash
@@ -69,14 +74,16 @@ def _bind_delta(shape: Shape, g: Graph) -> tuple:
 
 class _Side:
     """One side's union graph g, its cache (a book side's codegrees, a wheel
-    side's rim paths, none for cliques), its toggle delta bound once, and
-    `table`, that delta at every pair in pair_iter order."""
+    side's rim paths, none for cliques), its toggle delta bound once,
+    `table`, that delta at every pair in pair_iter order, and for a book
+    side `pages`, the binomials C(i, k - 1) its table corrections read."""
 
-    __slots__ = ("shape", "g", "cache", "delta", "table")
+    __slots__ = ("shape", "g", "cache", "delta", "table", "pages")
 
     def __init__(self, shape: Shape, g: Graph):
         self.shape, self.g = shape, g
         self.delta, self.cache = _bind_delta(shape, g)
+        self.pages = [comb(i, shape.k - 1) for i in range(g.n)] if isinstance(shape, Book) else None
         self.table = self.fresh_table()
 
     def fresh_table(self) -> list[int]:
@@ -84,19 +91,16 @@ class _Side:
         return [delta(u, v) for u, v in pair_iter(self.g.n)]
 
     def toggle(self, u: int, v: int) -> None:
-        """Toggle (u, v) in g, update the cache, then recompute the table at
-        the pairs whose delta the toggle can change, and only there."""
-        g, delta, table = self.g, self.delta, self.table
+        """Toggle (u, v) in g, update the cache, then bring the table up to
+        date at the pairs changed_pairs names, and only there: a book or
+        clique side corrects its entries in place (a book recomputes the
+        pairs meeting the edge), and a wheel side recomputes every pair."""
+        g, shape = self.g, self.shape
         g.toggle_edge(u, v)
         if self.cache is not None:
             self.cache.apply_toggle(g, u, v)
-        for y, lower in enumerate(changed_pairs(self.shape, g.rows, u, v)):
-            base = y * (y - 1) // 2
-            while lower:
-                low = lower & -lower
-                lower ^= low
-                x = low.bit_length() - 1
-                table[base + x] = delta(x, y)
+        masks = changed_pairs(shape, g.rows, u, v)
+        update_table(shape, g.rows, self.table, u, v, masks, self.delta, self.cache, self.pages)
 
 
 class _Scorer:

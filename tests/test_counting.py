@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -19,6 +20,7 @@ from ramseykit.counting import (
     count_wheels,
     gr_score,
     shape_toggle_delta,
+    update_table,
     wheel_toggle_delta,
 )
 from ramseykit.errors import InputError
@@ -316,6 +318,27 @@ class TestDeltas:
             assert scorer.delta(u, v, new, old) == -d  # recoloring back undoes it
             before = after
 
+    def test_book_delta_rejects_zero_pages(self):
+        with pytest.raises(InputError):
+            book_toggle_delta(Graph.complete(5), 0, 1, 0)
+
+    def test_wheel_delta_rejects_order_3(self):
+        with pytest.raises(InputError):
+            wheel_toggle_delta(Graph.complete(5), 0, 1, 3)
+
+    def test_clique_delta_rejects_order_1(self):
+        with pytest.raises(InputError):
+            clique_toggle_delta(Graph.complete(5), 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "shape, cache", [(Book(2), WheelCache), (Wheel(5), CodegreeCache)], ids=["book", "wheel"]
+    )
+    def test_delta_rejects_a_cache_of_the_other_kind(self, shape, cache):
+        g = Graph.complete(5)
+        wrong = cache(g, 5) if cache is WheelCache else cache(g)
+        with pytest.raises(InputError):
+            shape_toggle_delta(g, 0, 1, shape, wrong)
+
     def test_gr_delta_mono_k4(self):
         scorer = _Scorer(GeneralizedProblem(3, 4, 2), MultiColoring(4, 3))
         # recoloring one edge of the monochromatic K4 drops the score by 1
@@ -430,3 +453,34 @@ class TestChangedPairs:
         assert ruled(Clique(4), 0, 3) == meeting(0, 3) | {(1, 2)}
         assert ruled(Wheel(5), 0, 3) == set(pair_iter(5))
         assert ruled(Book(2), 0, 4) == ruled(Clique(4), 0, 4) == meeting(0, 4)
+
+
+class TestUpdateTable:
+    """A delta table corrected in place after a toggle equals a fresh one at
+    every pair, so the corrections, not only the rule, are exact."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Book(1), Book(2), Book(3), Book(4), Clique(3), Clique(4), Clique(5), Clique(6)],
+        ids=repr,
+    )
+    def test_corrected_table_equals_a_fresh_one(self, shape):
+        rng = random.Random(f"update-table:{shape!r}")
+        book = isinstance(shape, Book)
+        for n in range(5, 15):
+            pairs = list(pair_iter(n))
+            for p in (0.35, 0.5, 0.65):
+                g = random_graph(rng, n, p)
+                cache = CodegreeCache(g) if book else None
+                pages = [comb(i, shape.k - 1) for i in range(n)] if book else None
+                delta = partial(shape_toggle_delta, g, shape=shape, cache=cache)
+                table = [delta(x, y) for x, y in pairs]
+                for _ in range(6):
+                    a, b = rng.sample(range(n), 2)
+                    g.toggle_edge(a, b)
+                    if book:
+                        cache.apply_toggle(g, a, b)
+                    masks = changed_pairs(shape, g.rows, a, b)
+                    update_table(shape, g.rows, table, a, b, masks, delta, cache, pages)
+                    fresh = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
+                    assert table == fresh, (n, p, (a, b))

@@ -221,7 +221,7 @@ class TestReverification:
             for _ in range(10):
                 tabu_step(st)
 
-    @pytest.mark.parametrize("spec", ["B2,B8", "K4,K4"])
+    @pytest.mark.parametrize("spec", ["B2,B8", "K4,K4", "GR:3,K5,2"])
     def test_audit_catches_a_pair_dropped_from_the_changed_pair_rule(self, monkeypatch, spec):
         # a rule that misses one pair off the toggled edge leaves a stale
         # table entry; the table audit must see it in the step it happens
