@@ -10,14 +10,20 @@ Internally a connection set S_ab is an int mask (bit d set iff d in S_ab),
 and the realizer builds rows by rotation: the row of (a, i) is the row of
 (a, 0) with each block rotated left by i, where block b of the row of (a, 0)
 holds S_ab, and S_ba is the negated mask {-d mod m}.  The census scan works
-on masks from its option lists to its memo keys and probe graphs; only the
-specs it emits become frozenset-based ``PolycirculantSpec`` objects.
+on masks from its option lists to its state tables and probe graphs; only
+the specs it emits become frozenset-based ``PolycirculantSpec`` objects.
 
 Because rho is vertex-transitive on each block, a forbidden shape exists in
 a realized graph iff one exists through some block representative, so one
 probe checks a candidate with k through-vertex checks per colour.  The census
 descends through k diagonal sets, each a union of the pair classes {d, m-d},
 then one set per block pair, probing each set on the blocks it joins.
+
+A block pair's sets are read from a state table over its masks.  Shape
+containment is monotone in the edges, and a mask has every edge of each of
+its one-bit subsets: so a left shape in a subset is one in the mask, and a
+valid subset leaves the mask's complement free of right shapes.  Only the
+masks these rules do not settle are realized and probed.
 """
 
 from __future__ import annotations
@@ -147,17 +153,53 @@ def _circulant(m: int, S: int) -> Graph:
     return Graph(m, _realize(1, m, (S,), ()))
 
 
+def _through_reps(g: Graph, m: int, shape) -> bool:
+    """Does shape pass through some block representative 0, m, 2m, ... of g?"""
+    return any(has_shape_through(g, x, shape) for x in range(0, g.n, m))
+
+
 def _probe(k: int, m: int, diag, off, problem: TwoColorProblem) -> Graph | None:
     """The realized graph, or None when a left shape passes through a block
     representative in it, or a right shape does in its complement."""
     g = Graph(k * m, _realize(k, m, diag, off))
-    reps = range(0, k * m, m)
-    if any(has_shape_through(g, x, problem.left) for x in reps):
-        return None
-    comp = g.complement()
-    if any(has_shape_through(comp, x, problem.right) for x in reps):
+    if _through_reps(g, m, problem.left) or _through_reps(g.complement(), m, problem.right):
         return None
     return g
+
+
+# States of a pair table entry, as bits so a mask's one-bit subsets OR together:
+# unknown (0), a left shape in the graph, a right shape in the complement only,
+# and valid
+_LEFT, _RIGHT, _VALID = 1, 2, 4
+
+
+def _pair_ok(table: bytearray, m: int, diag: tuple[int, int], S: int, problem) -> bool:
+    """Is the 2-block graph with diagonal masks diag and off-diagonal mask S
+    valid?  ``table`` holds the states decided so far for diag, and gains S's.
+
+    A left shape in a subset S minus one bit settles S with no probe; a
+    valid such subset leaves only the left check to run (module docstring).
+    """
+    state = table[S]
+    if not state:
+        below = 0
+        rest = S
+        while rest:
+            low = rest & -rest
+            below |= table[S ^ low]
+            rest ^= low
+        if below & _LEFT:
+            state = _LEFT
+        else:
+            g = Graph(2 * m, _realize(2, m, diag, (S,)))
+            if _through_reps(g, m, problem.left):
+                state = _LEFT
+            elif below & _VALID or not _through_reps(g.complement(), m, problem.right):
+                state = _VALID
+            else:
+                state = _RIGHT
+        table[S] = state
+    return state == _VALID
 
 
 def _spec(k: int, m: int, diag, off) -> PolycirculantSpec:
@@ -174,8 +216,8 @@ class CensusResult:
     """The census, plus how many candidates each scan stage tried and passed.
 
     ``stages`` maps each of ``_STAGES`` to its count.  Probe counts count
-    every single-block and pair check the scan asks for, memo hits included,
-    so they do not depend on how the scan is striped across workers;
+    every single-block and pair check the scan asks for, memo and table hits
+    included, so they do not depend on how the scan is striped across workers;
     ``examined`` reads ``stages["leaves"]``, the number of assembled specs.
     """
 
@@ -225,7 +267,7 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     counts = dict.fromkeys(_STAGES, 0)
 
     single_memo: dict[int, bool] = {}
-    pair_memo: dict[tuple[int, int, int], bool] = {}
+    pair_tables: dict[tuple[int, int], bytearray] = {}
 
     def single_ok(S: int) -> bool:
         counts["singles_tried"] += 1
@@ -234,14 +276,9 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
         counts["singles_passed"] += single_memo[S]
         return single_memo[S]
 
-    def pair_ok(Sa: int, Sb: int, Sab: int) -> bool:
+    def pair_ok(table: bytearray, diag: tuple[int, int], S: int) -> bool:
         counts["pairs_tried"] += 1
-        key = (Sa, Sb, Sab)
-        ok = pair_memo.get(key)
-        if ok is None:
-            ok = _probe(2, m, (Sa, Sb), (Sab,), problem) is not None
-            if k >= 3:  # with two blocks each (Sa, Sb) is scanned once: no key repeats
-                pair_memo[key] = ok
+        ok = _pair_ok(table, m, diag, S, problem)
         counts["pairs_passed"] += ok
         return ok
 
@@ -266,9 +303,14 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
                 if single_ok(S):
                     descend(outer, chosen + (S,))
         else:
-            Sa, Sb = chosen[slot[0] - 1], chosen[slot[1] - 1]
+            diag = chosen[slot[0] - 1], chosen[slot[1] - 1]
+            if diag not in pair_tables:
+                if k == 2:  # each (Sa, Sb) is scanned once: keep only the current table
+                    pair_tables.clear()
+                pair_tables[diag] = bytearray(1 << m)
+            table = pair_tables[diag]
             for S in range(1 << m):
-                if pair_ok(Sa, Sb, S):
+                if pair_ok(table, diag, S):
                     descend(outer, chosen + (S,))
 
     try:
@@ -366,11 +408,13 @@ def lemma_witness(n: int) -> Graph:
     problem = TwoColorProblem(Book(n - 1), Book(n))
     full = (1 << m) - 2  # every difference 1..m-1
     for S in _diag_options(m):
-        if any(_probe(1, m, (D,), (), problem) is None for D in (S, full ^ S)):
+        diag = (S, full ^ S)
+        if any(_probe(1, m, (D,), (), problem) is None for D in diag):
             continue
+        table = bytearray(1 << m)
         for S12 in range(1 << m):
-            g = _probe(2, m, (S, full ^ S), (S12,), problem)
-            if g is not None:
+            if _pair_ok(table, m, diag, S12, problem):
+                g = Graph(2 * m, _realize(2, m, diag, (S12,)))
                 verdict = verify(g, problem)
                 if not verdict.valid:
                     raise VerificationError(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -326,6 +327,57 @@ class TestCensus:
         for line, spec, g in zip(lines, res.specs, res.graphs):
             assert build(spec).rows == g.rows
             assert line == graph6_encode(g) + "  # " + spec.serialize()
+
+
+def count_realized(monkeypatch) -> list:
+    """Patch the polycirculant realizer to log each graph it makes."""
+    import ramseykit.polycirculant as poly
+
+    realized = []
+    real = poly._realize
+
+    def logged(k, m, diag, off):
+        realized.append((k, m))
+        return real(k, m, diag, off)
+
+    monkeypatch.setattr(poly, "_realize", logged)
+    return realized
+
+
+class TestPairTable:
+    """A pair table's verdicts, inferred from one-bit subsets or probed, are
+    the verdicts of a full probe, in whatever order the masks are visited."""
+
+    @pytest.mark.parametrize("text", ["B2,B4", "W5,K4", "K3,W5", "B1,W6", "K4,B3", "W4,W5"])
+    def test_verdicts_match_full_probe(self, text, monkeypatch):
+        import ramseykit.polycirculant as poly
+
+        problem = parse_problem(text)
+        rng = random.Random(f"pair-table {text}")
+        realized = count_realized(monkeypatch)
+        inferred = 0
+        for m in (4, 5, 6):
+            for diag in itertools.product(poly._diag_options(m), repeat=2):
+                masks = list(range(1 << m))
+                want = {S: poly._probe(2, m, diag, (S,), problem) is not None for S in masks}
+                shuffled = rng.sample(masks, len(masks))
+                for order in (masks, shuffled):
+                    table = bytearray(1 << m)
+                    before = len(realized)
+                    got = {S: poly._pair_ok(table, m, diag, S, problem) for S in order}
+                    assert got == want, (m, diag, order is shuffled)
+                    inferred += len(masks) - (len(realized) - before)
+        # some verdicts were settled from subsets, with no graph realized
+        assert inferred > 0
+
+    def test_census_realizes_fewer_pairs_than_it_checks(self, monkeypatch):
+        realized = count_realized(monkeypatch)
+        stages = enumerate_census(2, 5, B2B8).stages
+        assert stages["pairs_tried"] == 288 and stages["leaves"] == 165
+        # each leaf is realized once; the rest are single and pair probes,
+        # which the pair tables keep below the 288 pair checks
+        assert len(realized) == 389
+        assert len(realized) - stages["leaves"] < stages["pairs_tried"]
 
 
 class TestLemmaWitness:
