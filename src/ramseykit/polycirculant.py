@@ -24,10 +24,19 @@ containment is monotone in the edges, and a mask has every edge of each of
 its one-bit subsets: so a left shape in a subset is one in the mask, and a
 valid subset leaves the mask's complement free of right shapes.  Only the
 masks these rules do not settle are realized and probed.
+
+The pair tables also read each mask's least image under the dihedral group
+of order 2m.  Rotating the second block by t maps the 2-block graph with
+off-diagonal set S to the one with S + t, and reflecting both blocks,
+i -> -i, maps it to the one with -S; both fix every symmetric diagonal set.
+The graphs are isomorphic, so all three states (left shape, right shape
+only, valid) are shared by an orbit, and a scan in ascending mask order
+finds a mask's least image already decided.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -99,19 +108,39 @@ def _mask(S) -> int:
     return sum(1 << d for d in S)
 
 
-@lru_cache(maxsize=1 << 13)
-def _rotations(S: int, m: int, shift: int, negate: bool) -> tuple[int, ...]:
+def _turns(S: int, m: int, negate: bool) -> tuple[int, ...]:
     """Mask S, or {-d mod m : d in S} if negate, rotated left by 0..m-1
-    within m bits and moved up by shift bits.
-
-    Only the masks a scan asks for are cached; at m = 16 a full cache holds
-    about 130k ints, where a table over every mask would hold a million.
-    """
+    within m bits."""
     full = (1 << m) - 1
     if negate:
         rev = int(format(S, f"0{m}b")[::-1], 2)  # d -> m-1-d
         S = (rev << 1 | rev >> (m - 1)) & full  # then -> m-d mod m
-    return tuple(((S << i | S >> (m - i)) & full) << shift for i in range(m))
+    return tuple((S << i | S >> (m - i)) & full for i in range(m))
+
+
+@lru_cache(maxsize=1 << 13)
+def _rotations(S: int, m: int, shift: int, negate: bool) -> tuple[int, ...]:
+    """``_turns(S, m, negate)``, each moved up by shift bits.
+
+    Only the masks a scan asks for are cached; at m = 16 a full cache holds
+    about 130k ints, where a table over every mask would hold a million.
+    """
+    return tuple(S << shift for S in _turns(S, m, negate))
+
+
+@lru_cache(maxsize=None)
+def _least_images(m: int) -> array:
+    """The least mask in each m-bit mask's orbit under the dihedral group
+    of Z_m, S -> S + t and S -> -S + t.  Built on first use per m, by
+    visiting the masks in ascending order and giving each new orbit its
+    first member; at m = 16 the table takes 128 KB.
+    """
+    least = array("H", bytes(2 << m))  # 0 is its own orbit; any other 0 is unvisited
+    for S in range(1, 1 << m):
+        if not least[S]:
+            for image in _turns(S, m, False) + _turns(S, m, True):
+                least[image] = S
+    return least
 
 
 def _realize(k: int, m: int, diag, off) -> list[int]:
@@ -178,9 +207,12 @@ def _pair_ok(table: bytearray, m: int, diag: tuple[int, int], S: int, problem) -
     valid?  ``table`` holds the states decided so far for diag, and gains S's.
 
     A left shape in a subset S minus one bit settles S with no probe; a
-    valid such subset leaves only the left check to run (module docstring).
+    valid such subset leaves only the left check to run.  S's least image
+    under block rotation and reflection settles S too once it is decided,
+    as it always is in an ascending scan; in any other order an undecided
+    image is passed over (module docstring).
     """
-    state = table[S]
+    state = table[S] or table[_least_images(m)[S]]
     if not state:
         below = 0
         rest = S
@@ -198,7 +230,7 @@ def _pair_ok(table: bytearray, m: int, diag: tuple[int, int], S: int, problem) -
                 state = _VALID
             else:
                 state = _RIGHT
-        table[S] = state
+    table[S] = state
     return state == _VALID
 
 

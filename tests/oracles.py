@@ -7,7 +7,9 @@ extension and pivot recursion instead, and :mod:`ramseykit.polycirculant`
 builds rows by rotating bit masks, so agreement between the two families
 is meaningful evidence of correctness.  The generation oracle keys every
 valid child of every parent, where :mod:`ramseykit.generate` keys only the
-children that pass its canonical-deletion filter.  The exhaustive
+children that pass its canonical-deletion filter.  The dihedral orbit
+reference maps a difference set element by element, where the census's
+image table rotates and reflects bit masks.  The exhaustive
 generators of labeled graphs and colorings feed these checks.
 """
 
@@ -106,6 +108,14 @@ def polycirculant_naive(spec) -> Graph:
         if (j - i) % m in conn[a, b]:
             g.add_edge(u, v)
     return g
+
+
+def least_dihedral_image(S: frozenset[int], m: int) -> int:
+    """The least mask sum(2^d) over the images of the difference set S under
+    every rotation d -> d + t and reflection d -> t - d of Z_m."""
+    orbit = [frozenset((d + t) % m for d in S) for t in range(m)]
+    orbit += [frozenset((t - d) % m for d in S) for t in range(m)]
+    return min(sum(2**d for d in image) for image in orbit)
 
 
 def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:

@@ -28,7 +28,7 @@ from ramseykit.polycirculant import (
 from ramseykit.problems import parse_problem
 from ramseykit.verify import verify
 
-from oracles import polycirculant_naive
+from oracles import least_dihedral_image, polycirculant_naive
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")
@@ -345,8 +345,9 @@ def count_realized(monkeypatch) -> list:
 
 
 class TestPairTable:
-    """A pair table's verdicts, inferred from one-bit subsets or probed, are
-    the verdicts of a full probe, in whatever order the masks are visited."""
+    """A pair table's verdicts, inferred from one-bit subsets or least
+    images, or probed, are the verdicts of a full probe, in whatever order
+    the masks are visited."""
 
     @pytest.mark.parametrize("text", ["B2,B4", "W5,K4", "K3,W5", "B1,W6", "K4,B3", "W4,W5"])
     def test_verdicts_match_full_probe(self, text, monkeypatch):
@@ -355,7 +356,7 @@ class TestPairTable:
         problem = parse_problem(text)
         rng = random.Random(f"pair-table {text}")
         realized = count_realized(monkeypatch)
-        inferred = 0
+        inferred = by_image = 0
         for m in (4, 5, 6):
             for diag in itertools.product(poly._diag_options(m), repeat=2):
                 masks = list(range(1 << m))
@@ -363,21 +364,62 @@ class TestPairTable:
                 shuffled = rng.sample(masks, len(masks))
                 for order in (masks, shuffled):
                     table = bytearray(1 << m)
-                    before = len(realized)
-                    got = {S: poly._pair_ok(table, m, diag, S, problem) for S in order}
+                    got = {}
+                    for S in order:
+                        before = len(realized)
+                        got[S] = poly._pair_ok(table, m, diag, S, problem)
+                        if len(realized) > before:
+                            continue
+                        inferred += 1
+                        # in ascending order every one-bit subset is decided,
+                        # so with no left shape among them only an image settled S
+                        subsets = (table[S & ~(1 << d)] for d in range(m) if S >> d & 1)
+                        if order is masks and not any(state & poly._LEFT for state in subsets):
+                            by_image += 1
                     assert got == want, (m, diag, order is shuffled)
-                    inferred += len(masks) - (len(realized) - before)
-        # some verdicts were settled from subsets, with no graph realized
-        assert inferred > 0
+        # some verdicts were settled from subsets or images, with no graph
+        # realized, and some of the ascending ones by an image alone
+        assert inferred > by_image > 0
 
     def test_census_realizes_fewer_pairs_than_it_checks(self, monkeypatch):
         realized = count_realized(monkeypatch)
         stages = enumerate_census(2, 5, B2B8).stages
         assert stages["pairs_tried"] == 288 and stages["leaves"] == 165
         # each leaf is realized once; the rest are single and pair probes,
-        # which the pair tables keep below the 288 pair checks
-        assert len(realized) == 389
+        # which the subset and image rules keep below the 288 pair checks
+        assert len(realized) == 221
         assert len(realized) - stages["leaves"] < stages["pairs_tried"]
+
+    def test_least_images_match_explicit_orbits(self):
+        import ramseykit.polycirculant as poly
+
+        for m in range(2, 11):
+            least = poly._least_images(m)
+            assert len(least) == 1 << m
+            for S in range(1 << m):
+                diffs = frozenset(d for d in range(m) if S >> d & 1)
+                assert least[S] == least_dihedral_image(diffs, m), (m, S)
+
+    def test_image_tables_are_built_on_first_use_only(self):
+        script = """
+import ramseykit.polycirculant as poly
+from ramseykit.problems import parse_problem
+assert poly._least_images.cache_info().currsize == 0, "built at import"
+poly.enumerate_census(2, 5, parse_problem("B2,B8"))
+built = poly._least_images.cache_info()
+poly._least_images(5)
+assert built.currsize == 1, built
+assert poly._least_images.cache_info().misses == built.misses, "m = 5 was not built"
+print("ok")
+"""
+        # the child imports the same ramseykit as this process
+        src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
 
 class TestLemmaWitness:
