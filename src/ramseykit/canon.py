@@ -243,22 +243,43 @@ def _check_cap(n: int) -> None:
         raise CapabilityError(f"exact canonical form capped at {N_CAP} vertices, got {n}")
 
 
+def _graph_search(g: Graph) -> _Search:
+    return _Search(g.n, [[r >> v & 1 for v in range(g.n)] for r in g.rows], [g.rows])
+
+
 def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     """Canonical key and one ordering that attains it (vertex at position i)."""
     _check_cap(g.n)
-    n, rows = g.n, g.rows
+    n = g.n
     pairs = n * (n - 1) // 2
     edges = g.edge_count()
     if n == 1 or edges in (0, pairs):
         key, order = bytes([edges > 0]) * pairs, tuple(range(n))
     else:
-        val = [[r >> v & 1 for v in range(n)] for r in rows]
-        key, order = _Search(n, val, [rows]).run()
+        key, order = _graph_search(g).run()
     return b"G" + bytes([n]) + key, order
 
 
 def canonical_key(g: Graph) -> bytes:
     return canonical_form(g)[0]
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g, as tuples p with vertex v mapped to p[v], that
+    one canonical-labeling search of g finds: at most GEN_CAP of them, and
+    none when g is asymmetric.  For an empty or complete graph, where no
+    search runs, a transposition and an n-cycle, which generate S_n."""
+    _check_cap(g.n)
+    n = g.n
+    if n == 1:
+        return []
+    if g.edge_count() in (0, n * (n - 1) // 2):
+        swap = (1, 0) + tuple(range(2, n))
+        turn = tuple(range(1, n)) + (0,)
+        return [swap] if swap == turn else [swap, turn]
+    search = _graph_search(g)
+    search.run()
+    return [perm for perm, _ in search.gens]
 
 
 def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes:

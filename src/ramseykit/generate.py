@@ -3,10 +3,28 @@
 Level n+1 is built by adding one vertex to every level-n witness in every
 possible way and keeping the children that stay valid.  Because witness
 validity is hereditary (deleting a vertex of a witness gives a witness),
-only forbidden structures through the new vertex need checking; two-color
-parents enumerate all 2^n neighborhoods of the new vertex, multicolor
-parents walk the r^n color assignments depth-first and abandon a prefix as
-soon as some K_s through the new vertex is forced to span too few colors.
+only forbidden structures through the new vertex need checking.
+
+Two-color parents enumerate all 2^n neighborhoods of the new vertex in
+ascending mask order.  An automorphism p of the parent maps the child with
+neighborhood M onto the child with neighborhood p(M), fixing the new
+vertex, so the two agree on validity, on the invariant filter below and on
+their class.  The first mask of each orbit under the automorphisms that one
+canonical-labeling search of the parent finds is therefore decided alone,
+and every later mask of the orbit takes its verdict: a child, listed as an
+image, that is neither checked nor keyed, since its class arrived with the
+earlier child.  Any set of automorphisms, none included, gives the same
+kept children.
+
+Multicolor parents walk the r^n color vectors of the new vertex's edges
+depth-first, colors ascending, and check each later vertex ahead of time.
+A K_s through the new vertex spans at most t colors iff its colors lie in
+some t-set T.  When old vertex j takes a color in T, each later v joined to
+j in T, with a K_{s-3} in T among the earlier vertices joined to both and
+to the new vertex in T, may no longer take a color of T; a vector prefix
+that leaves some v no color is abandoned.  Each such clique is found when
+the last of its old vertices before v is colored, so the vectors that
+survive are exactly the valid ones, in the same order.
 
 Only children whose new vertex reaches the largest value of a vertex
 invariant are kept (the cheap filter of McKay's canonical construction
@@ -24,9 +42,11 @@ Levels written to a dump directory are re-verified in full first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
-from .canon import canonical_key, coloring_canonical_key
+from .canon import automorphisms, canonical_key, coloring_canonical_key
 from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from .formats import emit_color_matrix, graph6_encode
 from .graphs import Graph, MultiColoring, bits_of
@@ -71,14 +91,60 @@ def _last_wins(color_rows: list[list[int]], rivals) -> bool:
     return all(_invariant(color_rows, degs, v) <= last for v in rivals)
 
 
-def _two_color_children(g: Graph, problem: TwoColorProblem) -> list[Graph]:
+class Children(list):
+    """The children ``extend_one`` returns, in scan order.  ``images`` holds
+    the indices of those taken as images of an earlier child under an
+    automorphism of the parent: they are isomorphic to that child, so they
+    are neither checked nor keyed."""
+
+    __slots__ = ("images",)
+
+    def __init__(self):
+        super().__init__()
+        self.images: set[int] = set()
+
+
+def _least_masks(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The least member of each n-bit mask's orbit under the group the
+    vertex permutations gens generate."""
+    imgs = []
+    for perm in gens:
+        # the images of the masks below 2^(v+1): those below 2^v, then each
+        # of them with v's image added
+        img = [0]
+        for v in range(n):
+            bit = 1 << perm[v]
+            img += [image | bit for image in img]
+        imgs.append(img)
+    least = [-1] * (1 << n)
+    for mask, seen in enumerate(least):
+        if seen < 0:
+            least[mask] = mask
+            orbit = [mask]
+            for x in orbit:
+                for img in imgs:
+                    y = img[x]
+                    if least[y] < 0:
+                        least[y] = mask
+                        orbit.append(y)
+    return least
+
+
+def _two_color_children(g: Graph, problem: TwoColorProblem) -> Children:
     n = g.n
     # an old vertex v has degree deg(v) + (mask >> v & 1) in the child, so
     # the largest old degree is top_deg, plus one when mask meets top
     top_deg = max(row.bit_count() for row in g.rows)
     top = sum(1 << v for v, row in enumerate(g.rows) if row.bit_count() == top_deg)
-    out = []
+    least = _least_masks(n, automorphisms(g))
+    kept = bytearray(1 << n)
+    out = Children()
     for mask in range(1 << n):
+        if least[mask] != mask:
+            if kept[least[mask]]:
+                out.images.add(len(out))
+                out.append(g.add_vertex(mask))
+            continue
         k = mask.bit_count()
         most = top_deg + 1 if mask & top else top_deg
         if k < most:
@@ -92,20 +158,29 @@ def _two_color_children(g: Graph, problem: TwoColorProblem) -> list[Graph]:
             [child.rows], [v for v in range(n) if child.rows[v].bit_count() == k]
         ):
             continue
+        kept[mask] = 1
         out.append(child)
     return out
 
 
-def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> list[MultiColoring]:
+def _reach(rows: list[int], P: int, need: int, cand: int) -> int:
+    """The vertices of cand adjacent to every vertex of some clique of
+    ``need`` vertices inside P."""
+    if need == 0:
+        return cand
+    got = 0
+    while P:
+        low = P & -P
+        P ^= low
+        row = rows[low.bit_length() - 1]
+        rest = cand & row & ~got
+        if rest:
+            got |= rest if need == 1 else _reach(rows, P & row, need - 1, rest)
+    return got
+
+
+def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> Children:
     n, r, s, t = mc.n, mc.r, problem.s, problem.t
-    # by_max[j]: each (s-1)-subset S with largest vertex j, as its other
-    # vertices and the color set of the parent's edges inside S
-    by_max: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for S in combinations(range(n), s - 1):
-        pre = 0
-        for a, b in combinations(S, 2):
-            pre |= 1 << mc.get(a, b)
-        by_max[S[-1]].append((S[:-1], pre))
     palette = range(1, r + 1)
     rows = [mc.color_class(c).rows for c in palette]
     # bumped[v][c]: v's sorted color-degree vector once edge (v, n) has color c
@@ -115,60 +190,80 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> list
         bumped.append([()] + [
             tuple(sorted(d + (i == c - 1) for i, d in enumerate(deg))) for c in palette
         ])
-    out = []
+    out = Children()
     assigned = [0] * n
+    # col[c - 1]: the vertices so far whose edge to the new vertex has color c
+    col = [0] * r
+    # through[c - 1]: each t-set T holding color c, as T, the rows of the
+    # parent's edges colored in T, and those rows cut to later vertices
+    through = [[] for _ in palette]
+    for T in combinations(palette, t):
+        union = [reduce(or_, cells) for cells in zip(*(rows[d - 1] for d in T))]
+        later = [row >> v + 1 << v + 1 for v, row in enumerate(union)]
+        for c in T:
+            through[c - 1].append((T, union, later))
 
-    def keep() -> bool:
-        """Does the new vertex reach the largest invariant of the child?"""
-        vec = tuple(sorted(assigned.count(c) for c in palette))
-        most = max(bumped[v][assigned[v]] for v in range(n))
+    def keep(most: tuple) -> bool:
+        """Does the new vertex reach the largest invariant of the child?
+        most is the largest color-degree vector of an old vertex."""
+        vec = tuple(sorted(m.bit_count() for m in col))
         if vec != most:
             return vec > most
-        child_rows = []
-        for c, prow in zip(palette, rows):
-            new = 0
-            crow = []
-            for v in range(n):
-                hit = assigned[v] == c
-                crow.append(prow[v] | hit << n)
-                new |= hit << v
-            crow.append(new)
-            child_rows.append(crow)
+        child_rows = [
+            [row | (m >> v & 1) << n for v, row in enumerate(prow)] + [m]
+            for prow, m in zip(rows, col)
+        ]
         return _last_wins(child_rows, [v for v in range(n) if bumped[v][assigned[v]] == vec])
 
-    def rec(j: int) -> None:
+    def forward(j: int, c: int, banned: list[int]) -> list[int] | None:
+        """banned once edge (j, n) has color c, or None when that leaves
+        some later edge no color.  banned[c - 1] is the vertices v whose
+        edge (v, n) may not take color c: those for which, with c in some
+        t-set T, v, the new vertex and an earlier K_{s-2} make a K_s with
+        every edge but (v, n) colored in T."""
+        ahead = banned
+        for T, union, later in through[c - 1]:
+            done = 0
+            for d in T:
+                done |= col[d - 1]
+            # the earlier K_{s-2} is j and a K_{s-3} joined to j in T
+            hit = _reach(union, union[j] & done, s - 3, later[j])
+            if hit:
+                if ahead is banned:
+                    ahead = list(banned)
+                for d in T:
+                    ahead[d - 1] |= hit
+        if ahead is not banned and reduce(and_, ahead):
+            return None
+        return ahead
+
+    def rec(j: int, banned: list[int], most: tuple) -> None:
         if j == n:
-            if keep():
+            if keep(most):
                 out.append(mc.add_vertex(list(assigned)))
             return
-        # a K_s through j and the new vertex spans its subset's colors plus
-        # the one tried at j: fewer than t of them fail with any color, and
-        # exactly t fail with each of their own
-        banned = 0
-        for rest, pre in by_max[j]:
-            colors = pre
-            for v in rest:
-                colors |= 1 << assigned[v]
-            k = colors.bit_count()
-            if k < t:
-                return
-            if k == t:
-                banned |= colors
+        bit = 1 << j
         for c in palette:
-            if not banned >> c & 1:
+            if not banned[c - 1] & bit:
                 assigned[j] = c
-                rec(j + 1)
+                col[c - 1] |= bit
+                ahead = forward(j, c, banned)
+                if ahead is not None:
+                    rec(j + 1, ahead, max(most, bumped[j][c]))
+                col[c - 1] ^= bit
 
-    rec(0)
+    rec(0, [0] * r, ())
     return out
 
 
-def extend_one(obj: Graph | MultiColoring, problem: Problem) -> list:
+def extend_one(obj: Graph | MultiColoring, problem: Problem) -> Children:
     """The valid labeled children of a valid parent, one vertex larger,
     whose new vertex (the last one) reaches the largest value of
     ``vertex_invariants`` in the child.  The other valid children are
     dropped unkeyed: each of their classes also has a child of this kind,
-    from the parent isomorphic to it minus a vertex of largest invariant."""
+    from the parent isomorphic to it minus a vertex of largest invariant.
+    A two-color child whose neighborhood is the image of an earlier one's
+    under an automorphism of the parent is listed in ``images``."""
     if isinstance(problem, TwoColorProblem):
         if not isinstance(obj, Graph):
             raise InputError("two-color generation extends Graph objects")
@@ -184,14 +279,21 @@ def _canon(obj, two_color: bool) -> bytes:
     return coloring_canonical_key(obj, swap_colors=True)
 
 
-def _keyed_children(parent, problem: Problem) -> list[tuple[bytes, object]]:
-    """(canonical key, child) for every child extend_one returns, in order.
-    Worker processes run this, so keys are made where the children are."""
+def _keyed_children(parent, problem: Problem) -> list[tuple[bytes | None, object]]:
+    """(canonical key, child) for every child extend_one returns, in order,
+    with None for the key of an image.  Worker processes run this, so keys
+    are made where the children are."""
     two_color = isinstance(problem, TwoColorProblem)
-    return [(_canon(child, two_color), child) for child in extend_one(parent, problem)]
+    children = extend_one(parent, problem)
+    return [
+        (None if i in children.images else _canon(child, two_color), child)
+        for i, child in enumerate(children)
+    ]
 
 
-def _keyed_stripe(parents: list, problem: Problem, budget: int) -> list[list[tuple[bytes, object]]]:
+def _keyed_stripe(
+    parents: list, problem: Problem, budget: int
+) -> list[list[tuple[bytes | None, object]]]:
     """_keyed_children of each parent in turn, stopping after the parent
     that takes the stripe's count of children past budget: the level is
     over budget then, whatever the other stripes hold."""
@@ -234,7 +336,8 @@ def generate_levels(
     ``dump_dir`` each level is re-verified in full and written there, one
     object a line: ``n<order>.g6`` in graph6 for two-color problems,
     ``n<order>.txt`` as color matrices for generalized ones.
-    ``child_budget`` caps the total of the keyed children; the ones the
+    ``child_budget`` caps the total of the children ``extend_one``
+    returns, the symmetric images it does not key included; the ones the
     invariant filter drops are not counted.  Going past it raises
     ``BudgetExceededError`` whose ``partial`` is the ``GenerationResult`` of
     the levels finished so far."""
@@ -281,7 +384,7 @@ def generate_levels(
                     partial=GenerationResult(problem, counts),
                 )
             for key, child in batch:
-                if key not in seen:
+                if key is not None and key not in seen:
                     seen.add(key)
                     next_frontier.append(child)
         counts.append(len(next_frontier))

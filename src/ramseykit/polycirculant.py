@@ -31,7 +31,10 @@ off-diagonal set S to the one with S + t, and reflecting both blocks,
 i -> -i, maps it to the one with -S; both fix every symmetric diagonal set.
 The graphs are isomorphic, so all three states (left shape, right shape
 only, valid) are shared by an orbit, and a scan in ascending mask order
-finds a mask's least image already decided.
+finds a mask's least image already decided.  For the same reason a 2-block
+leaf whose off-diagonal mask is not its own least image is isomorphic to
+the leaf of that image, found before it in the same stripe: it is counted
+but neither realized nor keyed.
 """
 
 from __future__ import annotations
@@ -320,6 +323,9 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
         if budget is not None and counts["leaves"] >= budget:
             raise BudgetExceededError(f"census budget {budget} exhausted")
         counts["leaves"] += 1
+        if k == 2 and _least_images(m)[off[0]] != off[0]:
+            # isomorphic to the leaf of its least image, found before it
+            return
         g = _probe(k, m, diag, off, problem) if k >= 3 else Graph(k * m, _realize(k, m, diag, off))
         if g is None or (complement_blocks and not are_isomorphic(
             _circulant(m, diag[0]), _circulant(m, diag[1]).complement()

@@ -92,6 +92,8 @@ def _cycle_from(rows: list[int], avail: int, x: int, length: int) -> list[int] |
 
 def _find_cycle(rows: list[int], mask: int, length: int) -> list[int] | None:
     """First cycle of the given length inside mask, found from its minimum vertex."""
+    if mask.bit_count() < length:
+        return None
     mask = _peel_2core(rows, mask)
     for s in bits_of(mask):
         cycle = _cycle_from(rows, mask & ~((1 << (s + 1)) - 1), s, length)
@@ -174,10 +176,16 @@ def _has_book_through(g: Graph, x: int, k: int) -> bool:
 def _has_wheel_through(g: Graph, x: int, k: int) -> bool:
     """Any W_k using vertex x: x as hub, or x on the rim of a neighbor's wheel."""
     rows = g.rows
-    if _find_cycle(rows, rows[x], k - 1) is not None:
+    nx = rows[x]
+    if _find_cycle(rows, nx, k - 1) is not None:
         return True
-    for h in bits_of(rows[x]):
-        rim = _peel_2core(rows, rows[h])
+    for h in bits_of(nx):
+        nh = rows[h]
+        # x on a (k-1)-cycle in N(h) needs two neighbors there, and the
+        # cycle needs k-1 vertices
+        if (nx & nh).bit_count() < 2 or nh.bit_count() < k - 1:
+            continue
+        rim = _peel_2core(rows, nh)
         if rim >> x & 1 and _cycle_from(rows, rim & ~(1 << x), x, k - 1) is not None:
             return True
     return False

@@ -7,7 +7,11 @@ extension and pivot recursion instead, and :mod:`ramseykit.polycirculant`
 builds rows by rotating bit masks, so agreement between the two families
 is meaningful evidence of correctness.  The generation oracle keys every
 valid child of every parent, where :mod:`ramseykit.generate` keys only the
-children that pass its canonical-deletion filter.  The dihedral orbit
+children that pass its canonical-deletion filter.  The multicolor child
+enumerator checks every clique of old vertices as its largest one is
+colored, where generation checks each later vertex ahead of time.  The
+wheel through-check enumerates rims by permutation, where the verifier
+extends paths inside a hub's 2-core.  The dihedral orbit
 reference maps a difference set element by element, where the census's
 image table rotates and reflects bit masks.  The exhaustive
 generators of labeled graphs and colorings feed these checks.
@@ -19,8 +23,9 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from ramseykit.canon import canonical_key, coloring_canonical_key
+from ramseykit.generate import vertex_invariants
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
-from ramseykit.problems import Problem, TwoColorProblem
+from ramseykit.problems import GeneralizedProblem, Problem, TwoColorProblem
 from ramseykit.verify import verify_witness
 
 
@@ -67,6 +72,21 @@ def count_wheels_naive(g: Graph, k: int) -> int:
                 if all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
                     total += 1
     return total // 2
+
+
+def has_wheel_through_naive(g: Graph, x: int, k: int) -> bool:
+    """Is x the hub or a rim vertex of some W_k?  Rims by permutation."""
+    for hub in range(g.n):
+        nbrs = [v for v in range(g.n) if g.has_edge(hub, v)]
+        for rim in combinations(nbrs, k - 1):
+            if x != hub and x not in rim:
+                continue
+            anchor, rest = rim[0], rim[1:]
+            for perm in permutations(rest):
+                cyc = (anchor,) + perm
+                if all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
+                    return True
+    return False
 
 
 def count_cliques_naive(g: Graph, s: int) -> int:
@@ -154,3 +174,50 @@ def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
                         frontier.append(child)
         levels.append(seen)
     return levels
+
+
+def multicolor_children_naive(mc: MultiColoring, problem: GeneralizedProblem) -> list:
+    """The children ``generate.extend_one`` gives a coloring, in its order.
+
+    The color vectors of the new vertex's edges are walked depth-first,
+    colors ascending.  At old vertex j every (s-1)-subset S with largest
+    vertex j is checked: a K_s on S and the new vertex spans the colors
+    inside S and on the edges from S's other vertices to the new one, plus
+    the color tried at j.  Fewer than t colors fail with any color at j, and
+    exactly t fail with each of their own.  A full vector is kept when the
+    new vertex reaches the largest ``vertex_invariants`` value of the child.
+    """
+    n, r, s, t = mc.n, mc.r, problem.s, problem.t
+    by_max: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for S in combinations(range(n), s - 1):
+        pre = 0
+        for a, b in combinations(S, 2):
+            pre |= 1 << mc.get(a, b)
+        by_max[S[-1]].append((S[:-1], pre))
+    out = []
+    assigned = [0] * n
+
+    def rec(j: int) -> None:
+        if j == n:
+            child = mc.add_vertex(list(assigned))
+            inv = vertex_invariants(child)
+            if inv[-1] == max(inv):
+                out.append(child)
+            return
+        banned = 0
+        for rest, pre in by_max[j]:
+            colors = pre
+            for v in rest:
+                colors |= 1 << assigned[v]
+            k = colors.bit_count()
+            if k < t:
+                return
+            if k == t:
+                banned |= colors
+        for c in range(1, r + 1):
+            if not banned >> c & 1:
+                assigned[j] = c
+                rec(j + 1)
+
+    rec(0)
+    return out

@@ -202,6 +202,44 @@ def complete_bipartite(a, b):
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def group_order(n, gens):
+    """The order of the permutation group that gens generate, by closure."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for gen in gens:
+            q = tuple(gen[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [
+        (Graph.cycle(8), 16),
+        (complete_bipartite(3, 3), 72),
+        (petersen(), 120),
+        (Graph(4), 24),
+        (Graph.complete(5), 120),
+        (Graph(2), 2),
+        (Graph(1), 1),
+    ],
+)
+def test_automorphisms_generate_the_group(g, order):
+    gens = canon.automorphisms(g)
+    assert all(g.relabel(p) == g for p in gens)
+    assert group_order(g.n, gens) == order
+
+
+def test_asymmetric_graph_has_no_automorphisms():
+    # a path 0-1-2-3-4 with 5 joined to 2 and 3: the smallest asymmetric order
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+    assert canon.automorphisms(g) == []
+
+
 def symmetric_graphs():
     return [petersen(), circulant(20, (1, 4, 9)), hypercube(4), complete_bipartite(5, 5)]
 

@@ -12,10 +12,11 @@ from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import TwoColorProblem, parse_problem
 from ramseykit.verify import verify_witness
 
-from oracles import all_graphs, generate_keys_naive
+from oracles import all_graphs, generate_keys_naive, multicolor_children_naive
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")
+W5W7 = parse_problem("W5,W7")
 GR443 = parse_problem("GR:4,K4,3")
 
 
@@ -208,6 +209,51 @@ class TestExtendOne:
             extend_one(MultiColoring(3, 2), K33)
         with pytest.raises(InputError):
             extend_one(Graph(3), GR443)
+
+
+class TestSymmetrySkip:
+    @pytest.mark.parametrize("problem", [W5W7, B2B8], ids=str)
+    def test_no_automorphisms_give_the_same_levels(self, problem, tmp_path, monkeypatch):
+        # with no automorphisms every child is checked and keyed
+        import ramseykit.generate as gen
+
+        one, two = tmp_path / "skip", tmp_path / "plain"
+        skip = generate_levels(problem, 7, dump_dir=str(one))
+        monkeypatch.setattr(gen, "automorphisms", lambda g: [])
+        plain = generate_levels(problem, 7, dump_dir=str(two))
+        assert skip.counts == plain.counts
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_images_are_isomorphic_to_an_earlier_keyed_sibling(self, tmp_path):
+        images = 0
+        for level in dumped_levels(W5W7, 7, tmp_path):
+            for parent in level:
+                children = extend_one(parent, W5W7)
+                keyed = set()
+                for i, child in enumerate(children):
+                    key = canonical_key(child)
+                    if i in children.images:
+                        assert key in keyed
+                        images += 1
+                    else:
+                        keyed.add(key)
+        assert images
+
+
+class TestForwardChecking:
+    @pytest.mark.parametrize(
+        "text, n_max", [("GR:4,K4,3", 10), ("GR:3,K4,2", 8), ("GR:3,K5,2", 6)]
+    )
+    def test_children_match_the_subset_dfs(self, text, n_max, tmp_path):
+        # every parent of a run to n_max, children compared in order; K5
+        # looks ahead through a K2, not a single vertex
+        problem = parse_problem(text)
+        for level in dumped_levels(problem, n_max - 1, tmp_path):
+            for parent in level:
+                assert extend_one(parent, problem) == multicolor_children_naive(parent, problem)
 
 
 class TestLimitsAndModes:

@@ -28,7 +28,7 @@ from ramseykit.verify import (
     violation_holds,
 )
 
-from oracles import all_graphs
+from oracles import all_graphs, has_wheel_through_naive
 
 FIXTURES = {rec.id: rec for rec in load_fixtures()}
 
@@ -128,6 +128,17 @@ class TestThroughVertex:
     def test_unknown_shape_rejected(self):
         with pytest.raises(InputError):
             has_shape_through(Graph.complete(4), 0, "K4")
+
+    def test_wheel_through_matches_rim_permutations(self):
+        # seeded G(n, p) from sparse to dense, so the hubs that the degree
+        # rejects skip and the ones they let through both occur
+        rng = random.Random(28)
+        for _ in range(200):
+            n = rng.randint(4, 9)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+            k = rng.randint(4, 7)
+            for x in range(n):
+                assert has_shape_through(g, x, Wheel(k)) == has_wheel_through_naive(g, x, k)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_graphs_with_vertex(), hs.sampled_from(PROPERTY_SHAPES))
