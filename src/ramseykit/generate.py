@@ -5,16 +5,17 @@ possible way and keeping the children that stay valid.  Because witness
 validity is hereditary (deleting a vertex of a witness gives a witness),
 only forbidden structures through the new vertex need checking.
 
-Two-color parents enumerate all 2^n neighborhoods of the new vertex in
-ascending mask order.  An automorphism p of the parent maps the child with
-neighborhood M onto the child with neighborhood p(M), fixing the new
-vertex, so the two agree on validity, on the invariant filter below and on
-their class.  The first mask of each orbit under the automorphisms that one
-canonical-labeling search of the parent finds is therefore decided alone,
-and every later mask of the orbit takes its verdict: a child, listed as an
-image, that is neither checked nor keyed, since its class arrived with the
-earlier child.  Any set of automorphisms, none included, gives the same
-kept children.
+Two-color parents scan the 2^n neighborhoods of the new vertex in ascending
+mask order with ``graphs.mask_state``.  The left check is a left shape
+through the new vertex and the right check a right shape through it in the
+complement (a bit added to the mask adds an edge there); masks the
+invariant filter below rules out by degree stay unknown.  The symmetry is
+the automorphisms one canonical-labeling search of the parent finds: p maps
+the child with neighborhood M onto the child with neighborhood p(M), fixing
+the new vertex, so the two agree on both checks, the filter and their
+class.  A later mask of an orbit whose first mask gave a kept child is
+listed as an image, neither checked nor keyed.  Any set of automorphisms,
+none included, gives the same kept children.
 
 Multicolor parents walk the r^n color vectors of the new vertex's edges
 depth-first, colors ascending, and check each later vertex ahead of time.
@@ -49,7 +50,7 @@ from operator import and_, or_
 from .canon import automorphisms, canonical_key, coloring_canonical_key
 from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from .formats import emit_color_matrix, graph6_encode
-from .graphs import Graph, MultiColoring, bits_of
+from .graphs import VALID, Graph, MultiColoring, bits_of, least_masks, mask_state
 from .pool import check_workers, map_jobs
 from .problems import GeneralizedProblem, Problem, TwoColorProblem
 from .verify import has_shape_through, verify_witness
@@ -104,56 +105,37 @@ class Children(list):
         self.images: set[int] = set()
 
 
-def _least_masks(n: int, gens: list[tuple[int, ...]]) -> list[int]:
-    """The least member of each n-bit mask's orbit under the group the
-    vertex permutations gens generate."""
-    imgs = []
-    for perm in gens:
-        # the images of the masks below 2^(v+1): those below 2^v, then each
-        # of them with v's image added
-        img = [0]
-        for v in range(n):
-            bit = 1 << perm[v]
-            img += [image | bit for image in img]
-        imgs.append(img)
-    least = [-1] * (1 << n)
-    for mask, seen in enumerate(least):
-        if seen < 0:
-            least[mask] = mask
-            orbit = [mask]
-            for x in orbit:
-                for img in imgs:
-                    y = img[x]
-                    if least[y] < 0:
-                        least[y] = mask
-                        orbit.append(y)
-    return least
-
-
 def _two_color_children(g: Graph, problem: TwoColorProblem) -> Children:
     n = g.n
     # an old vertex v has degree deg(v) + (mask >> v & 1) in the child, so
     # the largest old degree is top_deg, plus one when mask meets top
     top_deg = max(row.bit_count() for row in g.rows)
     top = sum(1 << v for v, row in enumerate(g.rows) if row.bit_count() == top_deg)
-    least = _least_masks(n, automorphisms(g))
+    least = least_masks(n, automorphisms(g))
+    table = bytearray(1 << n)
     kept = bytearray(1 << n)
+    child = None
+
+    def left(mask: int) -> bool:
+        nonlocal child
+        child = g.add_vertex(mask)
+        return has_shape_through(child, n, problem.left)
+
+    def right(mask: int) -> bool:
+        return has_shape_through(child.complement(), n, problem.right)
+
     out = Children()
     for mask in range(1 << n):
+        k = mask.bit_count()
+        most = top_deg + 1 if mask & top else top_deg
+        if k < most or mask_state(table, least, mask, left, right) != VALID:
+            continue
         if least[mask] != mask:
             if kept[least[mask]]:
                 out.images.add(len(out))
                 out.append(g.add_vertex(mask))
             continue
-        k = mask.bit_count()
-        most = top_deg + 1 if mask & top else top_deg
-        if k < most:
-            continue
-        child = g.add_vertex(mask)
-        if has_shape_through(child, n, problem.left):
-            continue
-        if has_shape_through(child.complement(), n, problem.right):
-            continue
+        # a valid least mask ran the left check, which made its child
         if k == most and not _last_wins(
             [child.rows], [v for v in range(n) if child.rows[v].bit_count() == k]
         ):

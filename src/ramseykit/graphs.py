@@ -8,6 +8,8 @@ column-major pair order, the same order graph6 uses:
 
 from __future__ import annotations
 
+from array import array
+
 _M64 = (1 << 64) - 1
 
 
@@ -31,6 +33,66 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def least_masks(n: int, gens) -> array:
+    """The least member of each n-bit mask's orbit under the group the bit
+    permutations gens generate (bit v goes to bit perm[v]), 2 bytes a mask
+    for n up to 16.  Masks are visited ascending; each new orbit is walked."""
+    imgs = []
+    for perm in gens:
+        # the images of the masks below 2^(v+1): those below 2^v, then each
+        # of them with v's image added
+        img = [0]
+        for v in range(n):
+            bit = 1 << perm[v]
+            img += [image | bit for image in img]
+        imgs.append(img)
+    least = array("H", bytes(2 << n))  # 0 is its own orbit; any other 0 is unvisited
+    for mask in range(1, 1 << n):
+        if not least[mask]:
+            least[mask] = mask
+            orbit = [mask]
+            for x in orbit:
+                for img in imgs:
+                    y = img[x]
+                    if not least[y]:
+                        least[y] = mask
+                        orbit.append(y)
+    return least
+
+
+# Mask states, as bits so one-bit subsets OR together (0 is unknown): a left
+# shape, a right shape only, and neither
+LEFT, RIGHT, VALID = 1, 2, 4
+
+
+def mask_state(table, least, S: int, left, right) -> int:
+    """The state of mask S in a scan where adding bits to a mask can only
+    make the left check true and the right check false; ``table`` holds
+    the states decided so far and gains S's.
+
+    S's own entry, or that of its least image ``least[S]`` under a symmetry
+    both checks respect, settles S once decided, as it always is in an
+    ascending scan.  Otherwise a left shape in some S minus one bit is one
+    in S, and a valid such subset leaves only the left check.  ``right(S)``
+    runs only right after ``left(S)`` finds nothing, so the two may share
+    what they check.  Undecided entries settle nothing, so any scan order
+    gives the same states.
+    """
+    state = table[S] or table[least[S]]
+    if not state:
+        below = 0
+        for v in bits_of(S):
+            below |= table[S ^ 1 << v]
+        if below & LEFT or left(S):
+            state = LEFT
+        elif below & VALID or not right(S):
+            state = VALID
+        else:
+            state = RIGHT
+    table[S] = state
+    return state
 
 
 def _peel_2core(rows: list[int], mask: int) -> int:

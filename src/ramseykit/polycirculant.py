@@ -19,27 +19,21 @@ probe checks a candidate with k through-vertex checks per colour.  The census
 descends through k diagonal sets, each a union of the pair classes {d, m-d},
 then one set per block pair, probing each set on the blocks it joins.
 
-A block pair's sets are read from a state table over its masks.  Shape
-containment is monotone in the edges, and a mask has every edge of each of
-its one-bit subsets: so a left shape in a subset is one in the mask, and a
-valid subset leaves the mask's complement free of right shapes.  Only the
-masks these rules do not settle are realized and probed.
-
-The pair tables also read each mask's least image under the dihedral group
-of order 2m.  Rotating the second block by t maps the 2-block graph with
-off-diagonal set S to the one with S + t, and reflecting both blocks,
-i -> -i, maps it to the one with -S; both fix every symmetric diagonal set.
-The graphs are isomorphic, so all three states (left shape, right shape
-only, valid) are shared by an orbit, and a scan in ascending mask order
-finds a mask's least image already decided.  For the same reason a 2-block
-leaf whose off-diagonal mask is not its own least image is isomorphic to
-the leaf of that image, found before it in the same stripe: it is counted
-but neither realized nor keyed.
+A block pair's sets are read from a state table over its masks with
+``graphs.mask_state``.  The left check is a left shape through a block
+representative of the 2-block graph, and the right check a right shape
+through one in the complement (a bit added to the mask adds edges).  The
+symmetry is the dihedral group of order 2m: rotating the second block by t
+maps the 2-block graph with off-diagonal set S to the one with S + t, and
+reflecting both blocks, i -> -i, maps it to the one with -S; both fix every
+symmetric diagonal set.  For the same reason a 2-block leaf whose
+off-diagonal mask is not its own least image is isomorphic to the leaf of
+that image, found before it in the same stripe: it is counted but neither
+realized nor keyed.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -54,7 +48,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .formats import graph6_encode
-from .graphs import Graph, bits_of
+from .graphs import VALID, Graph, bits_of, least_masks, mask_state
 from .pool import check_workers, map_jobs
 from .problems import Book, TwoColorProblem
 from .verify import has_shape_through, verify
@@ -111,39 +105,25 @@ def _mask(S) -> int:
     return sum(1 << d for d in S)
 
 
-def _turns(S: int, m: int, negate: bool) -> tuple[int, ...]:
-    """Mask S, or {-d mod m : d in S} if negate, rotated left by 0..m-1
-    within m bits."""
-    full = (1 << m) - 1
-    if negate:
-        rev = int(format(S, f"0{m}b")[::-1], 2)  # d -> m-1-d
-        S = (rev << 1 | rev >> (m - 1)) & full  # then -> m-d mod m
-    return tuple((S << i | S >> (m - i)) & full for i in range(m))
-
-
 @lru_cache(maxsize=1 << 13)
 def _rotations(S: int, m: int, shift: int, negate: bool) -> tuple[int, ...]:
-    """``_turns(S, m, negate)``, each moved up by shift bits.
+    """Mask S, or {-d mod m : d in S} if negate, rotated left by 0..m-1
+    within m bits and moved up by shift bits.
 
     Only the masks a scan asks for are cached; at m = 16 a full cache holds
     about 130k ints, where a table over every mask would hold a million.
     """
-    return tuple(S << shift for S in _turns(S, m, negate))
+    full = (1 << m) - 1
+    if negate:
+        rev = int(format(S, f"0{m}b")[::-1], 2)  # d -> m-1-d
+        S = (rev << 1 | rev >> (m - 1)) & full  # then -> m-d mod m
+    return tuple(((S << i | S >> (m - i)) & full) << shift for i in range(m))
 
 
 @lru_cache(maxsize=None)
-def _least_images(m: int) -> array:
-    """The least mask in each m-bit mask's orbit under the dihedral group
-    of Z_m, S -> S + t and S -> -S + t.  Built on first use per m, by
-    visiting the masks in ascending order and giving each new orbit its
-    first member; at m = 16 the table takes 128 KB.
-    """
-    least = array("H", bytes(2 << m))  # 0 is its own orbit; any other 0 is unvisited
-    for S in range(1, 1 << m):
-        if not least[S]:
-            for image in _turns(S, m, False) + _turns(S, m, True):
-                least[image] = S
-    return least
+def _least_images(m: int):
+    """The least image of each m-bit mask under S -> S + t and S -> -S + t."""
+    return least_masks(m, [[(d + 1) % m for d in range(m)], [-d % m for d in range(m)]])
 
 
 def _realize(k: int, m: int, diag, off) -> list[int]:
@@ -199,42 +179,20 @@ def _probe(k: int, m: int, diag, off, problem: TwoColorProblem) -> Graph | None:
     return g
 
 
-# States of a pair table entry, as bits so a mask's one-bit subsets OR together:
-# unknown (0), a left shape in the graph, a right shape in the complement only,
-# and valid
-_LEFT, _RIGHT, _VALID = 1, 2, 4
+def _pair_table(m: int, diag: tuple[int, int], problem):
+    """An empty state table over the off-diagonal masks of the 2-block graphs
+    with diagonal masks diag, and its ``mask_state`` checks."""
+    g = None
 
+    def left(S: int) -> bool:
+        nonlocal g
+        g = Graph(2 * m, _realize(2, m, diag, (S,)))
+        return _through_reps(g, m, problem.left)
 
-def _pair_ok(table: bytearray, m: int, diag: tuple[int, int], S: int, problem) -> bool:
-    """Is the 2-block graph with diagonal masks diag and off-diagonal mask S
-    valid?  ``table`` holds the states decided so far for diag, and gains S's.
+    def right(S: int) -> bool:
+        return _through_reps(g.complement(), m, problem.right)
 
-    A left shape in a subset S minus one bit settles S with no probe; a
-    valid such subset leaves only the left check to run.  S's least image
-    under block rotation and reflection settles S too once it is decided,
-    as it always is in an ascending scan; in any other order an undecided
-    image is passed over (module docstring).
-    """
-    state = table[S] or table[_least_images(m)[S]]
-    if not state:
-        below = 0
-        rest = S
-        while rest:
-            low = rest & -rest
-            below |= table[S ^ low]
-            rest ^= low
-        if below & _LEFT:
-            state = _LEFT
-        else:
-            g = Graph(2 * m, _realize(2, m, diag, (S,)))
-            if _through_reps(g, m, problem.left):
-                state = _LEFT
-            elif below & _VALID or not _through_reps(g.complement(), m, problem.right):
-                state = _VALID
-            else:
-                state = _RIGHT
-    table[S] = state
-    return state == _VALID
+    return bytearray(1 << m), left, right
 
 
 def _spec(k: int, m: int, diag, off) -> PolycirculantSpec:
@@ -302,7 +260,8 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     counts = dict.fromkeys(_STAGES, 0)
 
     single_memo: dict[int, bool] = {}
-    pair_tables: dict[tuple[int, int], bytearray] = {}
+    pair_tables: dict[tuple[int, int], tuple] = {}
+    least = _least_images(m) if k >= 2 else None
 
     def single_ok(S: int) -> bool:
         counts["singles_tried"] += 1
@@ -311,19 +270,13 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
         counts["singles_passed"] += single_memo[S]
         return single_memo[S]
 
-    def pair_ok(table: bytearray, diag: tuple[int, int], S: int) -> bool:
-        counts["pairs_tried"] += 1
-        ok = _pair_ok(table, m, diag, S, problem)
-        counts["pairs_passed"] += ok
-        return ok
-
     found: Found = []
 
     def leaf(outer: int, diag: tuple[int, ...], off: tuple[int, ...]):
         if budget is not None and counts["leaves"] >= budget:
             raise BudgetExceededError(f"census budget {budget} exhausted")
         counts["leaves"] += 1
-        if k == 2 and _least_images(m)[off[0]] != off[0]:
+        if k == 2 and least[off[0]] != off[0]:
             # isomorphic to the leaf of its least image, found before it
             return
         g = _probe(k, m, diag, off, problem) if k >= 3 else Graph(k * m, _realize(k, m, diag, off))
@@ -345,10 +298,12 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
             if diag not in pair_tables:
                 if k == 2:  # each (Sa, Sb) is scanned once: keep only the current table
                     pair_tables.clear()
-                pair_tables[diag] = bytearray(1 << m)
-            table = pair_tables[diag]
+                pair_tables[diag] = _pair_table(m, diag, problem)
+            table, left, right = pair_tables[diag]
             for S in range(1 << m):
-                if pair_ok(table, diag, S):
+                counts["pairs_tried"] += 1
+                if mask_state(table, least, S, left, right) == VALID:
+                    counts["pairs_passed"] += 1
                     descend(outer, chosen + (S,))
 
     try:
@@ -445,13 +400,14 @@ def lemma_witness(n: int) -> Graph:
     m = 2 * n - 1
     problem = TwoColorProblem(Book(n - 1), Book(n))
     full = (1 << m) - 2  # every difference 1..m-1
+    least = _least_images(m)
     for S in _diag_options(m):
         diag = (S, full ^ S)
         if any(_probe(1, m, (D,), (), problem) is None for D in diag):
             continue
-        table = bytearray(1 << m)
+        table, left, right = _pair_table(m, diag, problem)
         for S12 in range(1 << m):
-            if _pair_ok(table, m, diag, S12, problem):
+            if mask_state(table, least, S12, left, right) == VALID:
                 g = Graph(2 * m, _realize(2, m, diag, (S12,)))
                 verdict = verify(g, problem)
                 if not verdict.valid:

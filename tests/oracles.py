@@ -176,6 +176,23 @@ def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
     return levels
 
 
+def two_color_children_naive(g: Graph, problem: TwoColorProblem) -> list:
+    """The children ``generate.extend_one`` gives a graph, in its order.
+
+    Every neighborhood of the new vertex is added in ascending mask order,
+    each child is verified in full, and a valid child is kept when the new
+    vertex reaches the largest ``vertex_invariants`` value of the child.
+    """
+    out = []
+    for mask in range(1 << g.n):
+        child = g.add_vertex(mask)
+        if verify_witness(child, problem).valid:
+            inv = vertex_invariants(child)
+            if inv[-1] == max(inv):
+                out.append(child)
+    return out
+
+
 def multicolor_children_naive(mc: MultiColoring, problem: GeneralizedProblem) -> list:
     """The children ``generate.extend_one`` gives a coloring, in its order.
 

@@ -12,7 +12,12 @@ from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import TwoColorProblem, parse_problem
 from ramseykit.verify import verify_witness
 
-from oracles import all_graphs, generate_keys_naive, multicolor_children_naive
+from oracles import (
+    all_graphs,
+    generate_keys_naive,
+    multicolor_children_naive,
+    two_color_children_naive,
+)
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")
@@ -241,6 +246,34 @@ class TestSymmetrySkip:
                     else:
                         keyed.add(key)
         assert images
+
+
+class TestSubsetRule:
+    @pytest.mark.parametrize(
+        "text, n_max", [("W5,W7", 7), ("B2,B8", 7), ("K3,K3", 6), ("K4,B3", 7)]
+    )
+    def test_children_match_full_verification(self, text, n_max, tmp_path):
+        # every parent of a run to n_max, children compared in order, with
+        # states read from subsets and images against every child verified
+        problem = parse_problem(text)
+        for level in dumped_levels(problem, n_max - 1, tmp_path):
+            for parent in level:
+                assert extend_one(parent, problem) == two_color_children_naive(parent, problem)
+
+    def test_through_checks_pinned(self, monkeypatch):
+        # 1,591 with only the symmetry skip; the subset rule leaves 970
+        import ramseykit.generate as gen
+
+        calls = []
+        real = gen.has_shape_through
+
+        def logged(g, x, shape):
+            calls.append(x)
+            return real(g, x, shape)
+
+        monkeypatch.setattr(gen, "has_shape_through", logged)
+        assert generate_levels(B2B8, 7).counts == [1, 2, 4, 9, 22, 69, 255]
+        assert len(calls) == 970
 
 
 class TestForwardChecking:

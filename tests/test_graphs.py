@@ -6,6 +6,7 @@ from ramseykit.graphs import (
     Graph,
     MultiColoring,
     edge_color_hash,
+    least_masks,
     pair_index,
     pair_iter,
     state_hash,
@@ -21,6 +22,28 @@ def random_graph(rng, n, p=0.5):
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def test_least_masks_match_orbit_closure():
+    # any generators, not only automorphisms or rotations: each mask's entry
+    # is the least mask reachable by applying them, 2 bytes a mask
+    rng = random.Random("least masks")
+    for n in range(1, 8):
+        for ngens in (0, 1, 2, 3):
+            gens = [rng.sample(range(n), n) for _ in range(ngens)]
+            least = least_masks(n, gens)
+            assert least.itemsize == 2 and len(least) == 1 << n
+            for mask in range(1 << n):
+                orbit = {mask}
+                todo = [mask]
+                while todo:
+                    x = todo.pop()
+                    for perm in gens:
+                        y = sum(1 << perm[v] for v in range(n) if x >> v & 1)
+                        if y not in orbit:
+                            orbit.add(y)
+                            todo.append(y)
+                assert least[mask] == min(orbit), (n, gens, mask)
 
 
 def test_pair_index_is_column_major():

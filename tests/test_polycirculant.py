@@ -18,7 +18,7 @@ from ramseykit.errors import (
 )
 from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_encode
-from ramseykit.graphs import Graph
+from ramseykit.graphs import LEFT, VALID, Graph, mask_state
 from ramseykit.polycirculant import (
     PolycirculantSpec,
     build,
@@ -358,23 +358,24 @@ class TestPairTable:
         realized = count_realized(monkeypatch)
         inferred = by_image = 0
         for m in (4, 5, 6):
+            least = poly._least_images(m)
             for diag in itertools.product(poly._diag_options(m), repeat=2):
                 masks = list(range(1 << m))
                 want = {S: poly._probe(2, m, diag, (S,), problem) is not None for S in masks}
                 shuffled = rng.sample(masks, len(masks))
                 for order in (masks, shuffled):
-                    table = bytearray(1 << m)
+                    table, left, right = poly._pair_table(m, diag, problem)
                     got = {}
                     for S in order:
                         before = len(realized)
-                        got[S] = poly._pair_ok(table, m, diag, S, problem)
+                        got[S] = mask_state(table, least, S, left, right) == VALID
                         if len(realized) > before:
                             continue
                         inferred += 1
                         # in ascending order every one-bit subset is decided,
                         # so with no left shape among them only an image settled S
                         subsets = (table[S & ~(1 << d)] for d in range(m) if S >> d & 1)
-                        if order is masks and not any(state & poly._LEFT for state in subsets):
+                        if order is masks and not any(state & LEFT for state in subsets):
                             by_image += 1
                     assert got == want, (m, diag, order is shuffled)
         # some verdicts were settled from subsets or images, with no graph
