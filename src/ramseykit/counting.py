@@ -14,9 +14,10 @@ change: for books the pairs meeting the toggled edge or joining its common
 neighborhood to its neighborhood union, for cliques the pairs meeting the
 edge or inside its common neighborhood, for wheels every pair.  A caller
 holding every pair's delta (the tabu scorer does) hands those pairs to
-update_table, which corrects a book or clique entry in place by the few
-terms the toggle moved and recomputes only a book's pairs meeting the edge
-and every wheel pair.  The GR score has only its full form here; its recolor delta lives
+update_table, which corrects every book and clique entry in place by the
+few terms the toggle moved, recomputing none, and recomputes only wheel
+entries, the one kind that calls the delta.  The GR score has only its full
+form here; its recolor delta lives
 in the tabu scorer, which keeps the union graphs the delta needs and sums
 clique completions over them.  Counts are plain Python ints (arbitrary
 precision), so the overflow cases other implementations must guard
@@ -165,6 +166,28 @@ def changed_pairs(shape: Shape, rows: list[int], a: int, b: int) -> list[int]:
     return out
 
 
+def _page_moves(pages: list[int], cdz: list[int], inner: int, d: int) -> tuple:
+    """The move of pages[cd(z, w) - o] a toggle of (z, f) made, for each w
+    in inner = N(z) ∩ N(f), as two lists over vertices at o = 0 and o = 1,
+    zero off inner.  cdz is z's codegree row after the toggle, in which
+    cd(z, w) moved by d, the page f joining or leaving.  Entries at o = 1
+    are read only at a pair holding w and a common neighbour of z and w
+    other than f, so they are filled only where one exists: no pages index
+    is negative, where a list read would wrap."""
+    n = len(cdz)
+    at0, at1 = [0] * n, [0] * n
+    m = inner
+    while m:
+        low = m & -m
+        m ^= low
+        w = low.bit_length() - 1
+        lo = cdz[w] - (d > 0)  # cd(z, w) where f is not a page
+        at0[w] = d * (pages[lo + 1] - pages[lo])
+        if lo:
+            at1[w] = d * (pages[lo] - pages[lo - 1])
+    return at0, at1
+
+
 def update_table(
     shape: Shape,
     rows: list[int],
@@ -179,22 +202,30 @@ def update_table(
     """Bring `table`, the toggle delta of `shape` at every pair in pair_iter
     order, up to date after a toggle of edge (a, b).  `rows`, and a book's
     `cache`, already hold the toggle; `masks` are changed_pairs' masks, and
-    only the pairs they name are touched.  `delta(x, y)` recomputes an
-    entry, and a book passes `pages`, C(i, k - 1) at i = 0 .. n - 1.  With
-    d = +1 for an added edge and -1 for a removed one, I = N(a) ∩ N(b) and
-    o the edge bit of the pair xy:
-      books    a pair meeting {a, b} is recomputed.  Off {a, b}, cd(x, y),
-               N(x) ∩ N(y) and o do not change, so only the page terms
-               C(cd(e, z) - o, k - 1) with z in {a, b} ∩ N(x) ∩ N(y) can
-               move, and only at an end e in I, where cd(e, z) moved by d;
-               the entry gains their change, negated when o = 1;
-      cliques  each case gains sign(o)·d times a smaller clique count, with
-               sign(o) = -1 on an edge: (a, b) keeps its common
-               neighbourhood and only negates; (a, y) with y in N(b), whose
-               N(a) ∩ N(y) gained or lost b, gains the K_{s-3} in I ∩ N(y),
-               and (b, y) with y in N(a) likewise; a pair inside I gains the
-               K_{s-4} in N(x) ∩ N(y) ∩ I, the completions using ab; every
-               other named pair stays;
+    only the pairs they name are touched.  Only a wheel entry is recomputed,
+    by `delta(x, y)`; book and clique entries are corrected in place and
+    never call it.  A book passes `pages`, C(i, k - 1) at i = 0 .. n - 1.
+    With d = +1 for an added edge and -1 for a removed one, I = N(a) ∩ N(b),
+    o the edge bit of the pair and sign(o) = -1 on an edge:
+      books    an entry is sign(o) times C(cd, k) at the pair plus, for each
+               page z, pages[cd(e, z) - o] at both ends e.  The entry at
+               (a, b) only negates.  With (e, f) standing for (a, b) or
+               (b, a) and x off {a, b}, (e, x) gains, for each z in
+               I ∩ N(x), the move of pages[cd(e, z) - o], as cd(e, z) moved
+               by d; and if x is in N(f), cd(e, x) moved by d, so C(cd, k)
+               moved by d·pages[the smaller cd(e, x)], and the page f joins
+               or leaves, adding d·(pages[cd(a, b) - o] + pages[cd(x, f) - o])
+               with cd(x, f) read where f is a page.  A pair off {a, b}
+               gains the same per-vertex move of pages[cd(e, z) - o] for
+               each page z in {a, b} ∩ N(x) ∩ N(y) at each end e in I; its
+               codegree, common neighbourhood and o do not change;
+      cliques  each case gains sign(o)·d times a smaller clique count:
+               (a, b) keeps its common neighbourhood and only negates;
+               (a, y) with y in N(b), whose N(a) ∩ N(y) gained or lost b,
+               gains the K_{s-3} in I ∩ N(y), and (b, y) with y in N(a)
+               likewise; a pair inside I gains the K_{s-4} in
+               N(x) ∩ N(y) ∩ I, the completions using ab; every other named
+               pair stays;
       wheels   every named pair is recomputed."""
     if isinstance(shape, Wheel):
         for y, lower in enumerate(masks):
@@ -207,31 +238,66 @@ def update_table(
     inner = ra & rb
     d = 1 if ra >> b & 1 else -1
     if isinstance(shape, Book):
-        cda, cdb = cache.cd[a], cache.cd[b]
-        # no pages index is negative, where a list read would wrap: with
-        # d = 1 the moved cd(e, z) counts the far end of ab, and with o = 1
-        # it also counts e's partner in xy
-        for y, lower in enumerate(masks):
-            base = y * (y - 1) // 2
-            meet = lower if ends >> y & 1 else lower & ends
-            for x in bits_of(meet):
-                table[base + x] = delta(x, y)
-            row = rows[y]
-            ya, yb = ra >> y & 1, rb >> y & 1
-            for x in bits_of(lower & ~meet):
-                o = row >> x & 1
-                xa, xb = ra >> x & 1, rb >> x & 1
+        cd = cache.cd
+        ab = cd[a][b]
+        grew = d > 0
+        near = 0  # the vertices with a neighbour in I
+        m = inner
+        while m:
+            low = m & -m
+            m ^= low
+            near |= rows[low.bit_length() - 1]
+        moved = []  # the page moves of a, then of b
+        for e in (a, b):
+            f = a ^ b ^ e
+            re, rf, cde, cdf = rows[e], rows[f], cd[e], cd[f]
+            at0, at1 = _page_moves(pages, cde, inner, d)
+            moved.append((at0, at1))
+            m = (rf | near) & ~ends  # (e, x) moves only for x in N(f) or near I
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                lo, hi = (x, e) if x < e else (e, x)
+                if not masks[hi] >> lo & 1:
+                    continue
+                o = re >> x & 1
+                move = at1 if o else at0
                 c = 0
-                if xa and ya:  # a is a page of xy, and cd(e, a) moved at ends e in N(b)
-                    if yb:
-                        c += pages[cda[y] - o] - pages[cda[y] - d - o]
-                    if xb:
-                        c += pages[cda[x] - o] - pages[cda[x] - d - o]
-                if xb and yb:
-                    if ya:
-                        c += pages[cdb[y] - o] - pages[cdb[y] - d - o]
-                    if xa:
-                        c += pages[cdb[x] - o] - pages[cdb[x] - d - o]
+                zs = inner & rows[x]
+                while zs:
+                    low = zs & -zs
+                    zs ^= low
+                    c += move[low.bit_length() - 1]
+                if rf >> x & 1:
+                    # f is a page in the new state when the edge grew and in
+                    # the old one otherwise, where cd(f, x) was larger by o
+                    fx = cdf[x] - o if grew else cdf[x]
+                    c += d * (pages[cde[x] - grew] + pages[ab - o] + pages[fx])
+                table[hi * (hi - 1) // 2 + lo] += -c if o else c
+        lo, hi = min(a, b), max(a, b)
+        if masks[hi] >> lo & 1:
+            table[hi * (hi - 1) // 2 + lo] *= -1
+        ma, mb = moved
+        for y, lower in enumerate(masks):
+            lower &= ~ends
+            if not lower or ends >> y & 1:
+                continue
+            base = y * (y - 1) // 2
+            row = rows[y]
+            pa = ra if ra >> y & 1 else 0  # a is a page of xy for x in pa
+            pb = rb if rb >> y & 1 else 0
+            m = lower & (pa | pb)
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                o = row >> x & 1
+                c = 0
+                if pa & low:  # the moves are 0 off I, where cd(x, a) did not move
+                    c += ma[o][x] + ma[o][y]
+                if pb & low:
+                    c += mb[o][x] + mb[o][y]
                 table[base + x] += -c if o else c
         return
     s = shape.k

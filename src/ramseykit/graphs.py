@@ -38,7 +38,10 @@ def bits_of(mask: int):
 def least_masks(n: int, gens) -> array:
     """The least member of each n-bit mask's orbit under the group the bit
     permutations gens generate (bit v goes to bit perm[v]), 2 bytes a mask
-    for n up to 16.  Masks are visited ascending; each new orbit is walked."""
+    for n up to 16.  Masks are visited ascending; each new orbit is walked.
+    With no generators every orbit is one mask, and no walk is needed."""
+    if not gens:
+        return array("H", range(1 << n))
     imgs = []
     for perm in gens:
         # the images of the masks below 2^(v+1): those below 2^v, then each

@@ -1,11 +1,14 @@
 """Tabu local search over edge recolorings.
 
 One engine serves both problem kinds: two-color problems run as r=2
-colorings (color 1 is the graph, color 2 the complement).  Each step scans
-every single-edge recoloring, skips candidates whose state hash was ever
-visited (the tabu set grows without bound), and applies a minimum-score
-candidate with uniform random tie-breaking.  Runs never restart; a
-neighborhood with every candidate tabu ends the run as stalled.
+colorings (color 1 is the graph, color 2 the complement).  Each step
+applies a minimum-score single-edge recoloring whose state hash was never
+visited (the tabu set grows without bound), with uniform random
+tie-breaking.  It finds the least candidate delta first and hashes only the
+candidates at that value, in scan order, moving to the next value only
+when all of them are tabu, so the move and the random draw are those of a
+full scan.  Runs never restart; a neighborhood with every candidate tabu
+ends the run as stalled.
 
 The scorer below is the only incremental scorer, for both problem kinds.
 It keeps one union graph per side of the problem (a set of colors and a
@@ -14,8 +17,8 @@ toggle delta at every pair.  A move toggles its edge in the sides it
 touches and brings their tables up to date only at the pairs counting's
 changed_pairs names (books and cliques: the pairs near the edge; wheels:
 all), through counting's update_table: book and clique entries are
-corrected in place, and a book's pairs meeting the edge and every wheel
-pair are recomputed by the side's delta.  A scan reads each candidate's
+corrected in place and recompute nothing, and only wheel pairs are
+recomputed by the side's delta.  A scan reads each candidate's
 delta as a sum of table entries and calls no counter.  Every 2**14 steps
 the maintained score is audited against a full recount from the coloring
 itself, so a drift in the side graphs or caches shows up even when the
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import comb
+from operator import add
 
 from .counting import (
     CodegreeCache,
@@ -93,8 +97,8 @@ class _Side:
     def toggle(self, u: int, v: int) -> None:
         """Toggle (u, v) in g, update the cache, then bring the table up to
         date at the pairs changed_pairs names, and only there: a book or
-        clique side corrects its entries in place (a book recomputes the
-        pairs meeting the edge), and a wheel side recomputes every pair."""
+        clique side corrects its entries in place and calls no delta, and a
+        wheel side recomputes every pair through its delta."""
         g, shape = self.g, self.shape
         g.toggle_edge(u, v)
         if self.cache is not None:
@@ -142,7 +146,22 @@ class _Scorer:
     def _sum_tables(self) -> None:
         for (old, new), sides in self.touched.items():
             if old < new:
-                self.sums[old, new][:] = map(sum, zip(*(side.table for side in sides)))
+                total = sides[0].table
+                for side in sides[1:]:
+                    total = map(add, total, side.table)
+                self.sums[old, new][:] = total
+
+    def candidate_deltas(self) -> list[int]:
+        """Every candidate's delta in scan order: by pair in pair_iter order,
+        then by new color as in moves, so a candidate's index divided by
+        r - 1 is its pair and the remainder its place in moves[old].  At
+        r = 2 this is the shared sums list itself; do not modify it."""
+        if self.mc.r == 2:
+            return self.sums[1, 2]
+        moves = self.moves
+        return [
+            deltas[i] for i, old in enumerate(self.mc.colors) for _, deltas in moves[old]
+        ]
 
     def full_score(self) -> int:
         return sum(count_shape(self.mc.union_graph(cset), shape) for cset, shape in self.sides)
@@ -205,29 +224,43 @@ def init_state(problem: Problem, n: int, seed: int) -> SearchState:
     )
 
 
+def _ascending(values: list[int]):
+    """The distinct values, ascending.  The least is one min(); the rest
+    are sorted only when a step asks for them, when every candidate at the
+    least is tabu."""
+    least = min(values)
+    yield least
+    yield from sorted(set(values))[1:]
+
+
 def tabu_step(state: SearchState):
     """One steepest-descent move; returns the applied (u, v, new_color, delta)
     or None when every candidate is tabu."""
     if state.score <= 0:
         raise InputError("search is already at score 0")
     moves = state.scorer.moves
+    colors = state.coloring.colors
     tabu = state.tabu
     h = state.hash
-    best_delta = None
-    ties = []
-    for i, (old, hashes) in enumerate(zip(state.coloring.colors, state.edge_hashes)):
-        base = h ^ hashes[old]
-        for new, deltas in moves[old]:
-            cand_hash = base ^ hashes[new]
-            if cand_hash in tabu:
-                continue
-            d = deltas[i]
-            if best_delta is None or d < best_delta:
-                best_delta = d
-                ties = [(i, new, cand_hash)]
-            elif d == best_delta:
+    edge_hashes = state.edge_hashes
+    deltas = state.scorer.candidate_deltas()
+    per = state.coloring.r - 1  # candidates per pair
+    for best_delta in _ascending(deltas):
+        # the candidates at best_delta, in scan order, that are not tabu
+        ties = []
+        j = -1
+        for _ in range(deltas.count(best_delta)):
+            j = deltas.index(best_delta, j + 1)
+            i, place = divmod(j, per)
+            old = colors[i]
+            new = moves[old][place][0]
+            hashes = edge_hashes[i]
+            cand_hash = h ^ hashes[old] ^ hashes[new]
+            if cand_hash not in tabu:
                 ties.append((i, new, cand_hash))
-    if best_delta is None:
+        if ties:
+            break
+    else:
         return None
     i, new, cand_hash = ties[state.rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
     u, v = state.pairs[i]

@@ -13,8 +13,10 @@ colored, where generation checks each later vertex ahead of time.  The
 wheel through-check enumerates rims by permutation, where the verifier
 extends paths inside a hub's 2-core.  The dihedral orbit
 reference maps a difference set element by element, where the census's
-image table rotates and reflects bit masks.  The exhaustive
-generators of labeled graphs and colorings feed these checks.
+image table rotates and reflects bit masks.  The tabu scan hashes and
+tabu-checks every candidate recoloring, where a tabu step hashes only the
+candidates at the least delta.  The exhaustive generators of labeled graphs
+and colorings feed these checks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import comb
 
 from ramseykit.canon import canonical_key, coloring_canonical_key
 from ramseykit.generate import vertex_invariants
-from ramseykit.graphs import Graph, MultiColoring, pair_iter
+from ramseykit.graphs import Graph, MultiColoring, edge_color_hash, pair_iter
 from ramseykit.problems import GeneralizedProblem, Problem, TwoColorProblem
 from ramseykit.verify import verify_witness
 
@@ -110,6 +112,40 @@ def gr_score_naive(mc: MultiColoring, s: int, t: int) -> int:
         if c <= t:
             total += comb(mc.r - c, t - c)
     return total
+
+
+def tabu_candidates_naive(state) -> list:
+    """(delta, state hash, (u, v, new)) of every candidate recoloring of
+    `state`, in pair order and then ascending new color."""
+    mc = state.coloring
+    out = []
+    for i, (u, v) in enumerate(pair_iter(mc.n)):
+        old = mc.colors[i]
+        for new in range(1, mc.r + 1):
+            if new != old:
+                cand_hash = state.hash ^ edge_color_hash(i, old) ^ edge_color_hash(i, new)
+                out.append((state.scorer.delta(u, v, old, new), cand_hash, (u, v, new)))
+    return out
+
+
+def tabu_scan_naive(state, rng):
+    """The move a tabu step takes from `state`, by a scan of every candidate:
+    each is hashed and skipped if tabu, and a uniform draw from `rng` breaks
+    ties among the least deltas, only when there are two or more.  Returns
+    ((u, v, new, delta), tie count), or None when every candidate is tabu;
+    `state` is not changed."""
+    best, ties = None, []
+    for d, cand_hash, move in tabu_candidates_naive(state):
+        if cand_hash in state.tabu:
+            continue
+        if best is None or d < best:
+            best, ties = d, [move]
+        elif d == best:
+            ties.append(move)
+    if best is None:
+        return None
+    u, v, new = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+    return (u, v, new, best), len(ties)
 
 
 def polycirculant_naive(spec) -> Graph:

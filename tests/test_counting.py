@@ -484,3 +484,40 @@ class TestUpdateTable:
                     update_table(shape, g.rows, table, a, b, masks, delta, cache, pages)
                     fresh = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
                     assert table == fresh, (n, p, (a, b))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Book(1), Book(2), Book(3), Book(4), Clique(3), Clique(4), Clique(5), Clique(6)],
+        ids=repr,
+    )
+    def test_sparse_and_dense_corrections_read_no_wrapped_page_or_delta(self, shape):
+        # a negative pages index would wrap silently on a list, and a book or
+        # clique correction must not fall back on recomputing an entry
+        rng = random.Random(f"update-table-strict:{shape!r}")
+        book = isinstance(shape, Book)
+
+        class Pages(list):
+            def __getitem__(self, i):
+                if i < 0:
+                    raise IndexError(f"negative pages index {i}")
+                return super().__getitem__(i)
+
+        def no_delta(x, y):
+            raise AssertionError(f"delta called at {(x, y)}")
+
+        for n in range(5, 15):
+            pairs = list(pair_iter(n))
+            for p in (0.1, 0.35, 0.5, 0.65, 0.9):
+                g = random_graph(rng, n, p)
+                cache = CodegreeCache(g) if book else None
+                pages = Pages(comb(i, shape.k - 1) for i in range(n)) if book else None
+                table = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
+                for _ in range(6):
+                    a, b = rng.sample(range(n), 2)
+                    g.toggle_edge(a, b)
+                    if book:
+                        cache.apply_toggle(g, a, b)
+                    masks = changed_pairs(shape, g.rows, a, b)
+                    update_table(shape, g.rows, table, a, b, masks, no_delta, cache, pages)
+                    fresh = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
+                    assert table == fresh, (n, p, (a, b))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -425,6 +426,22 @@ print("ok")
 
 
 class TestLemmaWitness:
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # lemma_witness falls back on up to 8 x 400,000 tabu steps when its
+        # constructions fail, so a broken pair-table rule would run for many
+        # minutes; each test here takes seconds when the rule holds
+        def expire(signum, frame):
+            pytest.fail("lemma_witness ran past 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_small_orders_verified_and_symmetric(self):
         for n in (2, 3, 5, 6):
             g = lemma_witness(n)

@@ -31,6 +31,8 @@ from oracles import (
     count_cliques_naive,
     count_wheels_naive,
     gr_score_naive,
+    tabu_candidates_naive,
+    tabu_scan_naive,
 )
 
 K33 = parse_problem("K3,K3")
@@ -83,6 +85,48 @@ class TestTabuStep:
             tabu_step(st)
         with pytest.raises(InputError):
             tabu_step(st)
+
+
+class TestTieWalk:
+    """A step hashes only the candidates at the least delta, moving to the
+    next value only when all are tabu; it must pick the move of a full scan
+    of every candidate, from the same number of ties."""
+
+    @staticmethod
+    def step_matches_scan(st):
+        rng = random.Random()
+        rng.setstate(st.rng.getstate())
+        want = tabu_scan_naive(st, rng)
+        draws = []
+        real = st.rng.randrange
+        st.rng.randrange = lambda n: draws.append(n) or real(n)
+        got = tabu_step(st)
+        del st.rng.randrange
+        if want is None:
+            assert got is None
+            return
+        move, ties = want
+        assert got == move
+        assert draws == ([ties] if ties > 1 else [])
+
+    @pytest.mark.parametrize("spec, n", [("B2,B8", 19), ("K4,K4", 16), ("GR:3,K5,2", 16)])
+    def test_step_picks_the_full_scan_move(self, spec, n):
+        for seed in (1, 2):
+            st = init_state(parse_problem(spec), n, seed=seed)
+            for step in range(24):
+                if st.score == 0:
+                    break
+                if step % 3 == 2:
+                    # every least candidate tabu: the walk must go on to the
+                    # next value, as the scan does
+                    cands = tabu_candidates_naive(st)
+                    least = min(d for d, _, _ in cands)
+                    st.tabu.update(h for d, h, _ in cands if d == least)
+                self.step_matches_scan(st)
+            if st.score == 0:
+                continue
+            st.tabu.update(h for _, h, _ in tabu_candidates_naive(st))
+            self.step_matches_scan(st)  # every candidate tabu: None
 
 
 class TestRunSearch:
