@@ -19,21 +19,30 @@ probe checks a candidate with k through-vertex checks per colour.  The census
 descends through k diagonal sets, each a union of the pair classes {d, m-d},
 then one set per block pair, probing each set on the blocks it joins.
 
-A block pair's sets are read from a state table over its masks with
-``graphs.mask_state``.  The left check is a left shape through a block
-representative of the 2-block graph, and the right check a right shape
-through one in the complement (a bit added to the mask adds edges).  The
-symmetry is the dihedral group of order 2m: rotating the second block by t
-maps the 2-block graph with off-diagonal set S to the one with S + t, and
-reflecting both blocks, i -> -i, maps it to the one with -S; both fix every
-symmetric diagonal set.  For the same reason a 2-block leaf whose
-off-diagonal mask is not its own least image is isomorphic to the leaf of
-that image, found before it in the same stripe: it is counted but neither
-realized nor keyed.
+A block pair's passing sets are listed once per scan, in one ascending pass
+over a state table with ``graphs.mask_state``.  The left check is a left
+shape through a block representative of the 2-block graph, and the right
+check a right shape through one in the complement (a bit added to the mask
+adds edges).  The symmetry is the dihedral group of order 2m: rotating the
+second block by t maps the 2-block graph with off-diagonal set S to the one
+with S + t, and reflecting both blocks, i -> -i, maps it to the one with -S;
+both fix every symmetric diagonal set.  So only a mask that is its own least
+image is decided; every other mask copies its image's state.  Swapping the
+two blocks also maps S to -S, so the list for diagonal sets (Sb, Sa) is the
+one for (Sa, Sb).
+
+For the same reason a leaf whose row is not its own least image is
+isomorphic to the leaf of that image, found before it in the same stripe:
+it is counted but neither probed, realized nor keyed.  With two blocks the
+row is the mask S12.  With three it is (S12, S13), whose images under
+rotations of blocks 2 and 3 by t2 and t3 and one reflection of all three
+blocks are (+-S12 + t2, +-S13 + t3), mapping each leaf's S23 to
++-S23 + t3 - t2; only the leaves of a least row are probed.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -195,6 +204,31 @@ def _pair_table(m: int, diag: tuple[int, int], problem):
     return bytearray(1 << m), left, right
 
 
+def _valid_masks(m: int, diag: tuple[int, int], problem):
+    """The off-diagonal masks of the valid 2-block graphs with diagonal masks
+    diag, ascending.  One ascending pass runs ``mask_state`` only on masks
+    that are their own least image; every other mask copies the state of its
+    image, decided before it."""
+    table, left, right = _pair_table(m, diag, problem)
+    least = _least_images(m)
+    for S in range(1 << m):
+        if least[S] == S:
+            state = mask_state(table, least, S, left, right)
+        else:
+            state = table[S] = table[least[S]]
+        if state == VALID:
+            yield S
+
+
+def _is_least_row(m: int, S12: int, S13: int) -> bool:
+    """Is (S12, S13) the least of its images (+-S12 + t2, +-S13 + t3), one
+    sign for both?"""
+    return all(
+        (min(_rotations(S12, m, 0, negate)), min(_rotations(S13, m, 0, negate))) >= (S12, S13)
+        for negate in (False, True)
+    )
+
+
 def _spec(k: int, m: int, diag, off) -> PolycirculantSpec:
     return PolycirculantSpec(
         k, m, tuple(frozenset(bits_of(S)) for S in diag), tuple(frozenset(bits_of(S)) for S in off)
@@ -248,7 +282,15 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     ``(outer index, mask)`` pairs dealt from ``_diag_options(m)``.  One
     descent fills k diagonal slots, each with a set that probes valid as a
     circulant, then one slot per block pair, with a set that probes valid on
-    the pair's two diagonal sets.  With three blocks a full spec is probed.
+    the pair's two diagonal sets.  With three blocks the full spec of a
+    least row is probed.
+
+    A block pair's passing masks, from ``_valid_masks``, are listed once per
+    stripe and serve the swapped pair too.  A slot walks only its passing
+    masks but counts every mask below each one as tried, as a scan of all
+    2^m masks would, so a budget stop leaves the same partial counts.  A leaf
+    whose row (S12, or S12 and S13) is not its own least image is counted
+    and nothing more; see the module docstring.
 
     Returns (stage counts, truncated, [(outer_index, seq, spec, graph), ...])
     with seq ascending, so merged results sorted by (outer_index, seq)
@@ -256,12 +298,11 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     masks throughout; a spec is made only for a graph the stripe keeps.
     """
     diag_opts = _diag_options(m)
-    slots = [None] * k + block_pairs(k)
     counts = dict.fromkeys(_STAGES, 0)
 
     single_memo: dict[int, bool] = {}
-    pair_tables: dict[tuple[int, int], tuple] = {}
-    least = _least_images(m) if k >= 2 else None
+    pair_lists: dict[tuple[int, int], array] = {}
+    least = _least_images(m) if k == 2 else None
 
     def single_ok(S: int) -> bool:
         counts["singles_tried"] += 1
@@ -270,41 +311,53 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
         counts["singles_passed"] += single_memo[S]
         return single_memo[S]
 
-    found: Found = []
+    def passing(Sa: int, Sb: int):
+        key = (Sa, Sb) if Sa <= Sb else (Sb, Sa)
+        if key not in pair_lists:
+            pair_lists[key] = array("H", _valid_masks(m, key, problem))
+        tried = 0
+        for S in pair_lists[key]:
+            counts["pairs_tried"] += S + 1 - tried
+            counts["pairs_passed"] += 1
+            tried = S + 1
+            yield S
+        counts["pairs_tried"] += (1 << m) - tried
 
-    def leaf(outer: int, diag: tuple[int, ...], off: tuple[int, ...]):
+    def leaf():
         if budget is not None and counts["leaves"] >= budget:
             raise BudgetExceededError(f"census budget {budget} exhausted")
         counts["leaves"] += 1
-        if k == 2 and least[off[0]] != off[0]:
-            # isomorphic to the leaf of its least image, found before it
-            return
-        g = _probe(k, m, diag, off, problem) if k >= 3 else Graph(k * m, _realize(k, m, diag, off))
-        if g is None or (complement_blocks and not are_isomorphic(
-            _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
-        )):
-            return
+
+    found: Found = []
+
+    def keep(outer: int, diag: tuple[int, ...], off: tuple[int, ...], g: Graph):
         found.append((outer, len(found), _spec(k, m, diag, off), g))
 
-    def descend(outer: int, chosen: tuple[int, ...]):
-        if len(chosen) == len(slots):
-            leaf(outer, chosen[:k], chosen[k:])
-        elif (slot := slots[len(chosen)]) is None:
+    def descend(outer: int, diag: tuple[int, ...]):
+        if len(diag) < k:
             for S in diag_opts:
                 if single_ok(S):
-                    descend(outer, chosen + (S,))
+                    descend(outer, diag + (S,))
+        elif k == 1:
+            leaf()
+            keep(outer, diag, (), _circulant(m, diag[0]))
+        elif k == 2:
+            for S12 in passing(*diag):
+                leaf()
+                if least[S12] == S12 and (not complement_blocks or are_isomorphic(
+                    _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
+                )):
+                    keep(outer, diag, (S12,), Graph(2 * m, _realize(2, m, diag, (S12,))))
         else:
-            diag = chosen[slot[0] - 1], chosen[slot[1] - 1]
-            if diag not in pair_tables:
-                if k == 2:  # each (Sa, Sb) is scanned once: keep only the current table
-                    pair_tables.clear()
-                pair_tables[diag] = _pair_table(m, diag, problem)
-            table, left, right = pair_tables[diag]
-            for S in range(1 << m):
-                counts["pairs_tried"] += 1
-                if mask_state(table, least, S, left, right) == VALID:
-                    counts["pairs_passed"] += 1
-                    descend(outer, chosen + (S,))
+            S1, S2, S3 = diag
+            for S12 in passing(S1, S2):
+                for S13 in passing(S1, S3):
+                    least_row = _is_least_row(m, S12, S13)
+                    for S23 in passing(S2, S3):
+                        leaf()
+                        off = (S12, S13, S23)
+                        if least_row and (g := _probe(3, m, diag, off, problem)) is not None:
+                            keep(outer, diag, off, g)
 
     try:
         for outer, S0 in outers:
@@ -400,21 +453,17 @@ def lemma_witness(n: int) -> Graph:
     m = 2 * n - 1
     problem = TwoColorProblem(Book(n - 1), Book(n))
     full = (1 << m) - 2  # every difference 1..m-1
-    least = _least_images(m)
     for S in _diag_options(m):
         diag = (S, full ^ S)
         if any(_probe(1, m, (D,), (), problem) is None for D in diag):
             continue
-        table, left, right = _pair_table(m, diag, problem)
-        for S12 in range(1 << m):
-            if mask_state(table, least, S12, left, right) == VALID:
-                g = Graph(2 * m, _realize(2, m, diag, (S12,)))
-                verdict = verify(g, problem)
-                if not verdict.valid:
-                    raise VerificationError(
-                        f"lemma witness failed verification: {verdict.violation}"
-                    )
-                return g
+        S12 = next(_valid_masks(m, diag, problem), None)
+        if S12 is not None:
+            g = Graph(2 * m, _realize(2, m, diag, (S12,)))
+            verdict = verify(g, problem)
+            if not verdict.valid:
+                raise VerificationError(f"lemma witness failed verification: {verdict.violation}")
+            return g
     try:
         census = enumerate_census(2, m, problem)
     except VerificationError as exc:

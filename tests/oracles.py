@@ -13,7 +13,11 @@ colored, where generation checks each later vertex ahead of time.  The
 wheel through-check enumerates rims by permutation, where the verifier
 extends paths inside a hub's 2-core.  The dihedral orbit
 reference maps a difference set element by element, where the census's
-image table rotates and reflects bit masks.  The tabu scan hashes and
+image table rotates and reflects bit masks, and the 3-block row reference
+does the same for a pair of sets.  The census stripe oracle checks
+every off-diagonal mask of every block pair and probes every 3-block leaf,
+where the census decides one mask or row per orbit and reuses one pair's
+passing masks for the swapped pair.  The tabu scan hashes and
 tabu-checks every candidate recoloring, where a tabu step hashes only the
 candidates at the least delta.  The exhaustive generators of labeled graphs
 and colorings feed these checks.
@@ -24,9 +28,21 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import comb
 
-from ramseykit.canon import canonical_key, coloring_canonical_key
+from ramseykit.canon import are_isomorphic, canonical_key, coloring_canonical_key
+from ramseykit.errors import BudgetExceededError
 from ramseykit.generate import vertex_invariants
-from ramseykit.graphs import Graph, MultiColoring, edge_color_hash, pair_iter
+from ramseykit.graphs import VALID, Graph, MultiColoring, edge_color_hash, mask_state, pair_iter
+from ramseykit.polycirculant import (
+    _STAGES,
+    _circulant,
+    _diag_options,
+    _least_images,
+    _pair_table,
+    _probe,
+    _realize,
+    _spec,
+    block_pairs,
+)
 from ramseykit.problems import GeneralizedProblem, Problem, TwoColorProblem
 from ramseykit.verify import verify_witness
 
@@ -172,6 +188,80 @@ def least_dihedral_image(S: frozenset[int], m: int) -> int:
     orbit = [frozenset((d + t) % m for d in S) for t in range(m)]
     orbit += [frozenset((t - d) % m for d in S) for t in range(m)]
     return min(sum(2**d for d in image) for image in orbit)
+
+
+def least_row_image(S12: frozenset[int], S13: frozenset[int], m: int) -> tuple[int, int]:
+    """The least pair of masks over the images (s*S12 + t2, s*S13 + t3) of a
+    3-block row, s = +-1 and t2, t3 in Z_m, mapped element by element."""
+    def mask(S):
+        return sum(2**d for d in S)
+
+    return min(
+        (mask({(s * d + t2) % m for d in S12}), mask({(s * d + t3) % m for d in S13}))
+        for s in (1, -1) for t2 in range(m) for t3 in range(m)
+    )
+
+
+def census_stripe_naive(k, m, problem, complement_blocks, outers, budget):
+    """``polycirculant._scan_stripe`` checking each mask and leaf in turn.
+
+    Every block-pair slot runs ``mask_state`` on each of its 2^m masks, and
+    every 3-block leaf is probed; only a 2-block leaf whose mask is not its
+    least image is skipped, as the census's own rule skips it.  Same
+    arguments and return value as the production stripe."""
+    diag_opts = _diag_options(m)
+    slots = [None] * k + block_pairs(k)
+    counts = dict.fromkeys(_STAGES, 0)
+    single_memo: dict[int, bool] = {}
+    pair_tables: dict[tuple[int, int], tuple] = {}
+    least = _least_images(m) if k >= 2 else None
+    found = []
+
+    def single_ok(S: int) -> bool:
+        counts["singles_tried"] += 1
+        if S not in single_memo:
+            single_memo[S] = _probe(1, m, (S,), (), problem) is not None
+        counts["singles_passed"] += single_memo[S]
+        return single_memo[S]
+
+    def leaf(outer, diag, off):
+        if budget is not None and counts["leaves"] >= budget:
+            raise BudgetExceededError(f"census budget {budget} exhausted")
+        counts["leaves"] += 1
+        if k == 2 and least[off[0]] != off[0]:
+            return
+        g = _probe(k, m, diag, off, problem) if k >= 3 else Graph(k * m, _realize(k, m, diag, off))
+        if g is None or (complement_blocks and not are_isomorphic(
+            _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
+        )):
+            return
+        found.append((outer, len(found), _spec(k, m, diag, off), g))
+
+    def descend(outer, chosen):
+        if len(chosen) == len(slots):
+            leaf(outer, chosen[:k], chosen[k:])
+        elif (slot := slots[len(chosen)]) is None:
+            for S in diag_opts:
+                if single_ok(S):
+                    descend(outer, chosen + (S,))
+        else:
+            diag = chosen[slot[0] - 1], chosen[slot[1] - 1]
+            if diag not in pair_tables:
+                pair_tables[diag] = _pair_table(m, diag, problem)
+            table, left, right = pair_tables[diag]
+            for S in range(1 << m):
+                counts["pairs_tried"] += 1
+                if mask_state(table, least, S, left, right) == VALID:
+                    counts["pairs_passed"] += 1
+                    descend(outer, chosen + (S,))
+
+    try:
+        for outer, S0 in outers:
+            if single_ok(S0):
+                descend(outer, (S0,))
+    except BudgetExceededError:
+        return counts, True, found
+    return counts, False, found
 
 
 def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:

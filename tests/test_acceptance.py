@@ -5,6 +5,7 @@ excluded by default (see addopts); select it with -m stretch.
 """
 
 import random
+import signal
 import time
 
 import pytest
@@ -93,7 +94,18 @@ def test_criterion_3_polycirculant_census():
 
 @pytest.mark.stretch
 def test_criterion_3_stretch_census():
-    res = enumerate_census(3, 8, parse_problem("B2,B10"), workers=4)
+    # the census probes one 3-block row per orbit and takes well under a
+    # minute; probing every leaf took about 7 minutes, so fail past 120 s
+    def expire(signum, frame):
+        pytest.fail("stretch census ran past 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        res = enumerate_census(3, 8, parse_problem("B2,B10"), workers=4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert res.count == 1
     assert res.graphs[0].n == 24
     assert verify(res.graphs[0], parse_problem("B2,B10")).valid

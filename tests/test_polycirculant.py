@@ -29,7 +29,12 @@ from ramseykit.polycirculant import (
 from ramseykit.problems import parse_problem
 from ramseykit.verify import verify
 
-from oracles import least_dihedral_image, polycirculant_naive
+from oracles import (
+    census_stripe_naive,
+    least_dihedral_image,
+    least_row_image,
+    polycirculant_naive,
+)
 
 K33 = parse_problem("K3,K3")
 B2B8 = parse_problem("B2,B8")
@@ -206,11 +211,17 @@ CENSUS_DIGESTS = [
 ]
 
 
-def census_lines(k, m, text, kwargs):
+def census_run(k, m, problem, **kwargs):
+    """The census's output lines and stage counts, also when a budget cuts it."""
     try:
-        return enumerate_census(k, m, parse_problem(text), **kwargs).lines()
+        res = enumerate_census(k, m, problem, **kwargs)
     except BudgetExceededError as exc:
-        return exc.partial.lines()
+        res = exc.partial
+    return res.lines(), res.stages
+
+
+def census_lines(k, m, text, kwargs):
+    return census_run(k, m, parse_problem(text), **kwargs)[0]
 
 
 @pytest.mark.parametrize(
@@ -330,6 +341,87 @@ class TestCensus:
             assert line == graph6_encode(g) + "  # " + spec.serialize()
 
 
+class TestAgainstStripeOracle:
+    """The census matches a stripe that runs ``mask_state`` on every mask of
+    every block-pair slot and probes every 3-block leaf."""
+
+    @staticmethod
+    def oracle_run(monkeypatch, k, m, problem, **kwargs):
+        import ramseykit.polycirculant as poly
+
+        with monkeypatch.context() as patch:
+            patch.setattr(poly, "_scan_stripe", census_stripe_naive)
+            return census_run(k, m, problem, **kwargs)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("text", ["K3,K5", "B1,B5", "W5,K4"])
+    def test_complete_runs_match(self, text, k, monkeypatch):
+        problem = parse_problem(text)
+        for m in (3, 4, 5):
+            want = self.oracle_run(monkeypatch, k, m, problem)
+            for workers in (None, 2):
+                assert census_run(k, m, problem, workers=workers) == want, (m, workers)
+
+    def test_every_budget_matches(self, monkeypatch):
+        import ramseykit.polycirculant as poly
+
+        problem = parse_problem("K3,K5")
+        _, _, found = census_stripe_naive(
+            3, 3, problem, False, list(enumerate(poly._diag_options(3))), None
+        )
+        rows = [tuple(sum(1 << d for d in S) for S in spec.off[:2]) for _, _, spec, _ in found]
+        # most valid leaves lie in rows that are not their own least image,
+        # which the census counts but does not probe
+        assert sum(not poly._is_least_row(3, *row) for row in rows) == 40
+        examined = enumerate_census(3, 3, problem).examined
+        for budget in range(examined + 1):
+            want = self.oracle_run(monkeypatch, 3, 3, problem, budget=budget)
+            assert census_run(3, 3, problem, budget=budget) == want, budget
+
+    def test_row_images_relabel_the_graph(self):
+        # rotating block b by t_b and reflecting every block maps S_ab to
+        # s*S_ab + t_b - t_a and fixes every symmetric diagonal set, so a
+        # row's image has, leaf for leaf, the same graphs up to relabeling
+        rng = random.Random("row images")
+        for m in range(3, 9):
+            for _ in range(20):
+                spec = random_spec(rng, 3, m)
+                s, t = rng.choice((1, -1)), (0, rng.randrange(m), rng.randrange(m))
+                off = tuple(
+                    frozenset((s * d + t[b] - t[a]) % m for d in S)
+                    for (a, b), S in zip([(0, 1), (0, 2), (1, 2)], spec.off)
+                )
+                image = PolycirculantSpec(3, m, spec.diag, off)
+                perm = [b * m + (s * i + t[b]) % m for b in range(3) for i in range(m)]
+                assert build(spec).relabel(perm).rows == build(image).rows, spec.serialize()
+
+    def test_least_rows_match_explicit_orbits(self):
+        import ramseykit.polycirculant as poly
+
+        # from m = 6 on, some masks are not rotations of their reflections
+        for m in range(2, 7):
+            for S12, S13 in itertools.product(range(1 << m), repeat=2):
+                row = [frozenset(d for d in range(m) if S >> d & 1) for S in (S12, S13)]
+                want = least_row_image(*row, m) == (S12, S13)
+                assert poly._is_least_row(m, S12, S13) == want, (m, S12, S13)
+
+    @pytest.mark.parametrize("text", ["K3,K5", "B2,B6", "W5,K4"])
+    def test_valid_masks_are_the_probed_ones_in_either_block_order(self, text):
+        import ramseykit.polycirculant as poly
+
+        problem = parse_problem(text)
+        for m in (3, 4, 5, 6):
+            for diag in itertools.product(poly._diag_options(m), repeat=2):
+                probed = [
+                    S for S in range(1 << m) if poly._probe(2, m, diag, (S,), problem) is not None
+                ]
+                assert list(poly._valid_masks(m, diag, problem)) == probed, (m, diag)
+                # swapping the blocks maps each mask S to -S, and so does
+                # reflecting both: one list serves both orders
+                negated = sorted(poly._rotations(S, m, 0, True)[0] for S in probed)
+                assert negated == probed, (m, diag)
+
+
 def count_realized(monkeypatch) -> list:
     """Patch the polycirculant realizer to log each graph it makes."""
     import ramseykit.polycirculant as poly
@@ -389,8 +481,10 @@ class TestPairTable:
         assert stages["pairs_tried"] == 288 and stages["leaves"] == 165
         # a leaf is realized once unless its off-diagonal set is the image
         # of a smaller one (128 of the 165 are); the rest are single and pair
-        # probes, which the subset and image rules keep below the 288 pair checks
-        assert len(realized) == 93
+        # probes, which the subset and image rules keep below the 288 pair
+        # checks, and a swapped block pair reuses its pair's passing masks
+        # with no probe at all
+        assert len(realized) == 75
         assert len(realized) - (stages["leaves"] - 128) < stages["pairs_tried"]
 
     def test_least_images_match_explicit_orbits(self):
