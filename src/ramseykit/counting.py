@@ -9,17 +9,17 @@ counts a path's last two edges as one popcount of common neighbors.  Book
 and wheel deltas can instead read a cache kept current across toggles:
 CodegreeCache holds the codegree matrix, and WheelCache per-hub rim-path
 tables of which a toggle rebuilds only the hubs it can change.
-changed_pairs gives, per shape kind, the pairs whose delta a toggle can
-change: for books the pairs meeting the toggled edge or joining its common
-neighborhood to its neighborhood union, for cliques the pairs meeting the
-edge or inside its common neighborhood, for wheels every pair.  A caller
-holding every pair's delta (the tabu scorer does) hands those pairs to
-update_table, which corrects every book and clique entry in place by the
-few terms the toggle moved, recomputing none, and recomputes only wheel
-entries, the one kind that calls the delta.  The GR score has only its full
-form here; its recolor delta lives
-in the tabu scorer, which keeps the union graphs the delta needs and sums
-clique completions over them.  Counts are plain Python ints (arbitrary
+For books and cliques, changed_pairs gives the pairs whose delta a toggle
+can change: for books the pairs meeting the toggled edge or joining its
+common neighborhood to its neighborhood union, for cliques the pairs
+meeting the edge or inside its common neighborhood.  A caller holding
+every pair's delta (the tabu scorer does) hands those pairs to
+update_table, which corrects each entry in place by the few terms the
+toggle moved and recomputes none.  The hubs a wheel toggle rebuilds reach
+most pairs, so a wheel table is recomputed whole instead.  The GR
+score has only its full form here; its recolor delta lives in the tabu
+scorer, which keeps the union graphs the delta needs and sums clique
+completions over them.  Counts are plain Python ints (arbitrary
 precision), so the overflow cases other implementations must guard
 against cannot arise here.
 
@@ -132,23 +132,20 @@ class WheelCache:
             self._rebuild(rows, h)
 
 
-def changed_pairs(shape: Shape, rows: list[int], a: int, b: int) -> list[int]:
-    """The pairs whose toggle delta for `shape` a toggle of edge (a, b) can
-    change, as one mask per vertex y of the partners x < y, so pair_iter
-    order.  With I = N(a) ∩ N(b) and U = N(a) ∪ N(b):
+def changed_pairs(shape: Book | Clique, rows: list[int], a: int, b: int) -> list[int]:
+    """The pairs whose toggle delta for a book or clique `shape` a toggle of
+    edge (a, b) can change, as one mask per vertex y of the partners x < y,
+    so pair_iter order.  With I = N(a) ∩ N(b) and U = N(a) ∪ N(b):
       books    the pairs meeting {a, b}, and those with one end in I and
                the other in U: a book delta reads codegrees at its ends,
                and only cd(a, x) for x in N(b) and cd(b, x) for x in N(a)
                change;
       cliques  the pairs meeting {a, b}, and those inside I: a clique delta
                counts cliques in N(x) ∩ N(y), which holds the edge ab
-               exactly when x and y are both in I;
-      wheels   every pair: the rebuilt hubs a, b and I cover most pairs.
+               exactly when x and y are both in I.
     The rule reads no row but a's and b's, and those only off {a, b}, so it
     holds before or after the toggle."""
     n = len(rows)
-    if isinstance(shape, Wheel):
-        return [(1 << y) - 1 for y in range(n)]
     ends = 1 << a | 1 << b
     inner = rows[a] & rows[b]  # holds neither a nor b
     outer = (rows[a] | rows[b]) & ~ends if isinstance(shape, Book) else inner
@@ -189,22 +186,21 @@ def _page_moves(pages: list[int], cdz: list[int], inner: int, d: int) -> tuple:
 
 
 def update_table(
-    shape: Shape,
+    shape: Book | Clique,
     rows: list[int],
     table: list[int],
     a: int,
     b: int,
     masks: list[int],
-    delta,
     cache: CodegreeCache | None = None,
     pages: list[int] | None = None,
 ) -> None:
-    """Bring `table`, the toggle delta of `shape` at every pair in pair_iter
-    order, up to date after a toggle of edge (a, b).  `rows`, and a book's
-    `cache`, already hold the toggle; `masks` are changed_pairs' masks, and
-    only the pairs they name are touched.  Only a wheel entry is recomputed,
-    by `delta(x, y)`; book and clique entries are corrected in place and
-    never call it.  A book passes `pages`, C(i, k - 1) at i = 0 .. n - 1.
+    """Bring `table`, the toggle delta of a book or clique `shape` at every
+    pair in pair_iter order, up to date after a toggle of edge (a, b).
+    `rows`, and a book's `cache`, already hold the toggle; `masks` are
+    changed_pairs' masks, and only the pairs they name are touched.  Each
+    entry is corrected in place; none is recomputed.  A book passes
+    `pages`, C(i, k - 1) at i = 0 .. n - 1.
     With d = +1 for an added edge and -1 for a removed one, I = N(a) ∩ N(b),
     o the edge bit of the pair and sign(o) = -1 on an edge:
       books    an entry is sign(o) times C(cd, k) at the pair plus, for each
@@ -225,14 +221,7 @@ def update_table(
                gains the K_{s-3} in I ∩ N(y), and (b, y) with y in N(a)
                likewise; a pair inside I gains the K_{s-4} in
                N(x) ∩ N(y) ∩ I, the completions using ab; every other named
-               pair stays;
-      wheels   every named pair is recomputed."""
-    if isinstance(shape, Wheel):
-        for y, lower in enumerate(masks):
-            base = y * (y - 1) // 2
-            for x in bits_of(lower):
-                table[base + x] = delta(x, y)
-        return
+               pair stays."""
     ends = 1 << a | 1 << b
     ra, rb = rows[a], rows[b]
     inner = ra & rb

@@ -129,15 +129,6 @@ class Graph:
             g.add_edge(u, v)
         return g
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
     def copy(self) -> "Graph":
         return Graph(self.n, list(self.rows))
 
@@ -156,9 +147,6 @@ class Graph:
         self.rows[u] ^= 1 << v
         self.rows[v] ^= 1 << u
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -167,29 +155,13 @@ class Graph:
             if self.rows[u] >> v & 1:
                 yield u, v
 
-    def codegree(self, u: int, v: int) -> int:
-        return (self.rows[u] & self.rows[v]).bit_count()
-
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         return Graph(self.n, [(full ^ r ^ (1 << v)) for v, r in enumerate(self.rows)])
 
     def relabel(self, perm) -> "Graph":
         """New graph with vertex v renamed perm[v]."""
-        out = Graph(self.n)
-        for u, v in self.edges():
-            out.add_edge(perm[u], perm[v])
-        return out
-
-    def induced(self, vertices) -> "Graph":
-        vs = list(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        out = Graph(len(vs))
-        for i, v in enumerate(vs):
-            for w in bits_of(self.rows[v]):
-                if w in pos and pos[w] > i:
-                    out.add_edge(i, pos[w])
-        return out
+        return Graph.from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges()))
 
     def add_vertex(self, neighborhood: int) -> "Graph":
         """New graph with vertex n appended, adjacent to the bitmask given."""
@@ -198,10 +170,6 @@ class Graph:
         rows = [r | ((neighborhood >> v & 1) << self.n) for v, r in enumerate(self.rows)]
         rows.append(neighborhood)
         return Graph(self.n + 1, rows)
-
-    def delete_vertex(self, x: int) -> "Graph":
-        keep = [v for v in range(self.n) if v != x]
-        return self.induced(keep)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -277,14 +245,6 @@ class MultiColoring:
         if len(ec) != self.n:
             raise ValueError("need one color per existing vertex")
         return MultiColoring(self.n + 1, self.r, self.colors + ec)
-
-    def delete_vertex(self, x: int) -> "MultiColoring":
-        keep = [v for v in range(self.n) if v != x]
-        out = MultiColoring(self.n - 1, self.r)
-        for i, u in enumerate(keep):
-            for j in range(i):
-                out.colors[pair_index(j, i)] = self.get(keep[j], u)
-        return out
 
     def __eq__(self, other):
         return (

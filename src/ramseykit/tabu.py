@@ -14,16 +14,15 @@ The scorer below is the only incremental scorer, for both problem kinds.
 It keeps one union graph per side of the problem (a set of colors and a
 shape) current across recolorings, and with it a table of the side's
 toggle delta at every pair.  A move toggles its edge in the sides it
-touches and brings their tables up to date only at the pairs counting's
-changed_pairs names (books and cliques: the pairs near the edge; wheels:
-all), through counting's update_table: book and clique entries are
-corrected in place and recompute nothing, and only wheel pairs are
-recomputed by the side's delta.  A scan reads each candidate's
-delta as a sum of table entries and calls no counter.  Every 2**14 steps
-the maintained score is audited against a full recount from the coloring
-itself, so a drift in the side graphs or caches shows up even when the
-score still agrees with them, and each table against its side's delta at
-every pair.
+touches and brings their tables up to date: a book or clique side corrects
+its entries in place at the pairs counting's changed_pairs names (those
+near the edge), through counting's update_table, and recomputes nothing; a
+wheel side recomputes its whole table through its delta.  A scan reads
+each candidate's delta as a sum of table entries and calls no counter.
+Every 2**14 steps the maintained score is audited against a full recount
+from the coloring itself, so a drift in the side graphs or caches shows up
+even when the score still agrees with them, and each table against its
+side's delta at every pair.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .counting import (
 from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_index, pair_iter, state_hash
 from .pool import run_jobs
-from .problems import Book, Clique, Problem, Shape, TwoColorProblem
+from .problems import Book, Clique, Problem, Shape, TwoColorProblem, Wheel
 from .verify import verify_witness
 
 AUDIT_EVERY = 1 << 14
@@ -96,15 +95,18 @@ class _Side:
 
     def toggle(self, u: int, v: int) -> None:
         """Toggle (u, v) in g, update the cache, then bring the table up to
-        date at the pairs changed_pairs names, and only there: a book or
-        clique side corrects its entries in place and calls no delta, and a
-        wheel side recomputes every pair through its delta."""
+        date: a wheel side recomputes it whole, and a book or clique side
+        corrects it in place at the pairs changed_pairs names, calling no
+        delta."""
         g, shape = self.g, self.shape
         g.toggle_edge(u, v)
         if self.cache is not None:
             self.cache.apply_toggle(g, u, v)
-        masks = changed_pairs(shape, g.rows, u, v)
-        update_table(shape, g.rows, self.table, u, v, masks, self.delta, self.cache, self.pages)
+        if isinstance(shape, Wheel):
+            self.table[:] = self.fresh_table()
+        else:
+            masks = changed_pairs(shape, g.rows, u, v)
+            update_table(shape, g.rows, self.table, u, v, masks, self.cache, self.pages)
 
 
 class _Scorer:
@@ -189,8 +191,8 @@ class SearchState:
     hash: int
     tabu: set
     rng: random.Random
+    best_score: int
     steps: int = 0
-    best_score: int | None = None
 
     def __post_init__(self):
         self.pairs = list(pair_iter(self.n))
@@ -199,8 +201,6 @@ class SearchState:
         self.edge_hashes = [
             [0, *(edge_color_hash(i, c) for c in colors)] for i in range(len(self.pairs))
         ]
-        if self.best_score is None:
-            self.best_score = self.score
 
 
 def init_state(problem: Problem, n: int, seed: int) -> SearchState:
@@ -213,11 +213,13 @@ def init_state(problem: Problem, n: int, seed: int) -> SearchState:
     mc = MultiColoring(n, r, [rng.randint(1, r) for _ in range(m)])
     scorer = _Scorer(problem, mc)
     h = state_hash(mc)
+    score = scorer.full_score()
     return SearchState(
         n=n,
         coloring=mc,
         scorer=scorer,
-        score=scorer.full_score(),
+        score=score,
+        best_score=score,
         hash=h,
         tabu={h},
         rng=rng,

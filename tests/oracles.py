@@ -19,8 +19,10 @@ every off-diagonal mask of every block pair and probes every 3-block leaf,
 where the census decides one mask or row per orbit and reuses one pair's
 passing masks for the swapped pair.  The tabu scan hashes and
 tabu-checks every candidate recoloring, where a tabu step hashes only the
-candidates at the least delta.  The exhaustive generators of labeled graphs
-and colorings feed these checks.
+candidates at the least delta.  The exhaustive and seeded random
+generators of labeled graphs and colorings, and the small constructions
+(cycles, induced subgraphs and colorings, a vertex deleted), feed these
+checks.
 """
 
 from __future__ import annotations
@@ -64,6 +66,54 @@ def all_colorings(n: int, r: int):
     m = n * (n - 1) // 2
     for combo in product(range(1, r + 1), repeat=m):
         yield MultiColoring(n, r, list(combo))
+
+
+def random_graph(rng, n: int, p: float = 0.5) -> Graph:
+    """G(n, p), one draw per pair (u, v), u < v, in row order."""
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    return g
+
+
+def random_coloring(rng, n: int, r: int) -> MultiColoring:
+    """A uniform r-coloring of K_n, one draw per pair in row order."""
+    mc = MultiColoring(n, r)
+    for u in range(n):
+        for v in range(u + 1, n):
+            mc.set_color(u, v, rng.randint(1, r))
+    return mc
+
+
+def cycle_graph(n: int) -> Graph:
+    """The cycle 0-1-...-(n-1)-0."""
+    g = Graph(n)
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n)
+    return g
+
+
+def induced(obj: Graph | MultiColoring, vertices) -> Graph | MultiColoring:
+    """The graph or coloring induced on `vertices`, the i-th of them renamed
+    i, copied pair by pair.  No vertices is refused, as Graph(0) is."""
+    vs = list(vertices)
+    if isinstance(obj, MultiColoring):
+        out = MultiColoring(len(vs), obj.r)
+        for i, j in pair_iter(len(vs)):
+            out.set_color(i, j, obj.get(vs[i], vs[j]))
+        return out
+    out = Graph(len(vs))
+    for i, j in pair_iter(len(vs)):
+        if obj.has_edge(vs[i], vs[j]):
+            out.add_edge(i, j)
+    return out
+
+
+def delete_vertex(obj: Graph | MultiColoring, x: int) -> Graph | MultiColoring:
+    """The graph or coloring without vertex x, the later vertices shifted down."""
+    return induced(obj, [v for v in range(obj.n) if v != x])
 
 
 def count_books_naive(g: Graph, k: int) -> int:

@@ -24,7 +24,6 @@ from ramseykit.errors import MalformedInputError
 from ramseykit.fixtures import load_fixtures, run_fixture_suite
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.generate import generate_levels
-from ramseykit.graphs import Graph, MultiColoring
 from ramseykit.polycirculant import enumerate_census, lemma_witness
 from ramseykit.problems import GeneralizedProblem, parse_problem
 from ramseykit.tabu import _Scorer, run_parallel, run_search
@@ -36,24 +35,9 @@ from oracles import (
     count_cliques_naive,
     count_wheels_naive,
     gr_score_naive,
+    random_coloring,
+    random_graph,
 )
-
-
-def _random_graph(rng, n, p=0.5):
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
-
-
-def _random_coloring(rng, n, r):
-    mc = MultiColoring(n, r)
-    for u in range(n):
-        for v in range(u + 1, n):
-            mc.set_color(u, v, rng.randint(1, r))
-    return mc
 
 
 def test_criterion_1_fixture_suite():
@@ -135,24 +119,24 @@ def test_criterion_5_counter_oracle_equivalence():
 
     rng = random.Random(5050)
     for _ in range(200):
-        g = _random_graph(rng, rng.randint(2, 12), rng.random())
+        g = random_graph(rng, rng.randint(2, 12), rng.random())
         k = rng.randint(1, 5)
         assert count_books(g, k) == count_books_naive(g, k)
     for _ in range(200):
-        g = _random_graph(rng, rng.randint(4, 12), rng.random())
+        g = random_graph(rng, rng.randint(4, 12), rng.random())
         k = rng.randint(4, 6)
         assert count_wheels(g, k) == count_wheels_naive(g, k)
     for _ in range(200):
-        g = _random_graph(rng, rng.randint(2, 12), rng.random())
+        g = random_graph(rng, rng.randint(2, 12), rng.random())
         s = rng.randint(2, 6)
         assert count_cliques(g, s) == count_cliques_naive(g, s)
     for _ in range(200):
-        mc = _random_coloring(rng, rng.randint(3, 10), rng.choice((3, 4)))
+        mc = random_coloring(rng, rng.randint(3, 10), rng.choice((3, 4)))
         s, t = rng.choice(((4, 2), (3, 1), (4, 3) if mc.r == 4 else (3, 2)))
         assert gr_score(mc, s, t) == gr_score_naive(mc, s, t)
 
     # 10^4 mutations per delta family, checked against full recounts
-    g = _random_graph(rng, 10)
+    g = random_graph(rng, 10)
     before = count_books(g, 2)
     for _ in range(10_000):
         u, v = rng.randrange(10), rng.randrange(10)
@@ -164,7 +148,7 @@ def test_criterion_5_counter_oracle_equivalence():
         assert after - before == d
         before = after
 
-    g = _random_graph(rng, 9)
+    g = random_graph(rng, 9)
     before = count_wheels(g, 5)
     for _ in range(10_000):
         u, v = rng.randrange(9), rng.randrange(9)
@@ -176,7 +160,7 @@ def test_criterion_5_counter_oracle_equivalence():
         assert after - before == d
         before = after
 
-    g = _random_graph(rng, 10)
+    g = random_graph(rng, 10)
     before = count_cliques(g, 4)
     for _ in range(10_000):
         u, v = rng.randrange(10), rng.randrange(10)
@@ -188,7 +172,7 @@ def test_criterion_5_counter_oracle_equivalence():
         assert after - before == d
         before = after
 
-    mc = _random_coloring(rng, 9, 3)
+    mc = random_coloring(rng, 9, 3)
     scorer = _Scorer(GeneralizedProblem(3, 4, 2), mc)  # the only GR delta
     before = gr_score(mc, 4, 2)
     for _ in range(10_000):
@@ -235,7 +219,7 @@ def test_criterion_6b_parallel_gr_search():
 def test_criterion_7_codec_exactness():
     rng = random.Random(7070)
     for _ in range(10_000):
-        g = _random_graph(rng, rng.randint(1, 30), rng.random())
+        g = random_graph(rng, rng.randint(1, 30), rng.random())
         assert graph6_decode(graph6_encode(g)) == g
 
     for rec in load_fixtures():

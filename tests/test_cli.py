@@ -37,14 +37,14 @@ class TestVerify:
 
     def test_invalid_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "k6.g6"
-        path.write_text(graph6_encode(Graph.complete(6)) + "\n")
+        path.write_text(graph6_encode(Graph(6).complement()) + "\n")
         assert main(["verify", "--problem", "K3,K3", str(path)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out and "clique=" in out
 
     def test_mixed_inputs_fail_whole_run(self, witness_file, tmp_path, capsys):
         bad = tmp_path / "k6.g6"
-        bad.write_text(graph6_encode(Graph.complete(6)) + "\n")
+        bad.write_text(graph6_encode(Graph(6).complement()) + "\n")
         code = main(["verify", "--problem", "B2,B8", witness_file, str(bad)])
         assert code == 1
         out = capsys.readouterr().out
@@ -86,7 +86,7 @@ class TestVerify:
 class TestCount:
     def test_two_color_counts(self, tmp_path, capsys):
         path = tmp_path / "k4.g6"
-        path.write_text(graph6_encode(Graph.complete(4)) + "\n")
+        path.write_text(graph6_encode(Graph(4).complement()) + "\n")
         assert main(["count", "--problem", "B2,B8", str(path)]) == 0
         assert "left=6 right=0 score=6" in capsys.readouterr().out
 
@@ -99,7 +99,7 @@ class TestCount:
 
     def test_gr_needs_matrix(self, tmp_path, capsys):
         path = tmp_path / "k4.g6"
-        path.write_text(graph6_encode(Graph.complete(4)) + "\n")
+        path.write_text(graph6_encode(Graph(4).complement()) + "\n")
         assert main(["count", "--problem", "GR:3,K4,2", str(path)]) == 2
         assert "matrix input" in capsys.readouterr().err
 

@@ -16,19 +16,12 @@ from ramseykit.formats import (
 )
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 
-
-def random_graph(rng, n, p=0.5):
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+from oracles import random_graph
 
 
 def test_known_encodings():
     assert graph6_encode(Graph(1)) == "@"
-    assert graph6_encode(Graph.complete(2)) == "A_"
+    assert graph6_encode(Graph(2).complement()) == "A_"
     assert graph6_encode(Graph(2)) == "A?"
     # a 5-cycle: bits of 'q' and 'K' in column-major pair order
     assert graph6_decode("DqK") == Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
@@ -96,7 +89,7 @@ def test_malformed_graph6_rejected(bad):
 
 def test_nonzero_padding_rejected():
     # K2's body is the 6-bit group 0b100000 ('_'); set the lowest padding bit
-    assert graph6_decode("A_") == Graph.complete(2)
+    assert graph6_decode("A_") == Graph(2).complement()
     bad = "A" + chr(0b100001 + 63)
     with pytest.raises(MalformedInputError):
         graph6_decode(bad)
@@ -106,7 +99,7 @@ def test_read_graph6_lines_with_comments():
     text = "# header\nDqK\n\nA_\n"
     out = read_graph6_lines(text)
     assert [lineno for lineno, _ in out] == [2, 4]
-    assert out[1][1] == Graph.complete(2)
+    assert out[1][1] == Graph(2).complement()
     with pytest.raises(MalformedInputError, match="line 3"):
         read_graph6_lines("A_\n\n@@@\n")
 
@@ -115,7 +108,7 @@ def test_read_graph6_lines_skips_format_header():
     # header glued to the first graph, and on a line of its own
     out = read_graph6_lines(">>graph6<<C~\nA_\n")
     assert [lineno for lineno, _ in out] == [1, 2]
-    assert out[0][1] == Graph.complete(4)
+    assert out[0][1] == Graph(4).complement()
     out = read_graph6_lines(">>graph6<<\nC~\n")
     assert [(lineno, g.n) for lineno, g in out] == [(2, 4)]
 

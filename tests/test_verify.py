@@ -28,18 +28,15 @@ from ramseykit.verify import (
     violation_holds,
 )
 
-from oracles import all_graphs, has_wheel_through_naive
+from oracles import (
+    all_graphs,
+    cycle_graph,
+    delete_vertex,
+    has_wheel_through_naive,
+    random_graph,
+)
 
 FIXTURES = {rec.id: rec for rec in load_fixtures()}
-
-
-def random_graph(rng, n, p=0.5):
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
 
 
 SHAPES = [Book(1), Book(2), Book(3), Wheel(4), Wheel(5), Clique(3), Clique(4)]
@@ -112,7 +109,7 @@ class TestThroughVertex:
             g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.3, 0.8))
             shape = SHAPES[rng.randrange(len(SHAPES))]
             x = rng.randrange(g.n)
-            drop = count_shape(g, shape) - count_shape(g.delete_vertex(x), shape)
+            drop = count_shape(g, shape) - count_shape(delete_vertex(g, x), shape)
             assert has_shape_through(g, x, shape) == (drop > 0)
 
     def test_union_over_vertices_matches_existence(self):
@@ -127,7 +124,7 @@ class TestThroughVertex:
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(InputError):
-            has_shape_through(Graph.complete(4), 0, "K4")
+            has_shape_through(Graph(4).complement(), 0, "K4")
 
     def test_wheel_through_matches_rim_permutations(self):
         # seeded G(n, p) from sparse to dense, so the hubs that the degree
@@ -144,7 +141,7 @@ class TestThroughVertex:
     @given(_graphs_with_vertex(), hs.sampled_from(PROPERTY_SHAPES))
     def test_through_vertex_iff_deleting_it_lowers_the_count(self, case, shape):
         g, x = case
-        drop = count_shape(g, shape) > count_shape(g.delete_vertex(x), shape)
+        drop = count_shape(g, shape) > count_shape(delete_vertex(g, x), shape)
         assert has_shape_through(g, x, shape) == drop
 
 
@@ -233,11 +230,11 @@ class TestTwoColorVerify:
 
     def test_k6_fails_k3_k3(self):
         p = parse_problem("K3,K3")
-        v = verify(Graph.complete(6), p)
+        v = verify(Graph(6).complement(), p)
         assert not v.valid and v.violation.side == "graph"
         v = verify(Graph(6), p)
         assert not v.valid and v.violation.side == "complement"
-        assert verify(Graph.cycle(5), p).valid
+        assert verify(cycle_graph(5), p).valid
 
     def test_fixture_witnesses_pass(self):
         for fid in ("RB2B8-20", "RW5W7-14", "RB3B6-18"):
@@ -263,10 +260,10 @@ class TestTwoColorVerify:
 
     def test_tampered_certificate_rejected(self):
         p = parse_problem("K3,K3")
-        v = verify(Graph.complete(6), p)
+        v = verify(Graph(6).complement(), p)
         bad = v.violation
         bad.roles["clique"] = (0, 1, 5) if bad.roles["clique"] != (0, 1, 5) else (0, 2, 5)
-        g = Graph.complete(6)
+        g = Graph(6).complement()
         g.toggle_edge(*bad.roles["clique"][:2])
         assert not violation_holds(g, p, bad)
 
@@ -330,10 +327,10 @@ class TestDispatch:
 
     def test_gr_rejects_plain_graph(self):
         with pytest.raises(InputError):
-            verify_witness(Graph.complete(4), parse_problem("GR:3,K4,2"))
+            verify_witness(Graph(4).complement(), parse_problem("GR:3,K4,2"))
 
     def test_violation_str_mentions_roles(self):
-        v = verify(Graph.complete(6), parse_problem("K3,K3")).violation
+        v = verify(Graph(6).complement(), parse_problem("K3,K3")).violation
         assert "clique=" in str(v)
         v = verify_gr(MultiColoring(5, 3), parse_problem("GR:3,K4,2")).violation
         assert "colors={1}" in str(v)
