@@ -9,14 +9,14 @@ counts a path's last two edges as one popcount of common neighbors.  Book
 and wheel deltas can instead read a cache kept current across toggles:
 CodegreeCache holds the codegree matrix, and WheelCache per-hub rim-path
 tables of which a toggle rebuilds only the hubs it can change.
-For books and cliques, changed_pairs gives the pairs whose delta a toggle
-can change: for books the pairs meeting the toggled edge or joining its
-common neighborhood to its neighborhood union, for cliques the pairs
-meeting the edge or inside its common neighborhood.  A caller holding
-every pair's delta (the tabu scorer does) hands those pairs to
-update_table, which corrects each entry in place by the few terms the
-toggle moved and recomputes none.  The hubs a wheel toggle rebuilds reach
-most pairs, so a wheel table is recomputed whole instead.  The GR
+A caller holding every pair's book or clique delta (the tabu scorer does)
+brings it up to date after a toggle with update_book_table or
+update_clique_table.  Each corrects in place, by the few terms the toggle
+moved, exactly the pairs whose delta it can change, and recomputes none:
+for books the pairs meeting the toggled edge or joining its common
+neighborhood to its neighborhood union, for cliques the pairs meeting the
+edge or inside its common neighborhood.  The hubs a wheel toggle rebuilds
+reach most pairs, so a wheel table is recomputed whole instead.  The GR
 score has only its full form here; its recolor delta lives in the tabu
 scorer, which keeps the union graphs the delta needs and sums clique
 completions over them.  Counts are plain Python ints (arbitrary
@@ -36,7 +36,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError
-from .graphs import Graph, MultiColoring, _peel_2core, bits_of
+from .graphs import Graph, MultiColoring, _peel_2core, bits_of, pair_index
 from .problems import Book, Clique, GeneralizedProblem, Shape, Wheel
 
 
@@ -132,37 +132,6 @@ class WheelCache:
             self._rebuild(rows, h)
 
 
-def changed_pairs(shape: Book | Clique, rows: list[int], a: int, b: int) -> list[int]:
-    """The pairs whose toggle delta for a book or clique `shape` a toggle of
-    edge (a, b) can change, as one mask per vertex y of the partners x < y,
-    so pair_iter order.  With I = N(a) ∩ N(b) and U = N(a) ∪ N(b):
-      books    the pairs meeting {a, b}, and those with one end in I and
-               the other in U: a book delta reads codegrees at its ends,
-               and only cd(a, x) for x in N(b) and cd(b, x) for x in N(a)
-               change;
-      cliques  the pairs meeting {a, b}, and those inside I: a clique delta
-               counts cliques in N(x) ∩ N(y), which holds the edge ab
-               exactly when x and y are both in I.
-    The rule reads no row but a's and b's, and those only off {a, b}, so it
-    holds before or after the toggle."""
-    n = len(rows)
-    ends = 1 << a | 1 << b
-    inner = rows[a] & rows[b]  # holds neither a nor b
-    outer = (rows[a] | rows[b]) & ~ends if isinstance(shape, Book) else inner
-    out = []
-    for y in range(n):
-        if ends >> y & 1:
-            reach = ~0
-        elif inner >> y & 1:
-            reach = ends | outer
-        elif outer >> y & 1:
-            reach = ends | inner
-        else:
-            reach = ends
-        out.append(reach & ((1 << y) - 1))
-    return out
-
-
 def _page_moves(pages: list[int], cdz: list[int], inner: int, d: int) -> tuple:
     """The move of pages[cd(z, w) - o] a toggle of (z, f) made, for each w
     in inner = N(z) ∩ N(f), as two lists over vertices at o = 0 and o = 1,
@@ -185,131 +154,123 @@ def _page_moves(pages: list[int], cdz: list[int], inner: int, d: int) -> tuple:
     return at0, at1
 
 
-def update_table(
-    shape: Book | Clique,
-    rows: list[int],
-    table: list[int],
-    a: int,
-    b: int,
-    masks: list[int],
-    cache: CodegreeCache | None = None,
-    pages: list[int] | None = None,
+def update_book_table(
+    rows: list[int], table: list[int], a: int, b: int, cd: list[list[int]], pages: list[int]
 ) -> None:
-    """Bring `table`, the toggle delta of a book or clique `shape` at every
-    pair in pair_iter order, up to date after a toggle of edge (a, b).
-    `rows`, and a book's `cache`, already hold the toggle; `masks` are
-    changed_pairs' masks, and only the pairs they name are touched.  Each
-    entry is corrected in place; none is recomputed.  A book passes
-    `pages`, C(i, k - 1) at i = 0 .. n - 1.
-    With d = +1 for an added edge and -1 for a removed one, I = N(a) ∩ N(b),
-    o the edge bit of the pair and sign(o) = -1 on an edge:
-      books    an entry is sign(o) times C(cd, k) at the pair plus, for each
-               page z, pages[cd(e, z) - o] at both ends e.  The entry at
-               (a, b) only negates.  With (e, f) standing for (a, b) or
-               (b, a) and x off {a, b}, (e, x) gains, for each z in
-               I ∩ N(x), the move of pages[cd(e, z) - o], as cd(e, z) moved
-               by d; and if x is in N(f), cd(e, x) moved by d, so C(cd, k)
-               moved by d·pages[the smaller cd(e, x)], and the page f joins
-               or leaves, adding d·(pages[cd(a, b) - o] + pages[cd(x, f) - o])
-               with cd(x, f) read where f is a page.  A pair off {a, b}
-               gains the same per-vertex move of pages[cd(e, z) - o] for
-               each page z in {a, b} ∩ N(x) ∩ N(y) at each end e in I; its
-               codegree, common neighbourhood and o do not change;
-      cliques  each case gains sign(o)·d times a smaller clique count:
-               (a, b) keeps its common neighbourhood and only negates;
-               (a, y) with y in N(b), whose N(a) ∩ N(y) gained or lost b,
-               gains the K_{s-3} in I ∩ N(y), and (b, y) with y in N(a)
-               likewise; a pair inside I gains the K_{s-4} in
-               N(x) ∩ N(y) ∩ I, the completions using ab; every other named
-               pair stays."""
+    """Bring `table`, the B_k toggle delta at every pair in pair_iter order,
+    up to date after a toggle of edge (a, b).  `rows` and the codegrees
+    `cd` already hold the toggle; `pages` is C(i, k - 1) at i = 0 .. n - 1.
+    Each entry is corrected in place; none is recomputed.  A book delta
+    reads codegrees at its ends, and only cd(a, x) for x in N(b) and
+    cd(b, x) for x in N(a) change, so with I = N(a) ∩ N(b) and
+    U = N(a) ∪ N(b) minus {a, b} only the pairs meeting {a, b} and those
+    with one end in I and the other in U are touched.
+    With d = +1 for an added edge and -1 for a removed one, o the edge bit
+    of the pair and sign(o) = -1 on an edge, an entry is sign(o) times
+    C(cd, k) at the pair plus, for each page z, pages[cd(e, z) - o] at both
+    ends e.  The entry at (a, b) only negates.  With (e, f) standing for
+    (a, b) or (b, a) and x off {a, b}, (e, x) gains, for each z in
+    I ∩ N(x), the move of pages[cd(e, z) - o], as cd(e, z) moved by d; and
+    if x is in N(f), cd(e, x) moved by d, so C(cd, k) moved by
+    d·pages[the smaller cd(e, x)], and the page f joins or leaves, adding
+    d·(pages[cd(a, b) - o] + pages[cd(x, f) - o]) with cd(x, f) read where
+    f is a page.  A pair off {a, b} gains the same per-vertex move of
+    pages[cd(e, z) - o] for each page z in {a, b} ∩ N(x) ∩ N(y) at each
+    end e in I; its codegree, common neighbourhood and o do not change."""
     ends = 1 << a | 1 << b
     ra, rb = rows[a], rows[b]
-    inner = ra & rb
+    inner = ra & rb  # holds neither a nor b
+    outer = (ra | rb) & ~ends
     d = 1 if ra >> b & 1 else -1
-    if isinstance(shape, Book):
-        cd = cache.cd
-        ab = cd[a][b]
-        grew = d > 0
-        near = 0  # the vertices with a neighbour in I
-        m = inner
+    ab = cd[a][b]
+    grew = d > 0
+    near = 0  # the vertices with a neighbour in I
+    m = inner
+    while m:
+        low = m & -m
+        m ^= low
+        near |= rows[low.bit_length() - 1]
+    moved = []  # the page moves of a, then of b
+    for e in (a, b):
+        f = a ^ b ^ e
+        re, rf, cde, cdf = rows[e], rows[f], cd[e], cd[f]
+        at0, at1 = _page_moves(pages, cde, inner, d)
+        moved.append((at0, at1))
+        m = (rf | near) & ~ends  # (e, x) moves only for x in N(f) or near I
         while m:
             low = m & -m
             m ^= low
-            near |= rows[low.bit_length() - 1]
-        moved = []  # the page moves of a, then of b
-        for e in (a, b):
-            f = a ^ b ^ e
-            re, rf, cde, cdf = rows[e], rows[f], cd[e], cd[f]
-            at0, at1 = _page_moves(pages, cde, inner, d)
-            moved.append((at0, at1))
-            m = (rf | near) & ~ends  # (e, x) moves only for x in N(f) or near I
-            while m:
-                low = m & -m
-                m ^= low
-                x = low.bit_length() - 1
-                lo, hi = (x, e) if x < e else (e, x)
-                if not masks[hi] >> lo & 1:
-                    continue
-                o = re >> x & 1
-                move = at1 if o else at0
-                c = 0
-                zs = inner & rows[x]
-                while zs:
-                    low = zs & -zs
-                    zs ^= low
-                    c += move[low.bit_length() - 1]
-                if rf >> x & 1:
-                    # f is a page in the new state when the edge grew and in
-                    # the old one otherwise, where cd(f, x) was larger by o
-                    fx = cdf[x] - o if grew else cdf[x]
-                    c += d * (pages[cde[x] - grew] + pages[ab - o] + pages[fx])
-                table[hi * (hi - 1) // 2 + lo] += -c if o else c
-        lo, hi = min(a, b), max(a, b)
-        if masks[hi] >> lo & 1:
-            table[hi * (hi - 1) // 2 + lo] *= -1
-        ma, mb = moved
-        for y, lower in enumerate(masks):
-            lower &= ~ends
-            if not lower or ends >> y & 1:
-                continue
-            base = y * (y - 1) // 2
-            row = rows[y]
-            pa = ra if ra >> y & 1 else 0  # a is a page of xy for x in pa
-            pb = rb if rb >> y & 1 else 0
-            m = lower & (pa | pb)
-            while m:
-                low = m & -m
-                m ^= low
-                x = low.bit_length() - 1
-                o = row >> x & 1
-                c = 0
-                if pa & low:  # the moves are 0 off I, where cd(x, a) did not move
-                    c += ma[o][x] + ma[o][y]
-                if pb & low:
-                    c += mb[o][x] + mb[o][y]
-                table[base + x] += -c if o else c
-        return
-    s = shape.k
-    sign = (d, -d)  # indexed by o
-    for y, lower in enumerate(masks):
+            x = low.bit_length() - 1
+            o = re >> x & 1
+            move = at1 if o else at0
+            c = 0
+            zs = inner & rows[x]
+            while zs:
+                low = zs & -zs
+                zs ^= low
+                c += move[low.bit_length() - 1]
+            if rf >> x & 1:
+                # f is a page in the new state when the edge grew and in
+                # the old one otherwise, where cd(f, x) was larger by o
+                fx = cdf[x] - o if grew else cdf[x]
+                c += d * (pages[cde[x] - grew] + pages[ab - o] + pages[fx])
+            lo, hi = (x, e) if x < e else (e, x)
+            table[hi * (hi - 1) // 2 + lo] += -c if o else c
+    table[pair_index(a, b)] *= -1
+    ma, mb = moved
+    ys = outer
+    while ys:
+        bit = ys & -ys
+        ys ^= bit
+        y = bit.bit_length() - 1
         base = y * (y - 1) // 2
         row = rows[y]
-        if ends >> y & 1:
-            far = rows[a ^ b ^ y]  # the other end's row
-            for x in bits_of(lower):
-                if ends >> x & 1:  # the pair (a, b)
-                    table[base + x] = -table[base + x]
-                elif far >> x & 1:
-                    c = count_cliques_in_mask(rows, inner & rows[x], s - 3)
-                    table[base + x] += sign[row >> x & 1] * c
-            continue
-        for x in bits_of(lower):
-            if not ends >> x & 1:  # x and y in I
-                c = count_cliques_in_mask(rows, inner & row & rows[x], s - 4)
-            elif rows[a ^ b ^ x] >> y & 1:
-                c = count_cliques_in_mask(rows, inner & row, s - 3)
-            else:
-                continue
+        pa = ra if ra & bit else 0  # a is a page of xy for x in pa
+        pb = rb if rb & bit else 0
+        m = (outer if inner & bit else inner) & (bit - 1)  # y's partners x < y
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            o = row >> x & 1
+            c = 0
+            if pa & low:  # the moves are 0 off I, where cd(x, a) did not move
+                c += ma[o][x] + ma[o][y]
+            if pb & low:
+                c += mb[o][x] + mb[o][y]
+            table[base + x] += -c if o else c
+
+
+def update_clique_table(rows: list[int], table: list[int], a: int, b: int, s: int) -> None:
+    """Bring `table`, the K_s toggle delta at every pair in pair_iter order,
+    up to date after a toggle of edge (a, b) that `rows` already holds.
+    Each entry is corrected in place; none is recomputed.  A clique delta
+    counts cliques in N(x) ∩ N(y), which holds the edge ab exactly when x
+    and y are both in I = N(a) ∩ N(b), so only the pairs meeting {a, b}
+    and those inside I are touched.  With d = +1 for an added edge and -1
+    for a removed one, o the edge bit of the pair and sign(o) = -1 on an
+    edge, each gains sign(o)·d times a smaller clique count: (a, b) keeps
+    its common neighbourhood and only negates; with (e, f) standing for
+    (a, b) or (b, a), (e, y) with y in N(f), whose N(e) ∩ N(y) gained or
+    lost f, gains the K_{s-3} in I ∩ N(y); a pair inside I gains the
+    K_{s-4} in N(x) ∩ N(y) ∩ I, the completions using ab.  The other pairs
+    meeting {a, b} stay."""
+    ends = 1 << a | 1 << b
+    inner = rows[a] & rows[b]
+    d = 1 if rows[a] >> b & 1 else -1
+    sign = (d, -d)  # indexed by o
+    for e in (a, b):
+        re = rows[e]
+        for y in bits_of(rows[a ^ b ^ e] & ~ends):
+            c = count_cliques_in_mask(rows, inner & rows[y], s - 3)
+            lo, hi = (y, e) if y < e else (e, y)
+            table[hi * (hi - 1) // 2 + lo] += sign[re >> y & 1] * c
+    table[pair_index(a, b)] *= -1
+    for y in bits_of(inner):
+        base = y * (y - 1) // 2
+        row = rows[y]
+        for x in bits_of(inner & ((1 << y) - 1)):
+            c = count_cliques_in_mask(rows, inner & row & rows[x], s - 4)
             table[base + x] += sign[row >> x & 1] * c
 
 

@@ -74,17 +74,6 @@ def _degrees(color_rows: list[list[int]]) -> list[list[int]]:
     return [[row.bit_count() for row in rows] for rows in color_rows]
 
 
-def vertex_invariants(obj: Graph | MultiColoring) -> list[tuple]:
-    """The invariant that picks the canonical deletion, for every vertex.
-    A graph is its one edge class; a coloring has one class per color."""
-    if isinstance(obj, Graph):
-        color_rows = [obj.rows]
-    else:
-        color_rows = [obj.color_class(c).rows for c in range(1, obj.r + 1)]
-    degs = _degrees(color_rows)
-    return [_invariant(color_rows, degs, v) for v in range(obj.n)]
-
-
 def _last_wins(color_rows: list[list[int]], rivals) -> bool:
     """Is the last vertex's invariant at least that of every rival?"""
     degs = _degrees(color_rows)
@@ -241,7 +230,7 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> Chil
 def extend_one(obj: Graph | MultiColoring, problem: Problem) -> Children:
     """The valid labeled children of a valid parent, one vertex larger,
     whose new vertex (the last one) reaches the largest value of
-    ``vertex_invariants`` in the child.  The other valid children are
+    ``_invariant`` in the child.  The other valid children are
     dropped unkeyed: each of their classes also has a child of this kind,
     from the parent isomorphic to it minus a vertex of largest invariant.
     A two-color child whose neighborhood is the image of an earlier one's

@@ -14,11 +14,12 @@ The scorer below is the only incremental scorer, for both problem kinds.
 It keeps one union graph per side of the problem (a set of colors and a
 shape) current across recolorings, and with it a table of the side's
 toggle delta at every pair.  A move toggles its edge in the sides it
-touches and brings their tables up to date: a book or clique side corrects
-its entries in place at the pairs counting's changed_pairs names (those
-near the edge), through counting's update_table, and recomputes nothing; a
-wheel side recomputes its whole table through its delta.  A scan reads
-each candidate's delta as a sum of table entries and calls no counter.
+touches and brings their tables up to date: a book side through counting's
+update_book_table and a clique side through update_clique_table, each of
+which corrects in place only the pairs near the edge whose delta the
+toggle can change and recomputes nothing; a wheel side recomputes its
+whole table through its delta.  A scan reads each candidate's delta as a
+sum of table entries and calls no counter.
 Every 2**14 steps the maintained score is audited against a full recount
 from the coloring itself, so a drift in the side graphs or caches shows up
 even when the score still agrees with them, and each table against its
@@ -40,16 +41,16 @@ from .counting import (
     CodegreeCache,
     WheelCache,
     book_toggle_delta,
-    changed_pairs,
     count_cliques_in_mask,
     count_shape,
     shape_toggle_delta,
-    update_table,
+    update_book_table,
+    update_clique_table,
 )
 from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_index, pair_iter, state_hash
 from .pool import run_jobs
-from .problems import Book, Clique, Problem, Shape, TwoColorProblem, Wheel
+from .problems import Book, Clique, Problem, Shape, TwoColorProblem
 from .verify import verify_witness
 
 AUDIT_EVERY = 1 << 14
@@ -79,7 +80,7 @@ class _Side:
     """One side's union graph g, its cache (a book side's codegrees, a wheel
     side's rim paths, none for cliques), its toggle delta bound once,
     `table`, that delta at every pair in pair_iter order, and for a book
-    side `pages`, the binomials C(i, k - 1) its table corrections read."""
+    side `pages`, the binomials C(i, k - 1) that update_book_table reads."""
 
     __slots__ = ("shape", "g", "cache", "delta", "table", "pages")
 
@@ -95,18 +96,21 @@ class _Side:
 
     def toggle(self, u: int, v: int) -> None:
         """Toggle (u, v) in g, update the cache, then bring the table up to
-        date: a wheel side recomputes it whole, and a book or clique side
-        corrects it in place at the pairs changed_pairs names, calling no
-        delta."""
+        date: a book side corrects it in place through update_book_table
+        (the pairs meeting {u, v} and those joining N(u) ∩ N(v) to
+        N(u) ∪ N(v)), a clique side through update_clique_table (the pairs
+        meeting {u, v} and those inside N(u) ∩ N(v)), calling no delta, and
+        a wheel side recomputes it whole."""
         g, shape = self.g, self.shape
         g.toggle_edge(u, v)
         if self.cache is not None:
             self.cache.apply_toggle(g, u, v)
-        if isinstance(shape, Wheel):
-            self.table[:] = self.fresh_table()
+        if isinstance(shape, Book):
+            update_book_table(g.rows, self.table, u, v, self.cache.cd, self.pages)
+        elif isinstance(shape, Clique):
+            update_clique_table(g.rows, self.table, u, v, shape.k)
         else:
-            masks = changed_pairs(shape, g.rows, u, v)
-            update_table(shape, g.rows, self.table, u, v, masks, self.cache, self.pages)
+            self.table[:] = self.fresh_table()
 
 
 class _Scorer:

@@ -22,7 +22,8 @@ tabu-checks every candidate recoloring, where a tabu step hashes only the
 candidates at the least delta.  The exhaustive and seeded random
 generators of labeled graphs and colorings, and the small constructions
 (cycles, induced subgraphs and colorings, a vertex deleted), feed these
-checks.
+checks; ``vertex_invariants`` reads generation's own invariant at every
+vertex.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import comb
 
 from ramseykit.canon import are_isomorphic, canonical_key, coloring_canonical_key
 from ramseykit.errors import BudgetExceededError
-from ramseykit.generate import vertex_invariants
+from ramseykit.generate import _degrees, _invariant
 from ramseykit.graphs import VALID, Graph, MultiColoring, edge_color_hash, mask_state, pair_iter
 from ramseykit.polycirculant import (
     _STAGES,
@@ -350,6 +351,18 @@ def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
                         frontier.append(child)
         levels.append(seen)
     return levels
+
+
+def vertex_invariants(obj: Graph | MultiColoring) -> list[tuple]:
+    """Generation's invariant, the one that picks the canonical deletion,
+    for every vertex.  A graph is its one edge class; a coloring has one
+    class per color."""
+    if isinstance(obj, Graph):
+        color_rows = [obj.rows]
+    else:
+        color_rows = [obj.color_class(c).rows for c in range(1, obj.r + 1)]
+    degs = _degrees(color_rows)
+    return [_invariant(color_rows, degs, v) for v in range(obj.n)]
 
 
 def two_color_children_naive(g: Graph, problem: TwoColorProblem) -> list:

@@ -7,7 +7,7 @@ from hypothesis import strategies as hs
 from ramseykit.canon import canonical_key, coloring_canonical_key
 from ramseykit.errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from ramseykit.formats import read_color_matrices, read_graph6_lines
-from ramseykit.generate import _keyed_stripe, extend_one, generate_levels, vertex_invariants
+from ramseykit.generate import _keyed_stripe, extend_one, generate_levels
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import TwoColorProblem, parse_problem
 from ramseykit.verify import verify_witness
@@ -19,6 +19,7 @@ from oracles import (
     generate_keys_naive,
     multicolor_children_naive,
     two_color_children_naive,
+    vertex_invariants,
 )
 
 K33 = parse_problem("K3,K3")

@@ -266,28 +266,30 @@ class TestReverification:
                 tabu_step(st)
 
     @pytest.mark.parametrize("spec", ["B2,B8", "K4,K4", "GR:3,K5,2"])
-    def test_audit_catches_a_pair_dropped_from_the_changed_pair_rule(self, monkeypatch, spec):
-        # a rule that misses one pair off the toggled edge leaves a stale
-        # table entry; the table audit must see it in the step it happens
+    def test_audit_catches_a_dropped_off_edge_correction(self, monkeypatch, spec):
+        # a corrector that misses one pair off the toggled edge leaves a
+        # stale table entry; the table audit must see it in the step it
+        # happens
         monkeypatch.setattr(tabu, "AUDIT_EVERY", 1)
         st = init_state(parse_problem(spec), 12, seed=4)
-        for _ in range(10):  # the real rule does not drift
+        for _ in range(10):  # the real correctors do not drift
             if st.score == 0:
                 break
             tabu_step(st)
-        real = tabu.changed_pairs
 
-        def drop_one_pair(shape, rows, a, b):
-            masks = real(shape, rows, a, b)
-            ends = 1 << a | 1 << b
-            for y, lower in enumerate(masks):
-                off_edge = lower & ~ends
-                if off_edge and not ends >> y & 1:
-                    masks[y] ^= off_edge & -off_edge  # its lowest partner
-                    break
-            return masks
+        def drop_one_pair(real):
+            def corrector(rows, table, a, b, *rest):
+                before = table[:]
+                real(rows, table, a, b, *rest)
+                for i, (x, y) in enumerate(pair_iter(len(rows))):
+                    if table[i] != before[i] and not {x, y} & {a, b}:
+                        table[i] = before[i]  # the first one it moved
+                        break
 
-        monkeypatch.setattr(tabu, "changed_pairs", drop_one_pair)
+            return corrector
+
+        for name in ("update_book_table", "update_clique_table"):
+            monkeypatch.setattr(tabu, name, drop_one_pair(getattr(tabu, name)))
         st = init_state(parse_problem(spec), 12, seed=4)
         with pytest.raises(VerificationError, match="delta table drifted"):
             for _ in range(10):
