@@ -6,7 +6,9 @@ and optionally over color permutations for multicolorings.  The tree is
 ordered-partition refinement with backtracking individualization: a node
 refines its ordered partition to an equitable one and branches on each
 vertex of its first non-singleton cell (the target cell); a leaf is a
-discrete partition, read as a vertex ordering.
+discrete partition, read as a vertex ordering.  Every input goes through
+this one search, edgeless and complete graphs and one-color colorings
+included.
 
 Refinement splits every cell at once by its members' neighbour counts in
 each color against the cells, sorting the pieces by those counts, and
@@ -250,14 +252,8 @@ def _graph_search(g: Graph) -> _Search:
 def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     """Canonical key and one ordering that attains it (vertex at position i)."""
     _check_cap(g.n)
-    n = g.n
-    pairs = n * (n - 1) // 2
-    edges = g.edge_count()
-    if n == 1 or edges in (0, pairs):
-        key, order = bytes([edges > 0]) * pairs, tuple(range(n))
-    else:
-        key, order = _graph_search(g).run()
-    return b"G" + bytes([n]) + key, order
+    key, order = _graph_search(g).run()
+    return b"G" + bytes([g.n]) + key, order
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -267,16 +263,9 @@ def canonical_key(g: Graph) -> bytes:
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Automorphisms of g, as tuples p with vertex v mapped to p[v], that
     one canonical-labeling search of g finds: at most GEN_CAP of them, and
-    none when g is asymmetric.  For an empty or complete graph, where no
-    search runs, a transposition and an n-cycle, which generate S_n."""
+    none when g is asymmetric.  Every graph goes through the search,
+    edgeless and complete ones included."""
     _check_cap(g.n)
-    n = g.n
-    if n == 1:
-        return []
-    if g.edge_count() in (0, n * (n - 1) // 2):
-        swap = (1, 0) + tuple(range(2, n))
-        turn = tuple(range(1, n)) + (0,)
-        return [swap] if swap == turn else [swap, turn]
     search = _graph_search(g)
     search.run()
     return [perm for perm, _ in search.gens]
@@ -286,16 +275,12 @@ def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes
     """Canonical key of a coloring under vertex relabeling, and under color
     permutation too when swap_colors is set.
 
-    All r! color permutations are searched; each search after the first
-    only looks for keys strictly below the best so far.
+    All r! color permutations are searched, for every coloring, one-color
+    ones included; each search after the first only looks for keys strictly
+    below the best so far.
     """
     _check_cap(mc.n)
     n, r = mc.n, mc.r
-    head = b"C" + bytes([n, r])
-    used = set(mc.colors)
-    if len(used) <= 1:
-        color = 1 if swap_colors or not used else used.pop()
-        return head + bytes([color]) * len(mc.colors)
     base = [[0] * n for _ in range(n)]
     by_color = [[0] * n for _ in range(r + 1)]
     for (u, v), c in zip(pair_iter(n), mc.colors):
@@ -318,7 +303,7 @@ def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes
         key, _ = _Search(n, val, masks, best, gens).run()
         if key is not None:
             best = key
-    return head + best
+    return b"C" + bytes([n, r]) + best
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

@@ -311,10 +311,12 @@ def generate_levels(
     returns, the symmetric images it does not key included; the ones the
     invariant filter drops are not counted.  Going past it raises
     ``BudgetExceededError`` whose ``partial`` is the ``GenerationResult`` of
-    the levels finished so far."""
+    the levels finished so far; a negative budget raises ``InputError``."""
     two_color = isinstance(problem, TwoColorProblem)
     if n_max < 1:
         raise InputError("n_max must be at least 1")
+    if child_budget < 0:
+        raise InputError(f"child budget must be at least 0, not {child_budget}")
     if n_max > 12:
         raise CapabilityError("generation is desk-scale only: n_max capped at 12")
     if not two_color and problem.r > 4:

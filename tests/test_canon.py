@@ -87,6 +87,28 @@ def test_are_isomorphic_spot_cases():
     assert not are_isomorphic(cycle_graph(5), Graph(5).complement())
 
 
+@pytest.mark.parametrize("gen_cap", [canon.GEN_CAP, 0])
+def test_trivial_inputs_take_the_constant_key(monkeypatch, gen_cap):
+    # edgeless and complete graphs and one-color colorings have one key per
+    # order, whatever automorphisms the search keeps
+    monkeypatch.setattr(canon, "GEN_CAP", gen_cap)
+    for n in list(range(1, 13)) + [N_CAP]:
+        pairs = n * (n - 1) // 2
+        for g, bit in ((Graph(n), 0), (Graph(n).complement(), 1)):
+            key, order = canonical_form(g)
+            assert key == b"G" + bytes([n]) + bytes([bit]) * pairs
+            # every ordering of these graphs realizes the key
+            assert sorted(order) == list(range(n))
+    for n in range(1, 9):
+        pairs = n * (n - 1) // 2
+        for r in range(2, 5):
+            head = b"C" + bytes([n, r])
+            for c in range(1, r + 1):
+                mc = MultiColoring(n, r, [c] * pairs)
+                assert coloring_canonical_key(mc) == head + bytes([1]) * pairs
+                assert coloring_canonical_key(mc, swap_colors=False) == head + bytes([c]) * pairs
+
+
 def test_cap_enforced():
     with pytest.raises(CapabilityError):
         canonical_key(Graph(N_CAP + 1))
@@ -209,6 +231,8 @@ def group_order(n, gens):
         (Graph(5).complement(), 120),
         (Graph(2), 2),
         (Graph(1), 1),
+        (Graph(6), 720),
+        (Graph(3).complement(), 6),
     ],
 )
 def test_automorphisms_generate_the_group(g, order):

@@ -301,6 +301,11 @@ class TestLimitsAndModes:
         with pytest.raises(CapabilityError):
             generate_levels(parse_problem("GR:5,K4,2"), 6)
 
+    def test_negative_budget_is_refused(self):
+        # as the census refuses a negative budget, before any level is built
+        with pytest.raises(InputError, match="child budget must be at least 0, not -1"):
+            generate_levels(B2B8, 7, child_budget=-1)
+
     def test_budget_carries_partial_counts(self):
         with pytest.raises(BudgetExceededError) as ei:
             generate_levels(B2B8, 7, child_budget=300)
