@@ -2,7 +2,7 @@
 
 The key is the lexicographically smallest byte string of the upper-triangle
 color matrix (column-major pair order) over the leaves of a search tree,
-and optionally over color permutations for multicolorings.  The tree is
+and for a multicoloring over every color permutation as well.  The tree is
 ordered-partition refinement with backtracking individualization: a node
 refines its ordered partition to an equitable one and branches on each
 vertex of its first non-singleton cell (the target cell); a leaf is a
@@ -49,8 +49,10 @@ from .errors import CapabilityError
 from .graphs import Graph, MultiColoring, pair_iter
 
 N_CAP = 32
-# automorphisms kept per search for nodes entered later; each one found is
-# still used at once on the current path, so the cap only bounds memory
+# automorphisms stored per search.  Each one found is used at once on the
+# current path; a stored one is also absorbed at every later node whose path
+# it fixes, which costs time as well as memory.  automorphisms() returns the
+# stored list, and a coloring's later color-permutation searches start from it
 GEN_CAP = 64
 
 
@@ -271,9 +273,9 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return [perm for perm, _ in search.gens]
 
 
-def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes:
-    """Canonical key of a coloring under vertex relabeling, and under color
-    permutation too when swap_colors is set.
+def coloring_canonical_key(mc: MultiColoring) -> bytes:
+    """Canonical key of a coloring under vertex relabeling and color
+    permutation.
 
     All r! color permutations are searched, for every coloring, one-color
     ones included; each search after the first only looks for keys strictly
@@ -288,11 +290,10 @@ def coloring_canonical_key(mc: MultiColoring, swap_colors: bool = True) -> bytes
         by_color[c][u] |= 1 << v
         by_color[c][v] |= 1 << u
     color_range = range(1, r + 1)
-    perms = itertools.permutations(color_range) if swap_colors else [tuple(color_range)]
     best = None
     # renaming colors keeps every automorphism, so all the searches share them
     gens: list = []
-    for perm in perms:
+    for perm in itertools.permutations(color_range):
         new = (0,) + perm                   # color c is renamed new[c]
         old = [0] * (r + 1)
         for c in color_range:

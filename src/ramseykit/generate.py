@@ -244,20 +244,14 @@ def extend_one(obj: Graph | MultiColoring, problem: Problem) -> Children:
     return _multicolor_children(obj, problem)
 
 
-def _canon(obj, two_color: bool) -> bytes:
-    if two_color:
-        return canonical_key(obj)
-    return coloring_canonical_key(obj, swap_colors=True)
-
-
 def _keyed_children(parent, problem: Problem) -> list[tuple[bytes | None, object]]:
     """(canonical key, child) for every child extend_one returns, in order,
     with None for the key of an image.  Worker processes run this, so keys
     are made where the children are."""
-    two_color = isinstance(problem, TwoColorProblem)
+    key = canonical_key if isinstance(problem, TwoColorProblem) else coloring_canonical_key
     children = extend_one(parent, problem)
     return [
-        (None if i in children.images else _canon(child, two_color), child)
+        (None if i in children.images else key(child), child)
         for i, child in enumerate(children)
     ]
 

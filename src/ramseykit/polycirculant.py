@@ -7,11 +7,12 @@ arbitrary difference set per block pair (off-diagonal).  Vertex (a, i) for
 block a in 1..k and index i in Z_m is labeled (a-1)*m + i.
 
 Internally a connection set S_ab is an int mask (bit d set iff d in S_ab),
-and the realizer builds rows by rotation: the row of (a, i) is the row of
-(a, 0) with each block rotated left by i, where block b of the row of (a, 0)
-holds S_ab, and S_ba is the negated mask {-d mod m}.  The census scan works
-on masks from its option lists to its state tables and probe graphs; only
-the specs it emits become frozenset-based ``PolycirculantSpec`` objects.
+and one realizer, ``_realize``, makes every graph from masks by rotation:
+the row of (a, i) is the row of (a, 0) with each block rotated left by i,
+where block b of the row of (a, 0) holds S_ab, and S_ba is the negated mask
+{-d mod m}.  The census scan works on masks from its option lists to its
+state tables and probe graphs; only the specs it emits become
+frozenset-based ``PolycirculantSpec`` objects.
 
 Because rho is vertex-transitive on each block, a forbidden shape exists in
 a realized graph iff one exists through some block representative, so one
@@ -135,8 +136,9 @@ def _least_images(m: int):
     return least_masks(m, [[(d + 1) % m for d in range(m)], [-d % m for d in range(m)]])
 
 
-def _realize(k: int, m: int, diag, off) -> list[int]:
-    """Rows of the k-polycirculant graph with connection masks diag and off.
+def _realize(k: int, m: int, diag, off) -> Graph:
+    """The k-polycirculant graph with connection masks diag and off; the
+    block rotation is an automorphism by construction.
 
     The row of (a, i) is, over every block b, S_ab rotated left by i and
     placed in block b, where S_ba is S_ab negated; blocks share no bits, so
@@ -151,14 +153,12 @@ def _realize(k: int, m: int, diag, off) -> list[int]:
         for table in rest:
             first = map(or_, first, table)
         rows += first
-    return rows
+    return Graph(k * m, rows)
 
 
 def build(spec: PolycirculantSpec) -> Graph:
-    """Realize the spec; the block rotation is an automorphism by construction."""
-    diag = [_mask(S) for S in spec.diag]
-    off = [_mask(S) for S in spec.off]
-    return Graph(spec.n, _realize(spec.k, spec.m, diag, off))
+    """Realize the spec."""
+    return _realize(spec.k, spec.m, [_mask(S) for S in spec.diag], [_mask(S) for S in spec.off])
 
 
 def _diag_options(m: int) -> list[int]:
@@ -170,10 +170,6 @@ def _diag_options(m: int) -> list[int]:
     ]
 
 
-def _circulant(m: int, S: int) -> Graph:
-    return Graph(m, _realize(1, m, (S,), ()))
-
-
 def _through_reps(g: Graph, m: int, shape) -> bool:
     """Does shape pass through some block representative 0, m, 2m, ... of g?"""
     return any(has_shape_through(g, x, shape) for x in range(0, g.n, m))
@@ -182,7 +178,7 @@ def _through_reps(g: Graph, m: int, shape) -> bool:
 def _probe(k: int, m: int, diag, off, problem: TwoColorProblem) -> Graph | None:
     """The realized graph, or None when a left shape passes through a block
     representative in it, or a right shape does in its complement."""
-    g = Graph(k * m, _realize(k, m, diag, off))
+    g = _realize(k, m, diag, off)
     if _through_reps(g, m, problem.left) or _through_reps(g.complement(), m, problem.right):
         return None
     return g
@@ -195,7 +191,7 @@ def _pair_table(m: int, diag: tuple[int, int], problem):
 
     def left(S: int) -> bool:
         nonlocal g
-        g = Graph(2 * m, _realize(2, m, diag, (S,)))
+        g = _realize(2, m, diag, (S,))
         return _through_reps(g, m, problem.left)
 
     def right(S: int) -> bool:
@@ -206,17 +202,13 @@ def _pair_table(m: int, diag: tuple[int, int], problem):
 
 def _valid_masks(m: int, diag: tuple[int, int], problem):
     """The off-diagonal masks of the valid 2-block graphs with diagonal masks
-    diag, ascending.  One ascending pass runs ``mask_state`` only on masks
-    that are their own least image; every other mask copies the state of its
-    image, decided before it."""
+    diag, ascending.  One ascending pass runs ``mask_state`` on every mask;
+    a mask that is not its own least image takes the state of that image,
+    decided before it, and is never realized."""
     table, left, right = _pair_table(m, diag, problem)
     least = _least_images(m)
     for S in range(1 << m):
-        if least[S] == S:
-            state = mask_state(table, least, S, left, right)
-        else:
-            state = table[S] = table[least[S]]
-        if state == VALID:
+        if mask_state(table, least, S, left, right) == VALID:
             yield S
 
 
@@ -340,14 +332,14 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
                     descend(outer, diag + (S,))
         elif k == 1:
             leaf()
-            keep(outer, diag, (), _circulant(m, diag[0]))
+            keep(outer, diag, (), _realize(1, m, diag, ()))
         elif k == 2:
             for S12 in passing(*diag):
                 leaf()
                 if least[S12] == S12 and (not complement_blocks or are_isomorphic(
-                    _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
+                    _realize(1, m, diag[:1], ()), _realize(1, m, diag[1:], ()).complement()
                 )):
-                    keep(outer, diag, (S12,), Graph(2 * m, _realize(2, m, diag, (S12,))))
+                    keep(outer, diag, (S12,), _realize(2, m, diag, (S12,)))
         else:
             S1, S2, S3 = diag
             for S12 in passing(S1, S2):
@@ -459,7 +451,7 @@ def lemma_witness(n: int) -> Graph:
             continue
         S12 = next(_valid_masks(m, diag, problem), None)
         if S12 is not None:
-            g = Graph(2 * m, _realize(2, m, diag, (S12,)))
+            g = _realize(2, m, diag, (S12,))
             verdict = verify(g, problem)
             if not verdict.valid:
                 raise VerificationError(f"lemma witness failed verification: {verdict.violation}")

@@ -37,7 +37,6 @@ from ramseykit.generate import _degrees, _invariant
 from ramseykit.graphs import VALID, Graph, MultiColoring, edge_color_hash, mask_state, pair_iter
 from ramseykit.polycirculant import (
     _STAGES,
-    _circulant,
     _diag_options,
     _least_images,
     _pair_table,
@@ -281,9 +280,9 @@ def census_stripe_naive(k, m, problem, complement_blocks, outers, budget):
         counts["leaves"] += 1
         if k == 2 and least[off[0]] != off[0]:
             return
-        g = _probe(k, m, diag, off, problem) if k >= 3 else Graph(k * m, _realize(k, m, diag, off))
+        g = _probe(k, m, diag, off, problem) if k >= 3 else _realize(k, m, diag, off)
         if g is None or (complement_blocks and not are_isomorphic(
-            _circulant(m, diag[0]), _circulant(m, diag[1]).complement()
+            _realize(1, m, diag[:1], ()), _realize(1, m, diag[1:], ()).complement()
         )):
             return
         found.append((outer, len(found), _spec(k, m, diag, off), g))
@@ -331,9 +330,7 @@ def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
             return (g.add_vertex(mask) for mask in range(1 << g.n))
     else:
         frontier = [MultiColoring(1, problem.r)]
-
-        def key(mc):
-            return coloring_canonical_key(mc, swap_colors=True)
+        key = coloring_canonical_key
 
         def children(mc):
             colors = range(1, problem.r + 1)

@@ -85,11 +85,7 @@ class TestAgainstUnfilteredOracle:
         # the invariant filter may change which child represents a class,
         # never which classes there are
         problem = parse_problem(text)
-        if isinstance(problem, TwoColorProblem):
-            key = canonical_key
-        else:
-            def key(mc):
-                return coloring_canonical_key(mc, swap_colors=True)
+        key = canonical_key if isinstance(problem, TwoColorProblem) else coloring_canonical_key
         levels = dumped_levels(problem, n_max, tmp_path)
         got = [{key(obj) for obj in level} for level in levels]
         want = generate_keys_naive(problem, n_max)
@@ -161,7 +157,7 @@ class TestLevelContents:
         levels = dumped_levels(GR443, 6, tmp_path)
         assert len(levels) == 6
         for order, level in enumerate(levels, 1):
-            keys = [coloring_canonical_key(mc, swap_colors=True) for mc in level]
+            keys = [coloring_canonical_key(mc) for mc in level]
             assert len(set(keys)) == len(keys)
             for mc in level:
                 assert mc.n == order
