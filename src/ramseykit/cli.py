@@ -30,7 +30,7 @@ from .fixtures import run_fixture_suite
 from .formats import emit_color_matrix, graph6_encode, read_color_matrices, read_graph6_lines
 from .generate import generate_levels
 from .graphs import Graph, MultiColoring
-from .polycirculant import enumerate_census
+from .polycirculant import CensusResult, enumerate_census
 from .problems import TwoColorProblem, parse_problem
 from .tabu import run_parallel
 from .verify import verify_witness
@@ -160,9 +160,16 @@ def cmd_polycirc(args) -> int:
     result = enumerate_census(
         args.k, args.m, problem, complement_blocks=blocks, budget=args.budget, workers=args.workers
     )
-    for line in result.lines():
+    for line in _census_lines(result):
         print(line)
     return 0
+
+
+def _census_lines(census: CensusResult) -> list[str]:
+    """The census's lines with its summary as a '#' comment, so the output
+    reads back through ``verify``."""
+    *graphs, summary = census.lines()
+    return graphs + ["# " + summary]
 
 
 def cmd_fixtures(args) -> int:
@@ -243,7 +250,9 @@ def main(argv=None) -> int:
         return 1
     except BudgetExceededError as exc:
         print(f"limit: {exc}", file=sys.stderr)
-        for line in exc.partial.lines():
+        partial = exc.partial
+        lines = _census_lines(partial) if isinstance(partial, CensusResult) else partial.lines()
+        for line in lines:
             print(line)
         return 3
     except CapabilityError as exc:

@@ -5,6 +5,8 @@ order, six bits per printable byte (value + 63).  We accept the one-byte
 order header for n <= 62 and the four-byte 126-prefixed header for
 63 <= n <= 258047.  Decoding is strict: every byte must lie in [63, 126],
 the byte count must match the order exactly, and padding bits must be zero.
+In a file of graph6 lines, '#' lines are comments, and so is the rest of a
+line from whitespace followed by '#' (the census writes its specs so).
 
 Color matrices are whitespace-separated integer rows, one row per vertex,
 with 0 on the diagonal and colors 1..r off it.  Blank lines and '#' comment
@@ -14,8 +16,12 @@ order is the length of its first row.
 
 from __future__ import annotations
 
+import re
+from binascii import b2a_base64
+from itertools import zip_longest
+
 from .errors import MalformedInputError
-from .graphs import Graph, MultiColoring, pair_iter
+from .graphs import Graph, MultiColoring, rows_from_columns
 
 _N_MAX = 258047
 
@@ -44,8 +50,28 @@ def _decode_order(data: bytes) -> tuple[int, int]:
     return b0 - 63, 1
 
 
+# A graph6 byte is 63 plus a six-bit group.  A body is checked with one
+# translate that deletes the valid bytes, so the bad ones remain in order;
+# it is read through a table of each group's bit string, and written
+# through base64, whose 64 symbols are the same six-bit groups in another
+# alphabet.
+_G6_BYTES = bytes(range(63, 127))
+_SIX = [format(i, "06b") for i in range(64)]
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", _G6_BYTES
+)
+# Neither whitespace nor '#' is a graph6 byte, so cutting a line there
+# shortens no body; a '#' glued to a body stays, and is refused as a bad byte.
+_TRAILING_COMMENT = re.compile(r"\s+#")
+
+
 def graph6_decode(s: str | bytes) -> Graph:
-    """Decode one graph6 string (surrounding whitespace tolerated)."""
+    """Decode one graph6 string (surrounding whitespace tolerated).
+
+    The checks run in a fixed order: the order header, the body length, the
+    first byte outside [63, 126], then the padding bits.  The body is read
+    as one bit string; column v's v bits are the pairs (0, v) .. (v-1, v).
+    """
     if isinstance(s, str):
         if not s.isascii():
             raise MalformedInputError("graph6 text must be ASCII")
@@ -63,25 +89,23 @@ def graph6_decode(s: str | bytes) -> Graph:
         raise MalformedInputError(
             f"graph6 body has {len(body)} bytes, order {n} needs {need}"
         )
-    bits = 0
-    for b in body:
-        if not 63 <= b <= 126:
-            raise MalformedInputError(f"graph6 byte {b} outside [63, 126]")
-        bits = (bits << 6) | (b - 63)
-    pad = 6 * need - m
-    if pad and bits & ((1 << pad) - 1):
+    bad = body.translate(None, _G6_BYTES)
+    if bad:
+        raise MalformedInputError(f"graph6 byte {bad[0]} outside [63, 126]")
+    bits = "".join([_SIX[b - 63] for b in body])
+    if "1" in bits[m:]:
         raise MalformedInputError("nonzero padding bits in graph6 body")
-    bits >>= pad
-    g = Graph(n)
-    for u, v in reversed(list(pair_iter(n))):
-        if bits & 1:
-            g.add_edge(u, v)
-        bits >>= 1
-    return g
+    return Graph(n, rows_from_columns(n, bits))
 
 
 def graph6_encode(g: Graph) -> str:
-    """Encode a graph as a graph6 string."""
+    """Encode a graph as a graph6 string.
+
+    Column v is the lower v bits of ``rows[v]``, written lowest bit first;
+    the bit string, padded with zeros to a multiple of 24 bits, is
+    base64-encoded and mapped onto graph6's alphabet, and the groups past
+    graph6's own padding are dropped.
+    """
     n = g.n
     if n > _N_MAX:
         raise MalformedInputError("graph too large for graph6")
@@ -89,27 +113,26 @@ def graph6_encode(g: Graph) -> str:
         head = bytes([n + 63])
     else:
         head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    bits = 0
-    m = 0
-    for u, v in pair_iter(n):
-        bits = (bits << 1) | (g.rows[u] >> v & 1)
-        m += 1
-    pad = (6 - m % 6) % 6
-    bits <<= pad
-    body = bytearray()
-    for shift in range((m + pad) - 6, -6, -6):
-        body.append(((bits >> shift) & 63) + 63)
-    return (head + bytes(body)).decode("ascii")
+    rows = g.rows
+    bits = "".join([format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)])
+    m = len(bits)
+    pad = -m % 24
+    # the leading "0" makes the empty string of K1 a number too
+    raw = int("0" + bits + "0" * pad, 2).to_bytes((m + pad) // 8, "big")
+    body = b2a_base64(raw, newline=False).translate(_B64_TO_G6)[: (m + 5) // 6]
+    return (head + body).decode("ascii")
 
 
 def read_graph6_lines(text: str) -> list[tuple[int, Graph]]:
     """Decode one graph per nonblank line, keeping 1-based line numbers;
-    '#' lines are comments and the optional '>>graph6<<' header is skipped."""
+    '#' lines are comments, a '#' after whitespace starts a trailing one,
+    and the optional '>>graph6<<' header is skipped."""
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line.startswith(">>graph6<<"):
             line = line[len(">>graph6<<"):].strip()
+        line = _TRAILING_COMMENT.split(line, 1)[0]
         if not line or line.startswith("#"):
             continue
         try:
@@ -123,7 +146,10 @@ def parse_color_matrix(text: str, r: int | None = None) -> MultiColoring:
     """Parse a symmetric color matrix into a coloring.
 
     r defaults to the largest color present.  The matrix must be square,
-    symmetric, zero on the diagonal, and positive off it.
+    symmetric, zero on the diagonal, and positive off it.  Rows are checked
+    one by one for length and diagonal; symmetry is one comparison with the
+    transpose, and the colors are the column slices ``rows[v][:v]``.  Only
+    a matrix that fails is walked pair by pair, to name its first bad entry.
     """
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -131,7 +157,7 @@ def parse_color_matrix(text: str, r: int | None = None) -> MultiColoring:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append(list(map(int, line.split())))
         except ValueError:
             raise MalformedInputError(f"line {lineno}: non-integer entry") from None
     n = len(rows)
@@ -142,18 +168,19 @@ def parse_color_matrix(text: str, r: int | None = None) -> MultiColoring:
             raise MalformedInputError(f"row {i} has {len(row)} entries, expected {n}")
         if row[i] != 0:
             raise MalformedInputError(f"diagonal entry ({i},{i}) must be 0")
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise MalformedInputError(f"matrix not symmetric at ({i},{j})")
-            if rows[i][j] < 1:
-                raise MalformedInputError(f"edge color at ({i},{j}) must be positive")
-    top = max(rows[i][j] for i in range(n) for j in range(i)) if n > 1 else 1
+    colors = [c for v in range(1, n) for c in rows[v][:v]]
+    if rows != [list(col) for col in zip(*rows)] or (colors and min(colors) < 1):
+        for i in range(n):
+            for j in range(i):
+                if rows[i][j] != rows[j][i]:
+                    raise MalformedInputError(f"matrix not symmetric at ({i},{j})")
+                if rows[i][j] < 1:
+                    raise MalformedInputError(f"edge color at ({i},{j}) must be positive")
+    top = max(colors, default=1)
     if r is None:
         r = top
     elif top > r:
         raise MalformedInputError(f"color {top} exceeds declared color count {r}")
-    colors = [rows[u][v] for u, v in pair_iter(n)]
     return MultiColoring(n, r, colors)
 
 
@@ -183,10 +210,13 @@ def read_color_matrices(text: str, r: int) -> list[tuple[int, MultiColoring]]:
 
 
 def emit_color_matrix(mc: MultiColoring) -> str:
-    """Inverse of parse_color_matrix (single spaces, no comments)."""
+    """Inverse of parse_color_matrix (single spaces, no comments).
+
+    Row v is column v's slice of ``mc.colors`` (the pairs (u, v), u < v),
+    its 0, and the v-th entries of the later columns, read off their
+    transpose."""
     n = mc.n
-    grid = [[0] * n for _ in range(n)]
-    for u, v in pair_iter(n):
-        c = mc.get(u, v)
-        grid[u][v] = grid[v][u] = c
-    return "\n".join(" ".join(str(x) for x in row) for row in grid) + "\n"
+    text = list(map(str, mc.colors))
+    cols = [text[v * (v - 1) // 2:v * (v + 1) // 2] for v in range(n)]
+    later = list(zip_longest(*cols)) + [()]  # later[u][v] is cols[v][u] for v > u
+    return "\n".join(" ".join([*cols[v], "0", *later[v][v + 1:]]) for v in range(n)) + "\n"

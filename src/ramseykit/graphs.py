@@ -98,6 +98,26 @@ def mask_state(table, least, S: int, left, right) -> int:
     return state
 
 
+def rows_from_columns(n: int, bits) -> list[int]:
+    """Bit rows of the graph whose pair (u, v), u < v, is an edge when
+    ``bits[pair_index(u, v)]`` is "1": a str or bytes of 0s and 1s, read
+    column by column.  Column v is one slice of v characters, reversed
+    into the lower bits of row v; each of its set bits then sets bit v of
+    the row it names."""
+    rows = [0] * n
+    start = 0
+    for v in range(1, n):
+        low = int(bits[start:start + v][::-1], 2)
+        start += v
+        rows[v] = low
+        bit = 1 << v
+        while low:
+            u = low & -low
+            rows[u.bit_length() - 1] |= bit
+            low ^= u
+    return rows
+
+
 def _peel_2core(rows: list[int], mask: int) -> int:
     """Drop vertices with fewer than 2 neighbors inside mask, repeatedly.
     Cycles survive, so cycle counts are unchanged."""
@@ -151,8 +171,9 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
-        for u, v in pair_iter(self.n):
-            if self.rows[u] >> v & 1:
+        """Edges (u, v), u < v, in column-major pair order: each row's lower bits."""
+        for v, row in enumerate(self.rows):
+            for u in bits_of(row & ((1 << v) - 1)):
                 yield u, v
 
     def complement(self) -> "Graph":
@@ -221,17 +242,12 @@ class MultiColoring:
         return self.union_graph((c,))
 
     def union_graph(self, color_set) -> Graph:
-        """Graph of all edges whose color lies in color_set."""
-        want = set(color_set)
-        g = Graph(self.n)
-        idx = 0
-        for v in range(self.n):
-            for u in range(v):
-                if self.colors[idx] in want:
-                    g.rows[u] |= 1 << v
-                    g.rows[v] |= 1 << u
-                idx += 1
-        return g
+        """Graph of all edges whose color lies in color_set, built column by
+        column from the colors translated to a string of 0s and 1s."""
+        table = bytearray(b"0" * 256)
+        for c in color_set:
+            table[c] = ord("1")
+        return Graph(self.n, rows_from_columns(self.n, bytes(self.colors).translate(table)))
 
     def relabel(self, perm) -> "MultiColoring":
         out = MultiColoring(self.n, self.r)

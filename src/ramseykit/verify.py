@@ -57,16 +57,21 @@ class Verdict:
 
 
 def find_book(g: Graph, k: int) -> tuple[tuple[int, int], tuple[int, ...]] | None:
-    """First B_k embedding as (spine, pages), or None."""
+    """First B_k embedding as (spine, pages), or None.
+
+    Spines are tried in column-major edge order; an end of degree below
+    k + 1 (the other end and k pages) is skipped without a look."""
     rows = g.rows
-    for u, v in g.edges():
-        common = rows[u] & rows[v]
-        if common.bit_count() >= k:
-            pages = []
-            for x in bits_of(common):
-                pages.append(x)
-                if len(pages) == k:
-                    return (u, v), tuple(pages)
+    ends = sum(1 << v for v, row in enumerate(rows) if row.bit_count() > k)
+    for v in bits_of(ends):
+        for u in bits_of(rows[v] & ends & ((1 << v) - 1)):
+            common = rows[u] & rows[v]
+            if common.bit_count() >= k:
+                pages = []
+                for x in bits_of(common):
+                    pages.append(x)
+                    if len(pages) == k:
+                        return (u, v), tuple(pages)
     return None
 
 
@@ -76,10 +81,16 @@ def _cycle_from(rows: list[int], avail: int, x: int, length: int) -> list[int] |
     if avail.bit_count() < length - 1:
         return None
     path = [x]
+    close = rows[x]
 
     def dfs(v: int, avail: int, remaining: int) -> bool:
-        if remaining == 0:
-            return bool(rows[v] >> x & 1)
+        if remaining == 1:
+            # the last vertex must also close the cycle at x: the least one
+            # that does is the one a walk of rows[v] & avail would reach first
+            last = rows[v] & avail & close
+            if last:
+                path.append((last & -last).bit_length() - 1)
+            return bool(last)
         for w in bits_of(rows[v] & avail):
             path.append(w)
             if dfs(w, avail & ~(1 << w), remaining - 1):
@@ -116,8 +127,11 @@ def _clique_in(rows: list[int], P: int, need: int) -> tuple[int, ...] | None:
     chosen: list[int] = []
 
     def rec(P: int, need: int) -> bool:
-        if need == 0:
-            return True
+        if need == 1:
+            # any vertex of P completes the clique, and the least comes first
+            if P:
+                chosen.append((P & -P).bit_length() - 1)
+            return bool(P)
         while P:
             if P.bit_count() < need:
                 return False
@@ -130,7 +144,7 @@ def _clique_in(rows: list[int], P: int, need: int) -> tuple[int, ...] | None:
             chosen.pop()
         return False
 
-    return tuple(chosen) if rec(P, need) else None
+    return tuple(chosen) if need == 0 or rec(P, need) else None
 
 
 def find_clique(g: Graph, s: int) -> tuple[int, ...] | None:

@@ -23,7 +23,9 @@ candidates at the least delta.  The exhaustive and seeded random
 generators of labeled graphs and colorings, and the small constructions
 (cycles, induced subgraphs and colorings, a vertex deleted), feed these
 checks; ``vertex_invariants`` reads generation's own invariant at every
-vertex.
+vertex.  The codec references shift graph6 bits one pair at a time and
+check a color matrix entry by entry, where :mod:`ramseykit.formats` reads
+and writes whole columns as strings.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from ramseykit.canon import are_isomorphic, canonical_key, coloring_canonical_key
-from ramseykit.errors import BudgetExceededError
+from ramseykit.errors import BudgetExceededError, MalformedInputError
+from ramseykit.formats import _N_MAX, _decode_order
 from ramseykit.generate import _degrees, _invariant
 from ramseykit.graphs import VALID, Graph, MultiColoring, edge_color_hash, mask_state, pair_iter
 from ramseykit.polycirculant import (
@@ -424,3 +427,105 @@ def multicolor_children_naive(mc: MultiColoring, problem: GeneralizedProblem) ->
 
     rec(0)
     return out
+
+
+def graph6_decode_naive(s: str | bytes) -> Graph:
+    """graph6 decoding bit by bit: the body is read as one integer, each byte
+    checked as it is shifted in, and the pairs are walked backwards from its
+    lowest bit, one ``add_edge`` per edge.  The checks run in the order the
+    production decoder keeps: header, length, first bad byte, padding."""
+    if isinstance(s, str):
+        if not s.isascii():
+            raise MalformedInputError("graph6 text must be ASCII")
+        s = s.encode("ascii")
+    s = s.strip()
+    n, off = _decode_order(s)
+    if n < 1:
+        raise MalformedInputError("graph6 order must be at least 1")
+    if n > _N_MAX:
+        raise MalformedInputError("graph6 order too large")
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
+    body = s[off:]
+    if len(body) != need:
+        raise MalformedInputError(f"graph6 body has {len(body)} bytes, order {n} needs {need}")
+    bits = 0
+    for b in body:
+        if not 63 <= b <= 126:
+            raise MalformedInputError(f"graph6 byte {b} outside [63, 126]")
+        bits = (bits << 6) | (b - 63)
+    pad = 6 * need - m
+    if pad and bits & ((1 << pad) - 1):
+        raise MalformedInputError("nonzero padding bits in graph6 body")
+    bits >>= pad
+    g = Graph(n)
+    for u, v in reversed(list(pair_iter(n))):
+        if bits & 1:
+            g.add_edge(u, v)
+        bits >>= 1
+    return g
+
+
+def graph6_encode_naive(g: Graph) -> str:
+    """graph6 encoding one bit per pair in column-major order, then six bits
+    per byte."""
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    bits = 0
+    m = 0
+    for u, v in pair_iter(n):
+        bits = (bits << 1) | (g.rows[u] >> v & 1)
+        m += 1
+    pad = (6 - m % 6) % 6
+    bits <<= pad
+    body = bytearray()
+    for shift in range((m + pad) - 6, -6, -6):
+        body.append(((bits >> shift) & 63) + 63)
+    return (head + bytes(body)).decode("ascii")
+
+
+def parse_color_matrix_naive(text: str, r: int | None = None) -> MultiColoring:
+    """A color matrix checked entry by entry: each row's length and diagonal,
+    then each pair (i, j), j < i, in row order for symmetry and a positive
+    color, then the largest color against r."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise MalformedInputError(f"line {lineno}: non-integer entry") from None
+    n = len(rows)
+    if n < 1:
+        raise MalformedInputError("empty color matrix")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise MalformedInputError(f"row {i} has {len(row)} entries, expected {n}")
+        if row[i] != 0:
+            raise MalformedInputError(f"diagonal entry ({i},{i}) must be 0")
+    for i in range(n):
+        for j in range(i):
+            if rows[i][j] != rows[j][i]:
+                raise MalformedInputError(f"matrix not symmetric at ({i},{j})")
+            if rows[i][j] < 1:
+                raise MalformedInputError(f"edge color at ({i},{j}) must be positive")
+    top = max(rows[i][j] for i in range(n) for j in range(i)) if n > 1 else 1
+    if r is None:
+        r = top
+    elif top > r:
+        raise MalformedInputError(f"color {top} exceeds declared color count {r}")
+    return MultiColoring(n, r, [rows[u][v] for u, v in pair_iter(n)])
+
+
+def emit_color_matrix_naive(mc: MultiColoring) -> str:
+    """A color matrix filled one pair at a time through ``get``."""
+    n = mc.n
+    grid = [[0] * n for _ in range(n)]
+    for u, v in pair_iter(n):
+        grid[u][v] = grid[v][u] = mc.get(u, v)
+    return "\n".join(" ".join(str(x) for x in row) for row in grid) + "\n"

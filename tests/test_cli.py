@@ -341,10 +341,26 @@ class TestPolycirc:
         argv = ["polycirc", "--problem", "B2,B8", "-k", "2", "-m", "5"]
         assert main(argv + ["--filter", "complement-blocks"]) == 0
         census = enumerate_census(2, 5, parse_problem("B2,B8"), complement_blocks=True)
-        assert capsys.readouterr().out.splitlines() == census.lines()
+        *graphs, summary = census.lines()
+        assert capsys.readouterr().out.splitlines() == graphs + ["# " + summary]
         assert main(["polycirc", "--problem", "B2,B8", "-k", "3", "-m", "5",
                      "--filter", "complement-blocks"]) == 2
         assert "needs exactly 2 blocks" in capsys.readouterr().err
+
+
+class TestCertificatesReadBack:
+    @pytest.mark.parametrize("budget, code", [([], 0), (["--budget", "20"], 3)])
+    def test_polycirc_output_verifies(self, budget, code, monkeypatch, capsys):
+        # a complete census and a budgeted one, piped into verify as they are
+        argv = ["--problem", "B2,B8"]
+        assert main(["polycirc", *argv, "-k", "2", "-m", "5", *budget]) == code
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("# census k=2 m=5 problem=B2,B8 count=")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert main(["verify", *argv, "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == out.count("  # k=2;") > 0
+        assert all(": ok n=10 problem=B2,B8" in line for line in lines)
 
 
 _WORKER_COMMANDS = {

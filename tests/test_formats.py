@@ -16,7 +16,13 @@ from ramseykit.formats import (
 )
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 
-from oracles import random_graph
+from oracles import (
+    emit_color_matrix_naive,
+    graph6_decode_naive,
+    graph6_encode_naive,
+    parse_color_matrix_naive,
+    random_graph,
+)
 
 
 def test_known_encodings():
@@ -189,6 +195,19 @@ def _graph6_like(draw):
 
 
 @hs.composite
+def _graph6_damaged(draw):
+    # a graph6-like string, or a real encoding, with one to three bytes
+    # replaced by bytes outside [63, 126] (or outside ASCII), so that the
+    # first bad byte and the checks before it decide the error
+    text = draw(hs.one_of(_graph6_like(), _graphs().map(graph6_encode_naive)))
+    chars = list(text)
+    for _ in range(draw(hs.integers(1, 3))):
+        at = draw(hs.integers(0, len(chars) - 1))
+        chars[at] = draw(hs.sampled_from([" ", "#", "+", "0", ">", "\x7f", "\u00e9"]))
+    return "".join(chars)
+
+
+@hs.composite
 def _colorings(draw):
     n = draw(hs.integers(1, 12))
     r = draw(hs.integers(2, 6))
@@ -231,3 +250,72 @@ class TestCodecProperties:
         # and two copies in a row read back as two matrices
         twice = read_color_matrices(padded_text + "\n" + padded_text, r=mc.r)
         assert [obj for _, obj in twice] == [mc, mc]
+
+
+def _outcome(fn, *args):
+    """What a codec call gives: its object, or the message it refuses with."""
+    try:
+        return fn(*args)
+    except MalformedInputError as e:
+        return f"MalformedInputError: {e}"
+
+
+_DAMAGE = ("ragged", "asymmetric", "zero", "diagonal", "above r")
+
+
+@hs.composite
+def _malformed_matrices(draw):
+    # a valid matrix with one to three kinds of damage, so that which check
+    # fails first, and at which entry, is what is compared
+    mc = draw(_colorings())
+    n, r = mc.n, mc.r
+    grid = [row.split() for row in emit_color_matrix_naive(mc).splitlines()]
+    for kind in draw(hs.lists(hs.sampled_from(_DAMAGE), min_size=1, max_size=3)):
+        i, j = draw(hs.integers(0, n - 1)), draw(hs.integers(0, n - 1))
+        if kind == "ragged":
+            if draw(hs.booleans()) and grid[i]:
+                grid[i].pop(draw(hs.integers(0, len(grid[i]) - 1)))
+            else:
+                grid[i].append(str(draw(hs.integers(0, r))))
+        elif kind == "diagonal":
+            if i < len(grid[i]):
+                grid[i][i] = str(draw(hs.integers(1, r)))
+        elif i != j and j < len(grid[i]) and i < len(grid[j]):
+            if kind == "asymmetric":
+                grid[i][j] = str(draw(hs.integers(0, r)))
+            else:
+                value = 0 if kind == "zero" else draw(hs.integers(r + 1, 8))
+                grid[i][j] = grid[j][i] = str(value)
+    text = "\n".join(" ".join(row) for row in grid)
+    return text, draw(hs.sampled_from([None, r]))
+
+
+class TestCodecOracle:
+    """The column-slice codecs against the per-pair references in oracles."""
+
+    @_PROPERTY
+    @given(_graphs())
+    def test_graph6_encoding_matches_oracle(self, g):
+        enc = graph6_encode(g)
+        assert enc == graph6_encode_naive(g)
+        assert graph6_decode(enc) == graph6_decode_naive(enc) == g
+
+    @_PROPERTY
+    @given(hs.one_of(hs.text(alphabet=_G6_BYTES, max_size=40), _graph6_like(),
+                     _graph6_damaged()))
+    def test_graph6_decoding_matches_oracle(self, text):
+        assert _outcome(graph6_decode, text) == _outcome(graph6_decode_naive, text)
+
+    @_PROPERTY
+    @given(_colorings())
+    def test_color_matrix_text_matches_oracle(self, mc):
+        text = emit_color_matrix(mc)
+        assert text == emit_color_matrix_naive(mc)
+        assert parse_color_matrix(text) == parse_color_matrix_naive(text)
+
+    @_PROPERTY
+    @given(_malformed_matrices())
+    def test_malformed_matrix_matches_oracle(self, case):
+        text, r = case
+        assert _outcome(parse_color_matrix, text, r) == _outcome(
+            parse_color_matrix_naive, text, r)
