@@ -83,7 +83,6 @@ from .verify import (
     Violation,
     find_shape,
     has_shape_through,
-    verify_gr,
     verify_witness,
     violation_holds,
 )

@@ -31,6 +31,7 @@ from .formats import emit_color_matrix, graph6_encode, read_color_matrices, read
 from .generate import generate_levels
 from .graphs import Graph, MultiColoring
 from .polycirculant import CensusResult, enumerate_census
+from .pool import check_workers
 from .problems import TwoColorProblem, parse_problem
 from .tabu import run_parallel
 from .verify import verify_witness
@@ -122,7 +123,7 @@ def cmd_search(args) -> int:
     outcome = run_parallel(
         problem,
         args.n,
-        seeds=[seed + i for i in range(args.workers)],
+        seeds=[seed + i for i in range(check_workers(args.workers))],
         max_steps=args.max_steps,
         max_seconds=args.max_seconds,
         progress=_progress_to_stderr if args.progress else None,
@@ -239,8 +240,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise InputError("--workers must be at least 1")
         return args.func(args)
     except (ParseError, MalformedInputError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

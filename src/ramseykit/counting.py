@@ -316,12 +316,10 @@ def book_toggle_delta(g: Graph, u: int, v: int, k: int, cache: CodegreeCache | N
 
 
 def _count_paths(rows: list[int], inter: int, a: int, b: int, length: int) -> int:
-    """Simple paths a -> b with exactly `length` edges, interior vertices
+    """Simple paths a -> b with exactly `length` >= 2 edges, interior vertices
     drawn from the mask `inter` (which must exclude a and b).  The DFS
     stops two edges short of b: the paths x -> w -> y -> b through each
     neighbor w of x are one popcount of the y adjacent to both w and b."""
-    if length == 1:
-        return rows[a] >> b & 1
     if length == 2:
         return (rows[a] & inter & rows[b]).bit_count()
     row_b = rows[b]
@@ -346,9 +344,7 @@ def _count_paths(rows: list[int], inter: int, a: int, b: int, length: int) -> in
 
 
 def _count_cycles(rows: list[int], mask: int, length: int) -> int:
-    """Cycles of the given length with all vertices inside mask."""
-    if length < 3:
-        raise InputError("cycles need length at least 3")
+    """Cycles of the given length (at least 3) with all vertices inside mask."""
     mask = _peel_2core(rows, mask)
     if mask.bit_count() < length:
         return 0

@@ -33,8 +33,7 @@ class FixtureRecord:
     def load(self) -> Graph | MultiColoring:
         if self.kind == "graph6":
             return graph6_decode(self.payload)
-        mc = parse_color_matrix(self.payload, r=self.problem.r)
-        return mc
+        return parse_color_matrix(self.payload, r=self.problem.r)
 
 
 def _data(name: str) -> str:
@@ -48,31 +47,20 @@ def load_fixtures() -> list[FixtureRecord]:
         for line in _data(manifest["two_color_file"]).splitlines()
         if line.strip()
     ]
-    records = []
-    for item in manifest["two_color"]:
-        payload = g6_lines[item["line"] - 1]
-        records.append(
-            FixtureRecord(
-                id=item["id"],
-                problem=parse_problem(item["problem"]),
-                order=item["order"],
-                payload=payload,
-                kind="graph6",
-                claim=item["claim"],
-            )
+
+    def record(item: dict, payload: str, kind: str) -> FixtureRecord:
+        return FixtureRecord(
+            id=item["id"],
+            problem=parse_problem(item["problem"]),
+            order=item["order"],
+            payload=payload,
+            kind=kind,
+            claim=item["claim"],
         )
-    for item in manifest["multicolor"]:
-        records.append(
-            FixtureRecord(
-                id=item["id"],
-                problem=parse_problem(item["problem"]),
-                order=item["order"],
-                payload=_data(item["file"]),
-                kind="matrix",
-                claim=item["claim"],
-            )
-        )
-    return records
+
+    return [
+        record(item, g6_lines[item["line"] - 1], "graph6") for item in manifest["two_color"]
+    ] + [record(item, _data(item["file"]), "matrix") for item in manifest["multicolor"]]
 
 
 @dataclass

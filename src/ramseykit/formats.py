@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from binascii import b2a_base64
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .errors import MalformedInputError
 from .graphs import Graph, MultiColoring, rows_from_columns
@@ -151,15 +151,23 @@ def parse_color_matrix(text: str, r: int | None = None) -> MultiColoring:
     transpose, and the colors are the column slices ``rows[v][:v]``.  Only
     a matrix that fails is walked pair by pair, to name its first bad entry.
     """
-    rows = []
+    return _coloring([row for _, row in _int_rows(text)], r)
+
+
+def _int_rows(text: str):
+    """(line number, row of integers) for each line but blank and '#' ones,
+    parsed as it is read; a bad entry is named at its own line."""
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append(list(map(int, line.split())))
-        except ValueError:
-            raise MalformedInputError(f"line {lineno}: non-integer entry") from None
+        if line and not line.startswith("#"):
+            try:
+                row = list(map(int, line.split()))
+            except ValueError:
+                raise MalformedInputError(f"line {lineno}: non-integer entry") from None
+            yield lineno, row
+
+
+def _coloring(rows: list[list[int]], r: int | None) -> MultiColoring:
     n = len(rows)
     if n < 1:
         raise MalformedInputError("empty color matrix")
@@ -187,23 +195,16 @@ def parse_color_matrix(text: str, r: int | None = None) -> MultiColoring:
 def read_color_matrices(text: str, r: int) -> list[tuple[int, MultiColoring]]:
     """Parse consecutive color matrices, keeping the 1-based line number of
     each one's first row; a matrix's order is the length of its first row.
-    Blank and '#' lines are skipped, inside a matrix too."""
-    rows = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), 1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    Blank and '#' lines are skipped, inside a matrix too.  Rows are read
+    one matrix at a time, so the first error in the file is the one named."""
     out = []
-    i = 0
-    while i < len(rows):
-        lineno, first = rows[i]
-        n = len(first.split())
-        group = rows[i:i + n]
-        i += n
+    rows = _int_rows(text)
+    for lineno, first in rows:
+        group = [first] + [row for _, row in islice(rows, len(first) - 1)]
         try:
-            if len(group) < n:
-                raise MalformedInputError(f"{len(group)} rows, expected {n}")
-            out.append((lineno, parse_color_matrix("\n".join(line for _, line in group), r)))
+            if len(group) < len(first):
+                raise MalformedInputError(f"{len(group)} rows, expected {len(first)}")
+            out.append((lineno, _coloring(group, r)))
         except MalformedInputError as e:
             raise MalformedInputError(f"line {lineno}: {e}") from None
     return out

@@ -195,9 +195,6 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.rows)))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
@@ -268,9 +265,6 @@ class MultiColoring:
             and (self.n, self.r) == (other.n, other.r)
             and self.colors == other.colors
         )
-
-    def __hash__(self):
-        return hash((self.n, self.r, tuple(self.colors)))
 
     def __repr__(self):
         return f"MultiColoring(n={self.n}, r={self.r})"

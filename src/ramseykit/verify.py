@@ -21,7 +21,6 @@ from .graphs import Graph, MultiColoring, _peel_2core, bits_of
 from .problems import (
     Book,
     Clique,
-    GeneralizedProblem,
     Problem,
     Shape,
     TwoColorProblem,
@@ -246,15 +245,6 @@ def verify(g: Graph, problem: TwoColorProblem) -> Verdict:
     return Verdict(True)
 
 
-def verify_gr(mc: MultiColoring, problem: GeneralizedProblem) -> Verdict:
-    if mc.r != problem.r:
-        raise InputError(f"coloring has {mc.r} colors, problem wants {problem.r}")
-    viol = find_gr_violation(mc, problem.s, problem.t)
-    if viol:
-        return Verdict(False, viol)
-    return Verdict(True)
-
-
 def verify_witness(obj: Graph | MultiColoring, problem: Problem) -> Verdict:
     """Dispatch on problem kind; two-color accepts a Graph or an r=2 coloring."""
     if isinstance(problem, TwoColorProblem):
@@ -265,7 +255,10 @@ def verify_witness(obj: Graph | MultiColoring, problem: Problem) -> Verdict:
         return verify(obj, problem)
     if not isinstance(obj, MultiColoring):
         raise InputError("generalized problems need a MultiColoring")
-    return verify_gr(obj, problem)
+    if obj.r != problem.r:
+        raise InputError(f"coloring has {obj.r} colors, problem wants {problem.r}")
+    viol = find_gr_violation(obj, problem.s, problem.t)
+    return Verdict(viol is None, viol)
 
 
 def violation_holds(obj: Graph | MultiColoring, problem: Problem, viol: Violation) -> bool:

@@ -1,11 +1,14 @@
 import hashlib
 import random
-from itertools import permutations
+from collections import defaultdict
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 import ramseykit.canon as canon
+import ramseykit.generate as generate
 from ramseykit.canon import (
     N_CAP,
     are_isomorphic,
@@ -16,7 +19,9 @@ from ramseykit.canon import (
 from ramseykit.errors import CapabilityError
 from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_decode
+from ramseykit.generate import generate_levels
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
+from ramseykit.problems import parse_problem
 
 from oracles import all_graphs, cycle_graph, random_coloring, random_graph
 
@@ -357,3 +362,96 @@ def test_canonical_form_order_realizes_key_on_cross_check_inputs():
             y = x.relabel(inv)
             realized = bytes(y.rows[u] >> v & 1 for u, v in pair_iter(x.n))
             assert key == b"G" + bytes([x.n]) + realized
+
+
+# Colour keys against VF2: the GR generation counts, among them the 0 at
+# order 10 behind GR(3,K4,2) = 10 and GR(4,K4,3) = 10, rest on
+# coloring_canonical_key, so its merges and splits are checked here by an
+# isomorphism test that canon does not compute.
+
+
+def colored_nx(mc, names):
+    """mc as a complete networkx graph, the edge of color c labeled names[c - 1]."""
+    out = nx.Graph()
+    out.add_nodes_from(range(mc.n))
+    out.add_edges_from(
+        (u, v, {"c": names[c - 1]}) for (u, v), c in zip(pair_iter(mc.n), mc.colors)
+    )
+    return out
+
+
+def _same_color(e1, e2):
+    return e1["c"] == e2["c"]
+
+
+def isomorphic_colorings(a, b):
+    """a and b are isomorphic under some vertex relabeling and color renaming."""
+    ga = colored_nx(a, range(1, a.r + 1))
+    return any(
+        GraphMatcher(ga, colored_nx(b, names), edge_match=_same_color).is_isomorphic()
+        for names in permutations(range(1, b.r + 1))
+    )
+
+
+def least_wl_hash(mc):
+    """The least Weisfeiler-Lehman hash of mc over color renamings: equal
+    for isomorphic colorings."""
+    return min(
+        nx.weisfeiler_lehman_graph_hash(colored_nx(mc, names), edge_attr="c")
+        for names in permutations(range(1, mc.r + 1))
+    )
+
+
+@pytest.fixture(scope="module")
+def gr_keyed_children():
+    """Per problem, the generation counts to order 10 and every (key, child)
+    that generation keys, in keying order."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for text in ("GR:3,K4,2", "GR:4,K4,3"):
+            keyed = []
+
+            def record(mc, keyed=keyed):
+                key = coloring_canonical_key(mc)
+                keyed.append((key, mc))
+                return key
+
+            mp.setattr(generate, "coloring_canonical_key", record)
+            runs[text] = generate_levels(parse_problem(text), 10).counts, keyed
+    return runs
+
+
+@pytest.mark.parametrize("text", ["GR:3,K4,2", "GR:4,K4,3"])
+def test_repeated_color_keys_are_isomorphic(gr_keyed_children, text):
+    # no false merge: a child whose key repeats is dropped as a duplicate
+    _, keyed = gr_keyed_children[text]
+    first = {}
+    repeats = 0
+    for key, mc in keyed:
+        if key in first:
+            assert isomorphic_colorings(first[key], mc), (text, mc.n)
+            repeats += 1
+        else:
+            first[key] = mc
+    assert repeats
+
+
+@pytest.mark.parametrize("text", ["GR:3,K4,2", "GR:4,K4,3"])
+def test_kept_colorings_are_pairwise_non_isomorphic(gr_keyed_children, text):
+    # no false split: the first child of each key is kept, and no two kept
+    # children of a level are isomorphic
+    counts, keyed = gr_keyed_children[text]
+    kept = {}
+    for key, mc in keyed:
+        kept.setdefault(key, mc)
+    levels = defaultdict(list)
+    for mc in kept.values():
+        levels[mc.n].append(mc)
+    assert [len(levels[n]) for n in range(2, 11)] == counts[1:]
+    for level in levels.values():
+        buckets = defaultdict(list)
+        for mc in level:
+            buckets[least_wl_hash(mc)].append(mc)
+        for bucket in buckets.values():
+            for a, b in combinations(bucket, 2):
+                assert not isomorphic_colorings(a, b), (text, a.n)

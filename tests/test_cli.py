@@ -374,7 +374,7 @@ _WORKER_COMMANDS = {
                                               ("polycirc", "-3")])
 def test_workers_below_one_is_exit_2(command, workers, capsys):
     assert main(_WORKER_COMMANDS[command] + ["--workers", workers]) == 2
-    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert f"workers must be at least 1, not {workers}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["search", "generate", "polycirc"])

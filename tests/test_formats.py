@@ -170,6 +170,12 @@ def test_read_color_matrices_splits_by_first_row():
         read_color_matrices("0 1\n1 0\n0 1 2\n1 0 1\n", r=2)
     with pytest.raises(MalformedInputError, match="line 2: row 1 has 3 entries"):
         read_color_matrices("0\n0 1\n1 0 1\n", r=2)
+    # a bad entry is named once, at its own line of the file, and before
+    # the end of the file shows its matrix short
+    with pytest.raises(MalformedInputError, match=r"^line 6: non-integer entry$"):
+        read_color_matrices("0 1 2\n1 0 1\n2 1 0\n\n0 1 2\n1 0 x\n2 1 0\n", r=3)
+    with pytest.raises(MalformedInputError, match=r"^line 2: non-integer entry$"):
+        read_color_matrices("0 1 2\n1 0 x\n", r=3)
 
 
 _PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)

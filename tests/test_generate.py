@@ -79,6 +79,8 @@ class TestAgainstUnfilteredOracle:
         [
             ("K3,K3", 7), ("B1,K4", 7), ("W5,W5", 7), ("B2,B3", 8),
             ("GR:4,K4,3", 8), ("GR:3,K4,2", 7), ("GR:3,K5,2", 6),
+            # s = 3: the look-ahead needs cliques of no vertices
+            ("GR:2,K3,1", 7), ("GR:3,K3,1", 6), ("GR:4,K3,2", 6),
         ],
     )
     def test_level_key_sets_match(self, text, n_max, tmp_path):

@@ -149,6 +149,15 @@ def test_multicoloring_roundtrip():
         mc.set_color(0, 1, 4)
 
 
+def test_mutable_carriers_are_unhashable():
+    # toggle_edge and set_color change them in place, so a value hash
+    # would lose them in any set they were put in before
+    for obj in (Graph(3), MultiColoring(3, 2)):
+        with pytest.raises(TypeError):
+            hash(obj)
+    assert Graph(3) == Graph(3) and MultiColoring(3, 2) == MultiColoring(3, 2)
+
+
 def test_union_graph_and_color_class():
     rng = random.Random(9)
     mc = MultiColoring(7, 3)

@@ -23,7 +23,6 @@ from ramseykit.verify import (
     find_wheel,
     has_shape_through,
     verify,
-    verify_gr,
     verify_witness,
     violation_holds,
 )
@@ -319,12 +318,12 @@ class TestTwoColorVerify:
 class TestGrVerify:
     def test_valid_fixture(self):
         rec = FIXTURES["GR3K4T2-9"]
-        assert verify_gr(rec.load(), rec.problem).valid
+        assert verify_witness(rec.load(), rec.problem).valid
 
     def test_monochromatic_violation(self):
         p = parse_problem("GR:3,K4,2")
         mc = MultiColoring(5, 3)
-        v = verify_gr(mc, p)
+        v = verify_witness(mc, p)
         assert not v.valid
         assert len(v.violation.roles["clique"]) == 4
         assert set(v.violation.colors) == {1}
@@ -332,7 +331,7 @@ class TestGrVerify:
 
     def test_r_mismatch_rejected(self):
         with pytest.raises(InputError):
-            verify_gr(MultiColoring(5, 4), parse_problem("GR:3,K4,2"))
+            verify_witness(MultiColoring(5, 4), parse_problem("GR:3,K4,2"))
 
     def test_score_zero_iff_valid(self):
         from ramseykit.counting import gr_score
@@ -344,12 +343,12 @@ class TestGrVerify:
             for u in range(mc.n):
                 for v in range(u + 1, mc.n):
                     mc.set_color(u, v, rng.randint(1, 3))
-            assert verify_gr(mc, p).valid == (gr_score(mc, 4, 2) == 0)
+            assert verify_witness(mc, p).valid == (gr_score(mc, 4, 2) == 0)
 
     def test_tampered_gr_certificate_rejected(self):
         p = parse_problem("GR:3,K4,2")
         mc = MultiColoring(5, 3)
-        v = verify_gr(mc, p)
+        v = verify_witness(mc, p)
         mc.set_color(0, 1, 2)
         mc.set_color(0, 2, 3)
         assert not violation_holds(mc, p, v.violation)
@@ -377,5 +376,5 @@ class TestDispatch:
     def test_violation_str_mentions_roles(self):
         v = verify(Graph(6).complement(), parse_problem("K3,K3")).violation
         assert "clique=" in str(v)
-        v = verify_gr(MultiColoring(5, 3), parse_problem("GR:3,K4,2")).violation
+        v = verify_witness(MultiColoring(5, 3), parse_problem("GR:3,K4,2")).violation
         assert "colors={1}" in str(v)
