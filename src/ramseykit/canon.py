@@ -2,7 +2,7 @@
 
 The key is the lexicographically smallest byte string of the upper-triangle
 color matrix (column-major pair order) over the leaves of a search tree,
-and for a multicoloring over every color permutation as well.  The tree is
+and for a multicoloring over its degree-ordered color renamings as well.  The tree is
 ordered-partition refinement with backtracking individualization: a node
 refines its ordered partition to an equitable one and branches on each
 vertex of its first non-singleton cell (the target cell); a leaf is a
@@ -33,9 +33,15 @@ Three prunings keep the tree small, none of which can change the key:
 Nodes keep no orbit bookkeeping until the first automorphism exists, so
 small asymmetric inputs pay nothing for it.
 
-A coloring's key is the least over all color permutations.  Each search
-after the first is bounded by the best key so far and starts with the
-automorphisms the earlier ones found: renaming colors keeps them all.
+A coloring's key is the least over the color renamings that give color 1
+the class with the largest sorted degree sequence, color 2 the next, and
+so on, with every order of classes whose sequences tie.  Renaming the
+input's colors permutes the sequences with the classes, so the set of
+renamed matrices, and the key, is the same; the key is still a color
+matrix of the input, so different classes never share one.  Most
+colorings need one search instead of r!.  Each search after the first is
+bounded by the best key so far and starts with the automorphisms the
+earlier ones found: renaming colors keeps them all.
 
 Exact canonicalization is capped at 32 vertices; larger inputs raise
 CapabilityError rather than silently taking forever.
@@ -277,9 +283,11 @@ def coloring_canonical_key(mc: MultiColoring) -> bytes:
     """Canonical key of a coloring under vertex relabeling and color
     permutation.
 
-    All r! color permutations are searched, for every coloring, one-color
-    ones included; each search after the first only looks for keys strictly
-    below the best so far.
+    Only the degree-ordered renamings are searched: color 1 goes to the
+    class with the largest sorted degree sequence, color 2 to the next, and
+    every order of classes whose sequences tie is tried.  A one-color
+    coloring still keys as all 1s.  Each search after the first only looks
+    for keys strictly below the best so far.
     """
     _check_cap(mc.n)
     n, r = mc.n, mc.r
@@ -290,14 +298,19 @@ def coloring_canonical_key(mc: MultiColoring) -> bytes:
         by_color[c][u] |= 1 << v
         by_color[c][v] |= 1 << u
     color_range = range(1, r + 1)
+    seq = [sorted(row.bit_count() for row in rows) for rows in by_color]
+    ranked = sorted(color_range, key=seq.__getitem__, reverse=True)
+    ties = [
+        itertools.permutations(tied) for _, tied in itertools.groupby(ranked, seq.__getitem__)
+    ]
     best = None
     # renaming colors keeps every automorphism, so all the searches share them
     gens: list = []
-    for perm in itertools.permutations(color_range):
-        new = (0,) + perm                   # color c is renamed new[c]
-        old = [0] * (r + 1)
+    for orders in itertools.product(*ties):
+        old = (0, *itertools.chain(*orders))    # color old[c] is renamed c
+        new = [0] * (r + 1)
         for c in color_range:
-            old[new[c]] = c
+            new[old[c]] = c
         val = [[new[c] for c in row] for row in base]
         # every pair has a color, so the counts in the last one are implied
         masks = [by_color[old[c]] for c in range(1, r)]

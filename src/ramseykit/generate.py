@@ -29,19 +29,38 @@ survive are exactly the valid ones, in the same order.
 
 Only children whose new vertex reaches the largest value of a vertex
 invariant are kept (the cheap filter of McKay's canonical construction
-path, J. Algorithms 26, 1998).  Every class
-still arrives: a witness minus a vertex of largest invariant is a witness,
-so it is isomorphic to some parent, and that parent has a child isomorphic
-to the witness whose new vertex is the image of the deleted one.  The kept
-children are deduplicated by canonical form: plain graph isomorphism for
-two-color problems, vertex relabeling plus color permutation for
-multicolor ones.  A count of 0 at some order certifies every later order
-is 0 as well, so the remaining levels are padded rather than recomputed.
-Levels written to a dump directory are re-verified in full first.
+path, J. Algorithms 26, 1998).  A vertex has, in each color class (a graph
+has one), its degree there and the sorted degrees of its neighbors there;
+its invariant is the sorted vector of its class degrees, then the sorted
+list of those pairs.  It is computed from the parent's degree and neighbor
+lists and the new vertex's neighborhoods, without building the child, and
+only where the new vertex ties the largest class-degree vector.  Every
+class still arrives: a witness minus a vertex of largest invariant is a
+witness, so it is isomorphic to some parent, and that parent has a child
+isomorphic to the witness whose new vertex is the image of the deleted one.
+
+Kept children are deduplicated by canonical form: plain graph isomorphism
+for two-color problems, vertex relabeling plus color permutation for
+multicolor ones.  Only the children that could repeat a class get a key.
+Take a child, not an image, whose new vertex x has a strictly largest
+invariant.  An isomorphism onto another kept child maps x to the only
+vertex there with x's invariant, that child's new vertex, so it restricts
+to an isomorphism of the parents; a level's parents are pairwise
+non-isomorphic, so only a sibling can share the child's class, and
+isomorphic siblings share every isomorphism invariant.  So when no other
+such child of its parent has its signature (the sorted multiset of
+(degree, sorted neighbor degrees) for a graph, of sorted color-degree
+vectors for a coloring), its class is new and no later child repeats it:
+it is kept without a key.  Every other child is keyed.
+
+A count of 0 at some order certifies every later order is 0 as well, so
+the remaining levels are padded rather than recomputed.  Levels written to
+a dump directory are re-verified in full first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -56,50 +75,91 @@ from .problems import GeneralizedProblem, Problem, TwoColorProblem
 from .verify import has_shape_through, verify_witness
 
 
-def _invariant(color_rows: list[list[int]], degs: list[list[int]], v: int) -> tuple:
-    """Invariant of vertex v in a graph or coloring given as one adjacency
-    row list per color class, with degs[i][u] the degree of u in class i.
-    For each class v has the tuple (its degree there, the sorted degrees of
-    its neighbors there); its invariant is the sorted vector of its class
-    degrees followed by the sorted list of those tuples.  Both are sorted,
-    so renaming colors changes nothing."""
-    per_color = sorted(
-        (deg[v], tuple(sorted(deg[u] for u in bits_of(rows[v]))))
-        for rows, deg in zip(color_rows, degs)
-    )
-    return tuple(d for d, _ in per_color), tuple(per_color)
+class _Parent:
+    """A parent's color classes, read once: per class, each vertex's degree
+    and neighbor list.  A child adds vertex n, joined in class i to the
+    vertices of masks[i]; its vertices' invariants come from these lists
+    and the masks, with no child rows built."""
 
+    __slots__ = ("n", "classes")
 
-def _degrees(color_rows: list[list[int]]) -> list[list[int]]:
-    return [[row.bit_count() for row in rows] for rows in color_rows]
+    def __init__(self, color_rows: list[list[int]]):
+        self.n = len(color_rows[0])
+        self.classes = [
+            ([row.bit_count() for row in rows], [list(bits_of(row)) for row in rows])
+            for rows in color_rows
+        ]
 
+    def child_view(self, masks: list[int]) -> list[tuple]:
+        """Per class: the degrees in the child, the new vertex's last; the
+        parent's neighbor lists; the new vertex's neighborhood."""
+        out = []
+        for (deg, nbrs), m in zip(self.classes, masks):
+            cd = [d + (m >> v & 1) for v, d in enumerate(deg)]
+            cd.append(m.bit_count())
+            out.append((cd, nbrs, m))
+        return out
 
-def _last_wins(color_rows: list[list[int]], rivals) -> bool:
-    """Is the last vertex's invariant at least that of every rival?"""
-    degs = _degrees(color_rows)
-    last = _invariant(color_rows, degs, len(color_rows[0]) - 1)
-    return all(_invariant(color_rows, degs, v) <= last for v in rivals)
+    @staticmethod
+    def profile(view: list[tuple], v: int) -> tuple:
+        """Vertex v's invariant in the child, less its leading degree
+        vector: the sorted tuples (v's degree in a class, the sorted degrees
+        of its neighbors there), one per class.  Vertices whose sorted
+        class-degree vectors agree compare by it as by the full invariant,
+        and a graph's profile is its one (degree, neighbor degrees) tuple."""
+        per = []
+        for cd, nbrs, m in view:
+            if v == len(nbrs):
+                near = [cd[u] for u in bits_of(m)]
+            else:
+                near = [cd[u] for u in nbrs[v]]
+                if m >> v & 1:
+                    near.append(cd[-1])
+            near.sort()
+            per.append((cd[v], tuple(near)))
+        per.sort()
+        return tuple(per)
+
+    def tie(self, masks: list[int], rivals) -> tuple[bool, bool]:
+        """The new vertex shares its class-degree vector with the rivals and
+        has the largest one in the child.  Is its invariant at least every
+        rival's, and is it above them all?"""
+        view = self.child_view(masks)
+        last = self.profile(view, self.n)
+        strict = True
+        for v in rivals:
+            other = self.profile(view, v)
+            if other > last:
+                return False, False
+            if other == last:
+                strict = False
+        return True, strict
 
 
 class Children(list):
     """The children ``extend_one`` returns, in scan order.  ``images`` holds
     the indices of those taken as images of an earlier child under an
     automorphism of the parent: they are isomorphic to that child, so they
-    are neither checked nor keyed."""
+    are neither checked nor keyed.  ``strict`` maps the index of each other
+    child whose new vertex has a strictly largest invariant to the child's
+    signature, an isomorphism invariant of the whole child."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "strict")
 
     def __init__(self):
         super().__init__()
         self.images: set[int] = set()
+        self.strict: dict[int, tuple] = {}
 
 
 def _two_color_children(g: Graph, problem: TwoColorProblem) -> Children:
     n = g.n
+    parent = _Parent([g.rows])
+    deg = parent.classes[0][0]
     # an old vertex v has degree deg(v) + (mask >> v & 1) in the child, so
     # the largest old degree is top_deg, plus one when mask meets top
-    top_deg = max(row.bit_count() for row in g.rows)
-    top = sum(1 << v for v, row in enumerate(g.rows) if row.bit_count() == top_deg)
+    top_deg = max(deg)
+    top = sum(1 << v for v, d in enumerate(deg) if d == top_deg)
     least = least_masks(n, automorphisms(g))
     table = bytearray(1 << n)
     kept = bytearray(1 << n)
@@ -124,12 +184,17 @@ def _two_color_children(g: Graph, problem: TwoColorProblem) -> Children:
                 out.images.add(len(out))
                 out.append(g.add_vertex(mask))
             continue
-        # a valid least mask ran the left check, which made its child
-        if k == most and not _last_wins(
-            [child.rows], [v for v in range(n) if child.rows[v].bit_count() == k]
-        ):
-            continue
+        masks = [mask]
+        strict = k > most
+        if not strict:
+            keep, strict = parent.tie(masks, [v for v in range(n) if deg[v] + (mask >> v & 1) == k])
+            if not keep:
+                continue
         kept[mask] = 1
+        if strict:
+            view = parent.child_view(masks)
+            out.strict[len(out)] = tuple(sorted(parent.profile(view, v) for v in range(n + 1)))
+        # a valid least mask ran the left check, which made its child
         out.append(child)
     return out
 
@@ -154,10 +219,12 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> Chil
     n, r, s, t = mc.n, mc.r, problem.s, problem.t
     palette = range(1, r + 1)
     rows = [mc.color_class(c).rows for c in palette]
+    parent = _Parent(rows)
+    degs = [deg for deg, _ in parent.classes]
     # bumped[v][c]: v's sorted color-degree vector once edge (v, n) has color c
     bumped = []
     for v in range(n):
-        deg = [row[v].bit_count() for row in rows]
+        deg = [d[v] for d in degs]
         bumped.append([()] + [
             tuple(sorted(d + (i == c - 1) for i, d in enumerate(deg))) for c in palette
         ])
@@ -174,17 +241,21 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> Chil
         for c in T:
             through[c - 1].append((T, union, later))
 
-    def keep(most: tuple) -> bool:
-        """Does the new vertex reach the largest invariant of the child?
+    def leaf(most: tuple) -> None:
+        """Append the child if its new vertex reaches the largest invariant;
         most is the largest color-degree vector of an old vertex."""
         vec = tuple(sorted(m.bit_count() for m in col))
-        if vec != most:
-            return vec > most
-        child_rows = [
-            [row | (m >> v & 1) << n for v, row in enumerate(prow)] + [m]
-            for prow, m in zip(rows, col)
-        ]
-        return _last_wins(child_rows, [v for v in range(n) if bumped[v][assigned[v]] == vec])
+        if vec < most:
+            return
+        vecs = [bumped[v][assigned[v]] for v in range(n)]
+        strict = vec > most
+        if not strict:
+            keep, strict = parent.tie(col, [v for v in range(n) if vecs[v] == vec])
+            if not keep:
+                return
+        if strict:
+            out.strict[len(out)] = tuple(sorted([vec, *vecs]))
+        out.append(mc.add_vertex(list(assigned)))
 
     def forward(j: int, c: int, banned: list[int]) -> list[int] | None:
         """banned once edge (j, n) has color c, or None when that leaves
@@ -210,8 +281,7 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> Chil
 
     def rec(j: int, banned: list[int], most: tuple) -> None:
         if j == n:
-            if keep(most):
-                out.append(mc.add_vertex(list(assigned)))
+            leaf(most)
             return
         bit = 1 << j
         for c in palette:
@@ -229,12 +299,14 @@ def _multicolor_children(mc: MultiColoring, problem: GeneralizedProblem) -> Chil
 
 def extend_one(obj: Graph | MultiColoring, problem: Problem) -> Children:
     """The valid labeled children of a valid parent, one vertex larger,
-    whose new vertex (the last one) reaches the largest value of
-    ``_invariant`` in the child.  The other valid children are
+    whose new vertex (the last one) reaches the largest value of the vertex
+    invariant in the child.  The other valid children are
     dropped unkeyed: each of their classes also has a child of this kind,
     from the parent isomorphic to it minus a vertex of largest invariant.
     A two-color child whose neighborhood is the image of an earlier one's
-    under an automorphism of the parent is listed in ``images``."""
+    under an automorphism of the parent is listed in ``images``; every
+    other child whose new vertex's invariant is strictly the largest is in
+    ``strict``, with its signature."""
     if isinstance(problem, TwoColorProblem):
         if not isinstance(obj, Graph):
             raise InputError("two-color generation extends Graph objects")
@@ -244,16 +316,28 @@ def extend_one(obj: Graph | MultiColoring, problem: Problem) -> Children:
     return _multicolor_children(obj, problem)
 
 
+# the key of a child kept without one; no canonical key is empty
+_NEW_CLASS = b""
+
+
 def _keyed_children(parent, problem: Problem) -> list[tuple[bytes | None, object]]:
     """(canonical key, child) for every child extend_one returns, in order,
-    with None for the key of an image.  Worker processes run this, so keys
-    are made where the children are."""
+    with None for the key of an image.  A child in ``strict`` whose
+    signature no other child there shares is a class no other child of the
+    level has: its key is ``_NEW_CLASS``, and it is not keyed.  Worker
+    processes run this, so keys are made where the children are."""
     key = canonical_key if isinstance(problem, TwoColorProblem) else coloring_canonical_key
     children = extend_one(parent, problem)
-    return [
-        (None if i in children.images else key(child), child)
-        for i, child in enumerate(children)
-    ]
+    shared = Counter(children.strict.values())
+    out = []
+    for i, child in enumerate(children):
+        if i in children.images:
+            out.append((None, child))
+        elif i in children.strict and shared[children.strict[i]] == 1:
+            out.append((_NEW_CLASS, child))
+        else:
+            out.append((key(child), child))
+    return out
 
 
 def _keyed_stripe(
@@ -295,7 +379,8 @@ def generate_levels(
     """Level-by-level counts of witnesses up to isomorphism, orders 1..n_max.
 
     Each level keys the children ``extend_one`` returns and keeps the first
-    child of each canonical key, in frontier order, so the kept objects are
+    child of each canonical key, in frontier order, together with the
+    children that are provably new classes, unkeyed; so the kept objects are
     the same with or without ``workers`` (1 to ``pool.MAX_JOBS``; a level's
     frontier is dealt round-robin to at most that many processes).  With
     ``dump_dir`` each level is re-verified in full and written there, one
@@ -351,7 +436,9 @@ def generate_levels(
                     partial=GenerationResult(problem, counts),
                 )
             for key, child in batch:
-                if key is not None and key not in seen:
+                if key == _NEW_CLASS:
+                    next_frontier.append(child)
+                elif key is not None and key not in seen:
                     seen.add(key)
                     next_frontier.append(child)
         counts.append(len(next_frontier))

@@ -3,7 +3,6 @@
 worker died without a word, as a killed or out-of-memory worker does.
 A lone job runs in the calling process, so no engine decides that itself."""
 
-import multiprocessing
 from contextlib import closing
 
 from .errors import CapabilityError, InputError, WorkerLost
@@ -56,6 +55,7 @@ def run_jobs(fn, jobs):
         return
     # imported here, not at the top, so that importing the package and
     # running a single job stay cheap
+    import multiprocessing
     from multiprocessing.connection import wait
 
     running = {}

@@ -22,8 +22,12 @@ tabu-checks every candidate recoloring, where a tabu step hashes only the
 candidates at the least delta.  The exhaustive and seeded random
 generators of labeled graphs and colorings, and the small constructions
 (cycles, induced subgraphs and colorings, a vertex deleted), feed these
-checks; ``vertex_invariants`` reads generation's own invariant at every
-vertex.  The codec references shift graph6 bits one pair at a time and
+checks; ``vertex_invariants`` computes generation's invariant at every
+vertex from scratch, from the object's own rows, where generation computes
+it from the parent's degree lists and the new vertex's neighborhoods.  The
+all-renamings color key searches every one of the r! color renamings,
+where :mod:`ramseykit.canon` searches only the degree-ordered ones.  The
+codec references shift graph6 bits one pair at a time and
 check a color matrix entry by entry, where :mod:`ramseykit.formats` reads
 and writes whole columns as strings.
 """
@@ -33,11 +37,18 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import comb
 
-from ramseykit.canon import are_isomorphic, canonical_key, coloring_canonical_key
+from ramseykit.canon import _Search, are_isomorphic, canonical_key, coloring_canonical_key
 from ramseykit.errors import BudgetExceededError, MalformedInputError
 from ramseykit.formats import _N_MAX, _decode_order
-from ramseykit.generate import _degrees, _invariant
-from ramseykit.graphs import VALID, Graph, MultiColoring, edge_color_hash, mask_state, pair_iter
+from ramseykit.graphs import (
+    VALID,
+    Graph,
+    MultiColoring,
+    bits_of,
+    edge_color_hash,
+    mask_state,
+    pair_iter,
+)
 from ramseykit.polycirculant import (
     _STAGES,
     _diag_options,
@@ -317,6 +328,34 @@ def census_stripe_naive(k, m, problem, complement_blocks, outers, budget):
     return counts, False, found
 
 
+def coloring_key_all_renamings(mc: MultiColoring) -> bytes:
+    """A canonical key of a coloring under vertex relabeling and color
+    renaming: the least key of ``canon``'s search over all r! renamings of
+    the colors, one-color colorings included.  These are the bytes the
+    package's color key had before it searched only degree-ordered
+    renamings."""
+    n, r = mc.n, mc.r
+    base = [[0] * n for _ in range(n)]
+    by_color = [[0] * n for _ in range(r + 1)]
+    for (u, v), c in zip(pair_iter(n), mc.colors):
+        base[u][v] = base[v][u] = c
+        by_color[c][u] |= 1 << v
+        by_color[c][v] |= 1 << u
+    best = None
+    gens: list = []
+    for perm in permutations(range(1, r + 1)):
+        new = (0,) + perm                   # color c is renamed new[c]
+        old = [0] * (r + 1)
+        for c in range(1, r + 1):
+            old[new[c]] = c
+        val = [[new[c] for c in row] for row in base]
+        masks = [by_color[old[c]] for c in range(1, r)]
+        key, _ = _Search(n, val, masks, best, gens).run()
+        if key is not None:
+            best = key
+    return b"C" + bytes([n, r]) + best
+
+
 def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
     """Canonical keys of the witnesses of each order 1..n_max, unfiltered.
 
@@ -353,10 +392,28 @@ def generate_keys_naive(problem: Problem, n_max: int) -> list[set[bytes]]:
     return levels
 
 
+def _invariant(color_rows: list[list[int]], degs: list[list[int]], v: int) -> tuple:
+    """Invariant of vertex v in a graph or coloring given as one adjacency
+    row list per color class, with degs[i][u] the degree of u in class i.
+    For each class v has the tuple (its degree there, the sorted degrees of
+    its neighbors there); its invariant is the sorted vector of its class
+    degrees followed by the sorted list of those tuples.  Both are sorted,
+    so renaming colors changes nothing."""
+    per_color = sorted(
+        (deg[v], tuple(sorted(deg[u] for u in bits_of(rows[v]))))
+        for rows, deg in zip(color_rows, degs)
+    )
+    return tuple(d for d, _ in per_color), tuple(per_color)
+
+
+def _degrees(color_rows: list[list[int]]) -> list[list[int]]:
+    return [[row.bit_count() for row in rows] for rows in color_rows]
+
+
 def vertex_invariants(obj: Graph | MultiColoring) -> list[tuple]:
     """Generation's invariant, the one that picks the canonical deletion,
-    for every vertex.  A graph is its one edge class; a coloring has one
-    class per color."""
+    for every vertex, computed from the object's own rows.  A graph is its
+    one edge class; a coloring has one class per color."""
     if isinstance(obj, Graph):
         color_rows = [obj.rows]
     else:

@@ -18,12 +18,18 @@ from ramseykit.canon import (
 )
 from ramseykit.errors import CapabilityError
 from ramseykit.fixtures import load_fixtures
-from ramseykit.formats import graph6_decode
+from ramseykit.formats import graph6_decode, read_color_matrices
 from ramseykit.generate import generate_levels
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import parse_problem
 
-from oracles import all_graphs, cycle_graph, random_coloring, random_graph
+from oracles import (
+    all_graphs,
+    coloring_key_all_renamings,
+    cycle_graph,
+    random_coloring,
+    random_graph,
+)
 
 
 def test_relabel_invariance():
@@ -271,27 +277,69 @@ def pinned_colorings():
     return colorings + fixture_objects("matrix")
 
 
-# sha256 over the keys above in input order, each preceded by its length as
-# two big-endian bytes; the keys are those of the canonical labeling the
-# package shipped before automorphism pruning cut the search tree (this
-# digest was taken while an older one over these keys plus the keys without
-# color permutation still held)
-PINNED_DIGEST = "b26043b8979b7b5c2ed660c63d0005af264fb12d312e2031dd340fc0f82bfaf2"
+def key_digest(keys):
+    """sha256 over keys in order, each preceded by its length as two
+    big-endian bytes."""
+    h = hashlib.sha256()
+    for key in keys:
+        h.update(len(key).to_bytes(2, "big") + key)
+    return h.hexdigest()
+
+
+# the graph keys above are those of the canonical labeling the package
+# shipped before automorphism pruning cut the search tree
+GRAPH_KEY_DIGEST = "92d8bf3dc896f8fefd4a6b4df9385d509858af9e819e3ec7b2b39b38a390f1c4"
+# the color keys above, searched over the degree-ordered color renamings
+COLOR_KEY_DIGEST = "07c751aca73fbcf222002f721ad39d07abb749141a9bb57e87aa29af717b4775"
+# the same colorings keyed over all r! renamings, as the package keyed them
+# before; coloring_key_all_renamings must still give these bytes
+ALL_RENAMINGS_DIGEST = "7f438173e599985c22ac2172edc6d410c910a431ba0617299fa5100ed4ee385f"
 
 
 def test_keys_match_pinned_digest():
-    h = hashlib.sha256()
-    keys = [canonical_key(g) for g in pinned_graphs()]
-    keys += [coloring_canonical_key(mc) for mc in pinned_colorings()]
-    for key in keys:
-        h.update(len(key).to_bytes(2, "big") + key)
-    assert h.hexdigest() == PINNED_DIGEST
+    assert key_digest(canonical_key(g) for g in pinned_graphs()) == GRAPH_KEY_DIGEST
+    assert key_digest(coloring_canonical_key(mc) for mc in pinned_colorings()) == COLOR_KEY_DIGEST
 
 
 def test_keys_do_not_depend_on_stored_automorphisms(monkeypatch):
     # with nothing stored, each automorphism still prunes the current path
     monkeypatch.setattr(canon, "GEN_CAP", 0)
     test_keys_match_pinned_digest()
+
+
+def renamed_copies(mc, rng):
+    """mc relabeled, and mc relabeled with its colors renamed."""
+    perm = list(range(mc.n))
+    rng.shuffle(perm)
+    names = list(range(1, mc.r + 1))
+    rng.shuffle(names)
+    moved = mc.relabel(perm)
+    return [moved, MultiColoring(mc.n, mc.r, [names[c - 1] for c in moved.colors])]
+
+
+def classes(keys):
+    """The partition of positions that equal keys make."""
+    groups = defaultdict(list)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
+    return sorted(groups.values())
+
+
+def test_degree_ordered_renamings_split_as_all_renamings(gr_runs):
+    # the color key searches only the renamings that order the color
+    # classes by degree sequence; it must make the same classes as the
+    # search over every renaming, whose bytes are pinned as the old key's
+    rng = random.Random(20240713)
+    pinned = pinned_colorings()
+    assert key_digest(map(coloring_key_all_renamings, pinned)) == ALL_RENAMINGS_DIGEST
+    inputs = list(pinned)
+    for mc in pinned:
+        inputs += renamed_copies(mc, rng)
+    for _, keyed, _ in gr_runs.values():
+        inputs += [mc for _, mc in keyed]
+    new = classes(map(coloring_canonical_key, inputs))
+    assert new == classes(map(coloring_key_all_renamings, inputs))
+    assert len(new) < len(inputs)
 
 
 def to_nx(g):
@@ -403,12 +451,14 @@ def least_wl_hash(mc):
 
 
 @pytest.fixture(scope="module")
-def gr_keyed_children():
-    """Per problem, the generation counts to order 10 and every (key, child)
-    that generation keys, in keying order."""
+def gr_runs(tmp_path_factory):
+    """Per problem, a generation run to order 10: its counts, every
+    (key, child) that it keys, in keying order, and the kept colorings of
+    each level, read back from its dump."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         for text in ("GR:3,K4,2", "GR:4,K4,3"):
+            problem = parse_problem(text)
             keyed = []
 
             def record(mc, keyed=keyed):
@@ -417,14 +467,22 @@ def gr_keyed_children():
                 return key
 
             mp.setattr(generate, "coloring_canonical_key", record)
-            runs[text] = generate_levels(parse_problem(text), 10).counts, keyed
+            out = tmp_path_factory.mktemp("levels")
+            counts = generate_levels(problem, 10, dump_dir=str(out)).counts
+            levels = []
+            for order in range(1, 11):
+                path = out / f"n{order}.txt"
+                if path.exists():
+                    rows = read_color_matrices(path.read_text(), problem.r)
+                    levels.append([mc for _, mc in rows])
+            runs[text] = counts, keyed, levels
     return runs
 
 
 @pytest.mark.parametrize("text", ["GR:3,K4,2", "GR:4,K4,3"])
-def test_repeated_color_keys_are_isomorphic(gr_keyed_children, text):
+def test_repeated_color_keys_are_isomorphic(gr_runs, text):
     # no false merge: a child whose key repeats is dropped as a duplicate
-    _, keyed = gr_keyed_children[text]
+    _, keyed, _ = gr_runs[text]
     first = {}
     repeats = 0
     for key, mc in keyed:
@@ -437,18 +495,12 @@ def test_repeated_color_keys_are_isomorphic(gr_keyed_children, text):
 
 
 @pytest.mark.parametrize("text", ["GR:3,K4,2", "GR:4,K4,3"])
-def test_kept_colorings_are_pairwise_non_isomorphic(gr_keyed_children, text):
-    # no false split: the first child of each key is kept, and no two kept
-    # children of a level are isomorphic
-    counts, keyed = gr_keyed_children[text]
-    kept = {}
-    for key, mc in keyed:
-        kept.setdefault(key, mc)
-    levels = defaultdict(list)
-    for mc in kept.values():
-        levels[mc.n].append(mc)
-    assert [len(levels[n]) for n in range(2, 11)] == counts[1:]
-    for level in levels.values():
+def test_kept_colorings_are_pairwise_non_isomorphic(gr_runs, text):
+    # no false split: no two kept children of a level are isomorphic
+    counts, _, levels = gr_runs[text]
+    assert [len(level) for level in levels] == counts[: len(levels)]
+    assert not any(counts[len(levels):])
+    for level in levels:
         buckets = defaultdict(list)
         for mc in level:
             buckets[least_wl_hash(mc)].append(mc)

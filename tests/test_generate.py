@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as hs
 from ramseykit.canon import canonical_key, coloring_canonical_key
 from ramseykit.errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from ramseykit.formats import read_color_matrices, read_graph6_lines
-from ramseykit.generate import _keyed_stripe, extend_one, generate_levels
+from ramseykit.generate import _NEW_CLASS, _keyed_stripe, extend_one, generate_levels
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import TwoColorProblem, parse_problem
 from ramseykit.verify import verify_witness
@@ -18,6 +20,8 @@ from oracles import (
     delete_vertex,
     generate_keys_naive,
     multicolor_children_naive,
+    random_coloring,
+    random_graph,
     two_color_children_naive,
     vertex_invariants,
 )
@@ -127,6 +131,49 @@ class TestVertexInvariants:
         inv = vertex_invariants(Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]))
         assert inv[1] == ((3,), ((3, (1, 1, 1)),))
         assert inv[0] == ((1,), ((1, (3,)),))
+
+
+def filter_naive(children):
+    """The labeled children the invariant filter keeps, in order, and the
+    positions among them of those whose new vertex is strictly the largest,
+    from invariants computed on each child's own rows."""
+    kept, strict = [], set()
+    for child in children:
+        inv = vertex_invariants(child)
+        if inv[-1] == max(inv):
+            if inv.count(inv[-1]) == 1:
+                strict.add(len(kept))
+            kept.append(child)
+    return kept, strict
+
+
+class TestInvariantFilter:
+    # problems no child of these parents can break, so that extend_one
+    # returns every child the filter keeps
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(hs.integers(1, 7), hs.floats(0, 1), hs.integers(0, 2**32))
+    def test_graph_parents_over_every_mask(self, n, p, seed):
+        import ramseykit.generate as gen
+
+        g = random_graph(random.Random(seed), n, p)
+        with pytest.MonkeyPatch.context() as mp:
+            # no images: every kept child then has a strict decision
+            mp.setattr(gen, "automorphisms", lambda g: [])
+            children = extend_one(g, parse_problem("K9,K9"))
+        kept, strict = filter_naive(g.add_vertex(mask) for mask in range(1 << n))
+        assert children == kept
+        assert set(children.strict) == strict
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(hs.integers(1, 5), hs.integers(2, 4), hs.integers(0, 2**32))
+    def test_coloring_parents_over_every_vector(self, n, r, seed):
+        mc = random_coloring(random.Random(seed), n, r)
+        children = extend_one(mc, parse_problem(f"GR:{r},K9,1"))
+        # every vector is a valid child, met in the DFS's order
+        vectors = product(range(1, r + 1), repeat=n)
+        kept, strict = filter_naive(mc.add_vertex(list(vec)) for vec in vectors)
+        assert children == kept
+        assert set(children.strict) == strict
 
 
 class TestKnownSequences:
@@ -247,6 +294,48 @@ class TestSymmetrySkip:
                     else:
                         keyed.add(key)
         assert images
+
+
+class TestUnkeyedChildren:
+    @pytest.mark.parametrize("symmetry", ["automorphisms", "none"])
+    @pytest.mark.parametrize(
+        "text, n_max", [("W5,W7", 7), ("B2,B8", 7), ("GR:3,K4,2", 10), ("GR:4,K4,3", 10)]
+    )
+    def test_children_kept_without_a_key_have_a_class_of_their_own(
+        self, text, n_max, symmetry, monkeypatch
+    ):
+        # each child kept without a key has a key that no other child of
+        # its level has, other parents' children included.  Images are left
+        # out: each is isomorphic to the sibling it is an image of, which
+        # may be this very child
+        import ramseykit.generate as gen
+
+        if symmetry == "none":
+            monkeypatch.setattr(gen, "automorphisms", lambda g: [])
+        real = gen._keyed_children
+        batches = []
+
+        def recorded(parent, problem):
+            batches.append(real(parent, problem))
+            return batches[-1]
+
+        monkeypatch.setattr(gen, "_keyed_children", recorded)
+        problem = parse_problem(text)
+        key = canonical_key if isinstance(problem, TwoColorProblem) else coloring_canonical_key
+        generate_levels(problem, n_max)
+        levels = {}
+        for batch in batches:
+            for given, child in batch:
+                if given is not None:
+                    levels.setdefault(child.n, []).append((given, key(child)))
+        unkeyed = 0
+        for level in levels.values():
+            shared = Counter(k for _, k in level)
+            for given, k in level:
+                if given == _NEW_CLASS:
+                    assert shared[k] == 1
+                    unkeyed += 1
+        assert unkeyed
 
 
 class TestSubsetRule:

@@ -67,7 +67,7 @@ class TestHelper:
             "from ramseykit import enumerate_census, parse_problem, run_parallel\n"
             "enumerate_census(2, 5, parse_problem('B2,B8'))\n"
             "run_parallel(parse_problem('K3,K3'), 5, seeds=[0], max_steps=2000)\n"
-            "print('multiprocessing.connection' in sys.modules)\n"
+            "print('multiprocessing' in sys.modules, 'multiprocessing.connection' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(ramseykit.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -75,7 +75,7 @@ class TestHelper:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
 
     def test_run_jobs_reports_each_fate(self):
         start = time.perf_counter()
