@@ -14,23 +14,27 @@ where block b of the row of (a, 0) holds S_ab, and S_ba is the negated mask
 state tables and probe graphs; only the specs it emits become
 frozenset-based ``PolycirculantSpec`` objects.
 
-Because rho is vertex-transitive on each block, a forbidden shape exists in
-a realized graph iff one exists through some block representative, so one
-probe checks a candidate with k through-vertex checks per colour.  The census
-descends through k diagonal sets, each a union of the pair classes {d, m-d},
-then one set per block pair, probing each set on the blocks it joins.
+Because rho moves the block representatives 0, m, 2m, ... onto every
+vertex, a forbidden shape exists in a realized graph iff some copy of it is
+rooted at a representative: a book's spine end, a wheel's hub, a clique's
+vertex (``verify.has_shape_at``).  So one probe checks a candidate with k
+rooted checks per colour.  The census descends through k diagonal sets,
+each a union of the pair classes {d, m-d}, then one set per block pair,
+probing each set on the blocks it joins.
 
-A block pair's passing sets are listed once per scan, in one ascending pass
-over a state table with ``graphs.mask_state``.  The left check is a left
-shape through a block representative of the 2-block graph, and the right
-check a right shape through one in the complement (a bit added to the mask
-adds edges).  The symmetry is the dihedral group of order 2m: rotating the
-second block by t maps the 2-block graph with off-diagonal set S to the one
-with S + t, and reflecting both blocks, i -> -i, maps it to the one with -S;
-both fix every symmetric diagonal set.  So only a mask that is its own least
-image is decided; every other mask copies its image's state.  Swapping the
-two blocks also maps S to -S, so the list for diagonal sets (Sb, Sa) is the
-one for (Sa, Sb).
+A block pair's passing sets are listed once per scan from a state table
+filled by ``graphs.mask_state``.  The left check is a left shape in the
+2-block graph, and the right check a right shape in its complement; a bit
+added to the mask adds edges, so a left shape in a one-bit subset is one in
+the mask, and a valid subset leaves only the left check.  The symmetry is
+the dihedral group of order 2m: rotating the second block by t maps the
+2-block graph with off-diagonal set S to the one with S + t, and reflecting
+both blocks, i -> -i, maps it to the one with -S; both fix every symmetric
+diagonal set.  So only the least mask of each orbit is decided, in
+ascending order, and its state is written into every mask of the orbit,
+where the subsets of later masks read it.  Swapping the two blocks also
+maps S to -S, so the list for diagonal sets (Sb, Sa) is the one for
+(Sa, Sb).
 
 For the same reason a leaf whose row is not its own least image is
 isomorphic to the leaf of that image, found before it in the same stripe:
@@ -38,7 +42,10 @@ it is counted but neither probed, realized nor keyed.  With two blocks the
 row is the mask S12.  With three it is (S12, S13), whose images under
 rotations of blocks 2 and 3 by t2 and t3 and one reflection of all three
 blocks are (+-S12 + t2, +-S13 + t3), mapping each leaf's S23 to
-+-S23 + t3 - t2; only the leaves of a least row are probed.
++-S23 + t3 - t2.  Only the leaves of a least row are probed, through a
+fresh state table over S23 with the row fixed: adding S23 bits only adds
+edges, so the subset rule of a pair table holds there too.  A non-least
+row's leaves are counted in one step.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ from .formats import graph6_encode
 from .graphs import VALID, Graph, bits_of, least_masks, mask_state
 from .pool import check_workers, map_jobs
 from .problems import Book, TwoColorProblem
-from .verify import has_shape_through, verify
+# has_shape_through stays bound here, as build does, for perfbench/tracing.py
+from .verify import has_shape_at, has_shape_through, verify
 
 
 def block_pairs(k: int) -> list[tuple[int, int]]:
@@ -136,6 +144,16 @@ def _least_images(m: int):
     return least_masks(m, [[(d + 1) % m for d in range(m)], [-d % m for d in range(m)]])
 
 
+@lru_cache(maxsize=None)
+def _orbits(m: int) -> list[list[int]]:
+    """The orbits of ``_least_images(m)``, each ascending and led by its
+    least mask, in ascending order of that mask."""
+    orbits: dict[int, list[int]] = {}
+    for S, least in enumerate(_least_images(m)):
+        orbits.setdefault(least, []).append(S)
+    return list(orbits.values())
+
+
 def _realize(k: int, m: int, diag, off) -> Graph:
     """The k-polycirculant graph with connection masks diag and off; the
     block rotation is an automorphism by construction.
@@ -171,8 +189,10 @@ def _diag_options(m: int) -> list[int]:
 
 
 def _through_reps(g: Graph, m: int, shape) -> bool:
-    """Does shape pass through some block representative 0, m, 2m, ... of g?"""
-    return any(has_shape_through(g, x, shape) for x in range(0, g.n, m))
+    """Is shape in g, a polycirculant graph with blocks of size m?  The block
+    rotation moves the representatives 0, m, 2m, ... onto every vertex, so
+    some copy of any shape in g is rooted at one of them."""
+    return any(has_shape_at(g, x, shape) for x in range(0, g.n, m))
 
 
 def _probe(k: int, m: int, diag, off, problem: TwoColorProblem) -> Graph | None:
@@ -184,32 +204,38 @@ def _probe(k: int, m: int, diag, off, problem: TwoColorProblem) -> Graph | None:
     return g
 
 
-def _pair_table(m: int, diag: tuple[int, int], problem):
-    """An empty state table over the off-diagonal masks of the 2-block graphs
-    with diagonal masks diag, and its ``mask_state`` checks."""
-    g = None
+def _slot_table(k: int, m: int, diag, fixed, problem):
+    """An empty state table over the masks of the last off-diagonal slot of
+    the k-block graphs with diagonal masks diag and the other off-diagonal
+    masks fixed, its ``mask_state`` checks, and a one-item list that holds
+    the graph the last left check realized."""
+    last = [None]
 
     def left(S: int) -> bool:
-        nonlocal g
-        g = _realize(2, m, diag, (S,))
+        g = last[0] = _realize(k, m, diag, fixed + (S,))
         return _through_reps(g, m, problem.left)
 
     def right(S: int) -> bool:
-        return _through_reps(g.complement(), m, problem.right)
+        return _through_reps(last[0].complement(), m, problem.right)
 
-    return bytearray(1 << m), left, right
+    return bytearray(1 << m), left, right, last
 
 
-def _valid_masks(m: int, diag: tuple[int, int], problem):
+def _valid_masks(m: int, diag: tuple[int, int], problem) -> list[int]:
     """The off-diagonal masks of the valid 2-block graphs with diagonal masks
-    diag, ascending.  One ascending pass runs ``mask_state`` on every mask;
-    a mask that is not its own least image takes the state of that image,
-    decided before it, and is never realized."""
-    table, left, right = _pair_table(m, diag, problem)
+    diag, ascending.  ``mask_state`` decides each least mask, ascending, and
+    its state is written into every mask of its orbit, so the one-bit
+    subsets of later masks read it; no other mask is realized."""
+    table, left, right, _ = _slot_table(2, m, diag, (), problem)
     least = _least_images(m)
-    for S in range(1 << m):
-        if mask_state(table, least, S, left, right) == VALID:
-            yield S
+    valid = []
+    for orbit in _orbits(m):
+        state = mask_state(table, least, orbit[0], left, right)
+        for S in orbit:
+            table[S] = state
+        if state == VALID:
+            valid += orbit
+    return sorted(valid)
 
 
 def _is_least_row(m: int, S12: int, S13: int) -> bool:
@@ -274,15 +300,17 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     ``(outer index, mask)`` pairs dealt from ``_diag_options(m)``.  One
     descent fills k diagonal slots, each with a set that probes valid as a
     circulant, then one slot per block pair, with a set that probes valid on
-    the pair's two diagonal sets.  With three blocks the full spec of a
-    least row is probed.
+    the pair's two diagonal sets.  With three blocks the full specs of a
+    least row are decided in one state table over S23.
 
     A block pair's passing masks, from ``_valid_masks``, are listed once per
     stripe and serve the swapped pair too.  A slot walks only its passing
     masks but counts every mask below each one as tried, as a scan of all
     2^m masks would, so a budget stop leaves the same partial counts.  A leaf
     whose row (S12, or S12 and S13) is not its own least image is counted
-    and nothing more; see the module docstring.
+    and nothing more; see the module docstring.  A non-least 3-block row
+    adds its leaves and its S23 pair counts in one step, unless the budget
+    stops inside it; then it is walked leaf by leaf to the same cut.
 
     Returns (stage counts, truncated, [(outer_index, seq, spec, graph), ...])
     with seq ascending, so merged results sorted by (outer_index, seq)
@@ -295,6 +323,8 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     single_memo: dict[int, bool] = {}
     pair_lists: dict[tuple[int, int], array] = {}
     least = _least_images(m) if k == 2 else None
+    # a row table is fresh for each row, so no mask has an image to read
+    identity = range(1 << m)
 
     def single_ok(S: int) -> bool:
         counts["singles_tried"] += 1
@@ -303,12 +333,15 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
         counts["singles_passed"] += single_memo[S]
         return single_memo[S]
 
-    def passing(Sa: int, Sb: int):
+    def pass_list(Sa: int, Sb: int) -> array:
         key = (Sa, Sb) if Sa <= Sb else (Sb, Sa)
         if key not in pair_lists:
             pair_lists[key] = array("H", _valid_masks(m, key, problem))
+        return pair_lists[key]
+
+    def passing(Sa: int, Sb: int):
         tried = 0
-        for S in pair_lists[key]:
+        for S in pass_list(Sa, Sb):
             counts["pairs_tried"] += S + 1 - tried
             counts["pairs_passed"] += 1
             tried = S + 1
@@ -344,12 +377,23 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
             S1, S2, S3 = diag
             for S12 in passing(S1, S2):
                 for S13 in passing(S1, S3):
-                    least_row = _is_least_row(m, S12, S13)
-                    for S23 in passing(S2, S3):
-                        leaf()
-                        off = (S12, S13, S23)
-                        if least_row and (g := _probe(3, m, diag, off, problem)) is not None:
-                            keep(outer, diag, off, g)
+                    if _is_least_row(m, S12, S13):
+                        table, left, right, last = _slot_table(3, m, diag, (S12, S13), problem)
+                        for S23 in passing(S2, S3):
+                            leaf()
+                            if mask_state(table, identity, S23, left, right) == VALID:
+                                keep(outer, diag, (S12, S13, S23), last[0])
+                        continue
+                    # counted as a walk of the row's passing masks counts it
+                    row = pass_list(S2, S3)
+                    if budget is None or counts["leaves"] + len(row) <= budget:
+                        counts["leaves"] += len(row)
+                        counts["pairs_passed"] += len(row)
+                        counts["pairs_tried"] += 1 << m
+                    else:
+                        # the budget stops inside this row: walk it to the cut
+                        for _ in passing(S2, S3):
+                            leaf()
 
     try:
         for outer, S0 in outers:
@@ -449,9 +493,9 @@ def lemma_witness(n: int) -> Graph:
         diag = (S, full ^ S)
         if any(_probe(1, m, (D,), (), problem) is None for D in diag):
             continue
-        S12 = next(_valid_masks(m, diag, problem), None)
-        if S12 is not None:
-            g = _realize(2, m, diag, (S12,))
+        valid = _valid_masks(m, diag, problem)
+        if valid:
+            g = _realize(2, m, diag, valid[:1])
             verdict = verify(g, problem)
             if not verdict.valid:
                 raise VerificationError(f"lemma witness failed verification: {verdict.violation}")

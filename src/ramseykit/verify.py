@@ -123,27 +123,32 @@ def find_wheel(g: Graph, k: int) -> tuple[int, tuple[int, ...]] | None:
 
 def _clique_in(rows: list[int], P: int, need: int) -> tuple[int, ...] | None:
     """First clique of `need` vertices inside the mask P (ascending), or None."""
+    if need == 0:
+        return ()
+    if need == 1:
+        # any vertex of P, and the least comes first
+        return ((P & -P).bit_length() - 1,) if P else None
     chosen: list[int] = []
 
     def rec(P: int, need: int) -> bool:
-        if need == 1:
-            # any vertex of P completes the clique, and the least comes first
-            if P:
-                chosen.append((P & -P).bit_length() - 1)
-            return bool(P)
-        while P:
-            if P.bit_count() < need:
-                return False
+        while P.bit_count() >= need:
             low = P & -P
             v = low.bit_length() - 1
             P ^= low
-            chosen.append(v)
-            if rec(rows[v] & P, need - 1):
-                return True
-            chosen.pop()
+            Q = rows[v] & P
+            if need == 2:
+                # the least common neighbor above v closes the clique
+                if Q:
+                    chosen.extend((v, (Q & -Q).bit_length() - 1))
+                    return True
+            elif Q.bit_count() >= need - 1:
+                chosen.append(v)
+                if rec(Q, need - 1):
+                    return True
+                chosen.pop()
         return False
 
-    return tuple(chosen) if need == 0 or rec(P, need) else None
+    return tuple(chosen) if rec(P, need) else None
 
 
 def find_clique(g: Graph, s: int) -> tuple[int, ...] | None:
@@ -202,6 +207,33 @@ def _has_wheel_through(g: Graph, x: int, k: int) -> bool:
         if rim >> x & 1 and _cycle_from(rows, rim & ~(1 << x), x, k - 1) is not None:
             return True
     return False
+
+
+def has_shape_at(g: Graph, x: int, shape: Shape) -> bool:
+    """Does some embedding of shape have x in its root role: a spine end of
+    a book, the hub of a wheel, any vertex of a clique?
+
+    Every embedding has a root, so when an automorphism group moves some
+    vertex of a set onto each vertex of the graph, the shape is in the
+    graph iff it is rooted at a vertex of that set.
+    """
+    rows = g.rows
+    nx = rows[x]
+    if isinstance(shape, Book):
+        # a spine end x has a neighbor y with k common neighbors
+        k = shape.k
+        ys = nx
+        while ys:
+            y = ys & -ys
+            if (nx & rows[y.bit_length() - 1]).bit_count() >= k:
+                return True
+            ys ^= y
+        return False
+    if isinstance(shape, Wheel):
+        return _find_cycle(rows, nx, shape.k - 1) is not None
+    if isinstance(shape, Clique):
+        return _clique_in(rows, nx, shape.k - 1) is not None
+    raise InputError(f"unknown shape {shape!r}")
 
 
 def has_shape_through(g: Graph, x: int, shape: Shape) -> bool:

@@ -11,7 +11,10 @@ children that pass its canonical-deletion filter.  The multicolor child
 enumerator checks every clique of old vertices as its largest one is
 colored, where generation checks each later vertex ahead of time.  The
 wheel through-check enumerates rims by permutation, where the verifier
-extends paths inside a hub's 2-core.  The dihedral orbit
+extends paths inside a hub's 2-core, and the rooted-shape check enumerates
+subsets and rims with the vertex as spine end, hub or clique vertex, where
+the verifier reads codegrees, one hub's neighborhood or one clique search.
+The dihedral orbit
 reference maps a difference set element by element, where the census's
 image table rotates and reflects bit masks, and the 3-block row reference
 does the same for a pair of sets.  The census stripe oracle checks
@@ -53,13 +56,13 @@ from ramseykit.polycirculant import (
     _STAGES,
     _diag_options,
     _least_images,
-    _pair_table,
     _probe,
     _realize,
+    _slot_table,
     _spec,
     block_pairs,
 )
-from ramseykit.problems import GeneralizedProblem, Problem, TwoColorProblem
+from ramseykit.problems import Book, Clique, GeneralizedProblem, Problem, TwoColorProblem, Wheel
 from ramseykit.verify import verify_witness
 
 
@@ -169,6 +172,34 @@ def has_wheel_through_naive(g: Graph, x: int, k: int) -> bool:
                 if all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
                     return True
     return False
+
+
+def has_shape_at_naive(g: Graph, x: int, shape) -> bool:
+    """Is x the root of some embedding of shape: a spine end of a book, the
+    hub of a wheel, a vertex of a clique?  Vertex subsets and rim orders are
+    enumerated, and every pair is checked."""
+    others = [v for v in range(g.n) if v != x]
+    if isinstance(shape, Book):
+        return any(
+            g.has_edge(x, y) and all(g.has_edge(x, p) and g.has_edge(y, p) for p in pages)
+            for y in others
+            for pages in combinations([v for v in others if v != y], shape.k)
+        )
+    if isinstance(shape, Wheel):
+        for rim in combinations(others, shape.k - 1):
+            if not all(g.has_edge(x, v) for v in rim):
+                continue
+            anchor, rest = rim[0], rim[1:]
+            for perm in permutations(rest):
+                cyc = (anchor,) + perm
+                if all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
+                    return True
+        return False
+    assert isinstance(shape, Clique)
+    return any(
+        all(g.has_edge(u, v) for u, v in combinations((x,) + rest, 2))
+        for rest in combinations(others, shape.k - 1)
+    )
 
 
 def count_cliques_naive(g: Graph, s: int) -> int:
@@ -311,8 +342,8 @@ def census_stripe_naive(k, m, problem, complement_blocks, outers, budget):
         else:
             diag = chosen[slot[0] - 1], chosen[slot[1] - 1]
             if diag not in pair_tables:
-                pair_tables[diag] = _pair_table(m, diag, problem)
-            table, left, right = pair_tables[diag]
+                pair_tables[diag] = _slot_table(2, m, diag, (), problem)
+            table, left, right, _ = pair_tables[diag]
             for S in range(1 << m):
                 counts["pairs_tried"] += 1
                 if mask_state(table, least, S, left, right) == VALID:

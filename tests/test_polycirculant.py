@@ -26,8 +26,8 @@ from ramseykit.polycirculant import (
     enumerate_census,
     lemma_witness,
 )
-from ramseykit.problems import parse_problem
-from ramseykit.verify import verify
+from ramseykit.problems import Book, Clique, Wheel, parse_problem
+from ramseykit.verify import find_shape, verify
 
 from oracles import (
     census_stripe_naive,
@@ -458,7 +458,7 @@ class TestPairTable:
                 want = {S: poly._probe(2, m, diag, (S,), problem) is not None for S in masks}
                 shuffled = rng.sample(masks, len(masks))
                 for order in (masks, shuffled):
-                    table, left, right = poly._pair_table(m, diag, problem)
+                    table, left, right, _ = poly._slot_table(2, m, diag, (), problem)
                     got = {}
                     for S in order:
                         before = len(realized)
@@ -487,6 +487,18 @@ class TestPairTable:
         # with no probe at all
         assert len(realized) == 75
         assert len(realized) - (stages["leaves"] - 128) < stages["pairs_tried"]
+
+    def test_orbits_partition_the_masks_by_least_image(self):
+        import ramseykit.polycirculant as poly
+
+        for m in range(2, 11):
+            least = poly._least_images(m)
+            orbits = poly._orbits(m)
+            assert sorted(S for orbit in orbits for S in orbit) == list(range(1 << m))
+            assert [orbit[0] for orbit in orbits] == sorted(set(least))
+            for orbit in orbits:
+                assert orbit == sorted(orbit)
+                assert all(least[S] == orbit[0] for S in orbit), (m, orbit)
 
     def test_least_images_match_explicit_orbits(self):
         import ramseykit.polycirculant as poly
@@ -518,6 +530,76 @@ print("ok")
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "ok"
+
+
+class TestRowTable:
+    """A least 3-block row's table decides its S23 leaves by the subset rule:
+    with S12 and S13 fixed, adding S23 bits only adds edges."""
+
+    def test_row_leaves_settle_from_subsets(self, monkeypatch):
+        import ramseykit.polycirculant as poly
+
+        problem = parse_problem("W5,K4")
+        m = 4
+        realized = count_realized(monkeypatch)
+        rows: dict[int, tuple] = {}
+        real_slot_table, real_mask_state = poly._slot_table, poly.mask_state
+
+        def slot_table(k, m, diag, fixed, problem):
+            made = real_slot_table(k, m, diag, fixed, problem)
+            if k == 3:
+                # the table stays alive here, so its id names one row
+                rows[id(made[0])] = made[0], diag, fixed
+            return made
+
+        settled = probed = 0
+
+        def state(table, least, S, left, right):
+            nonlocal settled, probed
+            if id(table) not in rows:
+                return real_mask_state(table, least, S, left, right)
+            below = 0
+            for d in range(m):
+                if S >> d & 1:
+                    below |= table[S & ~(1 << d)]
+            before = len(realized)
+            got = real_mask_state(table, least, S, left, right)
+            if len(realized) == before:
+                # nothing realized: a one-bit subset already held a left shape
+                settled += 1
+                assert got == LEFT and below & LEFT, S
+            else:
+                probed += 1
+            _, diag, fixed = rows[id(table)]
+            want = poly._probe(3, m, diag, fixed + (S,), problem) is not None
+            assert (got == VALID) == want, (diag, fixed, S)
+            return got
+
+        monkeypatch.setattr(poly, "_slot_table", slot_table)
+        monkeypatch.setattr(poly, "mask_state", state)
+        res = enumerate_census(3, m, problem)
+        assert res.complete
+        assert settled > 0 and probed > 0, (settled, probed)
+
+
+class TestRootedAtReps:
+    """A polycirculant graph holds a shape iff some copy of it is rooted at a
+    block representative, because the block rotation moves the
+    representatives onto every vertex."""
+
+    def test_reps_decide_existence_on_both_sides(self):
+        import ramseykit.polycirculant as poly
+
+        shapes = [Book(1), Book(2), Book(3), Wheel(4), Wheel(5), Wheel(6), Clique(3), Clique(4)]
+        rng = random.Random("rooted at reps")
+        for k in (1, 2, 3):
+            for m in range(2, 8):
+                for _ in range(6):
+                    g = build(random_spec(rng, k, m, rng.uniform(0.2, 0.8)))
+                    for side in (g, g.complement()):
+                        for shape in shapes:
+                            want = find_shape(side, shape) is not None
+                            assert poly._through_reps(side, m, shape) == want, (k, m, shape)
 
 
 class TestLemmaWitness:

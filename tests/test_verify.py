@@ -21,6 +21,7 @@ from ramseykit.verify import (
     find_clique,
     find_shape,
     find_wheel,
+    has_shape_at,
     has_shape_through,
     verify,
     verify_witness,
@@ -31,6 +32,7 @@ from oracles import (
     all_graphs,
     cycle_graph,
     delete_vertex,
+    has_shape_at_naive,
     has_wheel_through_naive,
     random_graph,
 )
@@ -142,6 +144,33 @@ class TestThroughVertex:
         g, x = case
         drop = count_shape(g, shape) > count_shape(delete_vertex(g, x), shape)
         assert has_shape_through(g, x, shape) == drop
+
+
+class TestRootedAt:
+    def test_root_role_matches_brute_force(self):
+        # seeded G(n, p) from sparse to dense, for every vertex of each
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(4, 9)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+            for shape in PROPERTY_SHAPES:
+                for x in range(n):
+                    assert has_shape_at(g, x, shape) == has_shape_at_naive(g, x, shape), (
+                        g.rows, shape, x,
+                    )
+
+    def test_a_page_or_rim_vertex_is_not_a_root(self):
+        # K4 minus the edge 2-3: the book B2 has spine 0-1 and pages 2, 3
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert [has_shape_at(g, x, Book(2)) for x in range(4)] == [True, True, False, False]
+        assert all(has_shape_through(g, x, Book(2)) for x in range(4))
+        # the wheel W5: hub 0 over the rim 1-2-3-4
+        w = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+        assert [has_shape_at(w, x, Wheel(5)) for x in range(5)] == [True] + [False] * 4
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(InputError):
+            has_shape_at(Graph(4).complement(), 0, "K4")
 
 
 CERT_PROBLEMS = ("W5,W7", "W4,W6", "B2,B3", "K4,K3", "W5,K4", "B1,W5")
