@@ -101,6 +101,15 @@ class _Node:
         return any(find(w) == rv for w in self.tried if w != v)
 
 
+def _stored(perm) -> tuple[tuple[int, ...], int]:
+    """An automorphism as a search stores it: with a bitmask of its fixed points."""
+    fixed = 0
+    for x, y in enumerate(perm):
+        if x == y:
+            fixed |= 1 << x
+    return tuple(perm), fixed
+
+
 class _Search:
     """One backtracking canonical-labeling run over a fixed color matrix.
 
@@ -231,11 +240,7 @@ class _Search:
         perm = [0] * n
         for a, b in zip(self.best_order, order):
             perm[a] = b
-        perm = tuple(perm)
-        fixed = 0
-        for x in range(n):
-            if perm[x] == x:
-                fixed |= 1 << x
+        perm, fixed = _stored(perm)
         if len(self.gens) < GEN_CAP:
             self.gens.append((perm, fixed))
         jump = -1
@@ -253,19 +258,25 @@ def _check_cap(n: int) -> None:
         raise CapabilityError(f"exact canonical form capped at {N_CAP} vertices, got {n}")
 
 
-def _graph_search(g: Graph) -> _Search:
-    return _Search(g.n, [[r >> v & 1 for v in range(g.n)] for r in g.rows], [g.rows])
+def _graph_search(g: Graph, known=()) -> _Search:
+    rows = g.rows
+    val = [[r >> v & 1 for v in range(g.n)] for r in rows]
+    return _Search(g.n, val, [rows], gens=[_stored(perm) for perm in known])
 
 
-def canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
-    """Canonical key and one ordering that attains it (vertex at position i)."""
+def canonical_form(g: Graph, known=()) -> tuple[bytes, tuple[int, ...]]:
+    """Canonical key and one ordering that attains it (vertex at position i).
+
+    ``known`` may hold automorphisms of g, as tuples p with vertex v mapped
+    to p[v], that the caller has by construction; they prune the search
+    from its first node on, and leave the key as it is."""
     _check_cap(g.n)
-    key, order = _graph_search(g).run()
+    key, order = _graph_search(g, known).run()
     return b"G" + bytes([g.n]) + key, order
 
 
-def canonical_key(g: Graph) -> bytes:
-    return canonical_form(g)[0]
+def canonical_key(g: Graph, known=()) -> bytes:
+    return canonical_form(g, known)[0]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

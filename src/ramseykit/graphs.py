@@ -35,6 +35,18 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def mask_images(n: int, perm) -> list[int]:
+    """The image of each n-bit mask under the bit permutation perm (bit v
+    goes to bit perm[v])."""
+    # the images of the masks below 2^(v+1): those below 2^v, then each of
+    # them with v's image added
+    img = [0]
+    for v in range(n):
+        bit = 1 << perm[v]
+        img += [image | bit for image in img]
+    return img
+
+
 def least_masks(n: int, gens) -> array:
     """The least member of each n-bit mask's orbit under the group the bit
     permutations gens generate (bit v goes to bit perm[v]), 2 bytes a mask
@@ -42,15 +54,7 @@ def least_masks(n: int, gens) -> array:
     With no generators every orbit is one mask, and no walk is needed."""
     if not gens:
         return array("H", range(1 << n))
-    imgs = []
-    for perm in gens:
-        # the images of the masks below 2^(v+1): those below 2^v, then each
-        # of them with v's image added
-        img = [0]
-        for v in range(n):
-            bit = 1 << perm[v]
-            img += [image | bit for image in img]
-        imgs.append(img)
+    imgs = [mask_images(n, perm) for perm in gens]
     least = array("H", bytes(2 << n))  # 0 is its own orbit; any other 0 is unvisited
     for mask in range(1, 1 << n):
         if not least[mask]:
@@ -86,8 +90,11 @@ def mask_state(table, least, S: int, left, right) -> int:
     state = table[S] or table[least[S]]
     if not state:
         below = 0
-        for v in bits_of(S):
-            below |= table[S ^ 1 << v]
+        rest = S
+        while rest:
+            low = rest & -rest
+            below |= table[S ^ low]
+            rest ^= low
         if below & LEFT or left(S):
             state = LEFT
         elif below & VALID or not right(S):

@@ -36,6 +36,17 @@ where the subsets of later masks read it.  Swapping the two blocks also
 maps S to -S, so the list for diagonal sets (Sb, Sa) is the one for
 (Sa, Sb).
 
+Multiplying every block by a unit a of Z_m, i -> a*i, maps the graph with
+masks diag and off onto the one with masks a*diag and a*off (the
+multiplier isomorphism of circulants).  So a pair's list is filled only
+for the least pair of its class under the units, blocks in either order;
+any other pair maps that list back by a^-1.  At the end of a census with
+one or two blocks, a spec whose form, its least image under the units and
+the dihedral maps, an earlier spec already had is isomorphic to that spec
+and gets no canonical key.  Every key search is handed the block rotation
+as a known automorphism, which prunes it from its first node on and leaves
+the key as it is.
+
 For the same reason a leaf whose row is not its own least image is
 isomorphic to the leaf of that image, found before it in the same stripe:
 it is counted but neither probed, realized nor keyed.  With two blocks the
@@ -54,6 +65,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from operator import or_
 
 from .canon import N_CAP, are_isomorphic, canonical_key
@@ -65,7 +77,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .formats import graph6_encode
-from .graphs import VALID, Graph, bits_of, least_masks, mask_state
+from .graphs import VALID, Graph, bits_of, least_masks, mask_images, mask_state
 from .pool import check_workers, map_jobs
 from .problems import Book, TwoColorProblem
 # has_shape_through stays bound here, as build does, for perfbench/tracing.py
@@ -154,6 +166,47 @@ def _orbits(m: int) -> list[list[int]]:
     return list(orbits.values())
 
 
+def _units(m: int) -> list[int]:
+    """The units of Z_m up to sign: 1 <= a <= m/2, coprime to m.  A unit
+    and its negation fix the same symmetric sets and send an off-diagonal
+    mask to negated images, so one of the two serves for both."""
+    return [a for a in range(1, m // 2 + 1) if gcd(a, m) == 1]
+
+
+@lru_cache(maxsize=None)
+def _multipliers(m: int) -> list[tuple[array, array]]:
+    """For each of ``_units(m)``, a, the image tables of the m-bit masks
+    under S -> a*S and under S -> b*S, where b is the unit with a*b = +-1
+    (the same table when a = b)."""
+    units = _units(m)
+    tables = {a: array("H", mask_images(m, [a * d % m for d in range(m)])) for a in units}
+    inverse = {a: min(pow(a, -1, m), -pow(a, -1, m) % m) for a in units}
+    return [(tables[a], tables[inverse[a]]) for a in units]
+
+
+def _form(m: int, diag, off) -> tuple[int, ...]:
+    """The least image of the masks of a spec with one or two blocks under
+    the units, taking the diagonal masks in either order and the
+    off-diagonal mask by its least image.  Specs with one form are
+    isomorphic: swapping the blocks maps S12 to -S12, which has the same
+    least image.  A census keeps few specs, so the images are computed
+    here, not looked up in ``_multipliers`` tables."""
+    least = _least_images(m) if off else ()
+
+    def times(a: int, S: int) -> int:
+        return sum(1 << (a * d % m) for d in bits_of(S))
+
+    return min(
+        (*sorted(times(a, S) for S in diag), *(least[times(a, S)] for S in off))
+        for a in _units(m)
+    )
+
+
+def _rotation(k: int, m: int) -> tuple[int, ...]:
+    """The block rotation, vertex (a, i) to (a, i + 1 mod m)."""
+    return tuple(a * m + (i + 1) % m for a in range(k) for i in range(m))
+
+
 def _realize(k: int, m: int, diag, off) -> Graph:
     """The k-polycirculant graph with connection masks diag and off; the
     block rotation is an automorphism by construction.
@@ -238,6 +291,35 @@ def _valid_masks(m: int, diag: tuple[int, int], problem) -> list[int]:
     return sorted(valid)
 
 
+def _pair_lists(m: int, problem):
+    """``pass_list(Sa, Sb)``: the ``_valid_masks`` of the diagonal masks
+    (Sa, Sb), ascending, each list made once.
+
+    Only the least pair of each class under the multipliers, with its masks
+    in either order, is probed.  If a maps (Sa, Sb) onto that pair, a mask
+    S passes on (Sa, Sb) iff a*S passes on it, so the pair's list is the
+    representative's mapped by the inverse of a, and re-sorted.  Every list
+    is closed under negation, which maps each list of a swapped pair, and
+    of a unit's negation, onto itself."""
+    mults = _multipliers(m)
+    lists: dict[tuple[int, int], array] = {}
+
+    def pass_list(Sa: int, Sb: int) -> array:
+        key = (Sa, Sb) if Sa <= Sb else (Sb, Sa)
+        if key not in lists:
+            rep, i = min(
+                (tuple(sorted((mul[Sa], mul[Sb]))), i) for i, (mul, _) in enumerate(mults)
+            )
+            if rep not in lists:
+                lists[rep] = array("H", _valid_masks(m, rep, problem))
+            if rep != key:
+                back = mults[i][1]
+                lists[key] = array("H", sorted([back[S] for S in lists[rep]]))
+        return lists[key]
+
+    return pass_list
+
+
 def _is_least_row(m: int, S12: int, S13: int) -> bool:
     """Is (S12, S13) the least of its images (+-S12 + t2, +-S13 + t3), one
     sign for both?"""
@@ -303,10 +385,11 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     the pair's two diagonal sets.  With three blocks the full specs of a
     least row are decided in one state table over S23.
 
-    A block pair's passing masks, from ``_valid_masks``, are listed once per
-    stripe and serve the swapped pair too.  A slot walks only its passing
-    masks but counts every mask below each one as tried, as a scan of all
-    2^m masks would, so a budget stop leaves the same partial counts.  A leaf
+    A block pair's passing masks, from ``_pair_lists``, are listed once per
+    stripe and probed once per multiplier class of pairs.  A slot walks
+    only its passing masks but counts every mask below each one as tried,
+    as a scan of all 2^m masks would, so a budget stop leaves the same
+    partial counts.  A leaf
     whose row (S12, or S12 and S13) is not its own least image is counted
     and nothing more; see the module docstring.  A non-least 3-block row
     adds its leaves and its S23 pair counts in one step, unless the budget
@@ -321,7 +404,7 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
     counts = dict.fromkeys(_STAGES, 0)
 
     single_memo: dict[int, bool] = {}
-    pair_lists: dict[tuple[int, int], array] = {}
+    pass_list = _pair_lists(m, problem) if k >= 2 else None
     least = _least_images(m) if k == 2 else None
     # a row table is fresh for each row, so no mask has an image to read
     identity = range(1 << m)
@@ -332,12 +415,6 @@ def _scan_stripe(k, m, problem, complement_blocks, outers, budget) -> tuple[dict
             single_memo[S] = _probe(1, m, (S,), (), problem) is not None
         counts["singles_passed"] += single_memo[S]
         return single_memo[S]
-
-    def pass_list(Sa: int, Sb: int) -> array:
-        key = (Sa, Sb) if Sa <= Sb else (Sb, Sa)
-        if key not in pair_lists:
-            pair_lists[key] = array("H", _valid_masks(m, key, problem))
-        return pair_lists[key]
 
     def passing(Sa: int, Sb: int):
         tried = 0
@@ -453,9 +530,18 @@ def enumerate_census(
     # (outer_index, seq) pairs are distinct, so the sort never compares specs
     merged = sorted(item for _, _, items in outcomes for item in items)
     result = CensusResult(k=k, m=m, problem=problem, stages=stages)
+    rotation = [_rotation(k, m)]
+    forms: set[tuple[int, ...]] = set()
     seen: set[bytes] = set()
     for _, _, spec, g in merged:
-        key = canonical_key(g)
+        if k <= 2:
+            # a spec with an earlier spec's form is isomorphic to it, and
+            # that spec's class is already represented
+            form = _form(m, [_mask(S) for S in spec.diag], [_mask(S) for S in spec.off])
+            if form in forms:
+                continue
+            forms.add(form)
+        key = canonical_key(g, rotation)
         if key in seen:
             continue
         seen.add(key)

@@ -293,27 +293,61 @@ def verify_witness(obj: Graph | MultiColoring, problem: Problem) -> Verdict:
     return Verdict(viol is None, viol)
 
 
+# the role names of a certificate of each shape
+_ROLES = {Book: {"spine", "pages"}, Wheel: {"hub", "rim"}, Clique: {"clique"}}
+
+
+def _distinct(n: int, vs) -> bool:
+    """Are vs distinct vertices of an n-vertex object?"""
+    return len(set(vs)) == len(vs) and all(0 <= v < n for v in vs)
+
+
+def _embeds(g: Graph, shape: Shape, roles: dict) -> bool:
+    """Do roles name an embedding of shape in g: the shape's role names,
+    its exact sizes, distinct vertices and every edge?"""
+    if set(roles) != _ROLES.get(type(shape)):
+        return False
+    if isinstance(shape, Book):
+        spine, pages = roles["spine"], roles["pages"]
+        if len(spine) != 2 or len(pages) != shape.k or not _distinct(g.n, (*spine, *pages)):
+            return False
+        u, v = spine
+        return g.has_edge(u, v) and all(g.has_edge(u, p) and g.has_edge(v, p) for p in pages)
+    if isinstance(shape, Wheel):
+        hub, rim = roles["hub"], roles["rim"]
+        if len(hub) != 1 or len(rim) != shape.k - 1 or not _distinct(g.n, (*hub, *rim)):
+            return False
+        (h,) = hub
+        return all(g.has_edge(h, x) and g.has_edge(x, rim[i - 1]) for i, x in enumerate(rim))
+    clique = roles["clique"]
+    return (
+        len(clique) == shape.k
+        and _distinct(g.n, clique)
+        and all(g.has_edge(u, v) for u, v in combinations(clique, 2))
+    )
+
+
 def violation_holds(obj: Graph | MultiColoring, problem: Problem, viol: Violation) -> bool:
-    """Re-check a violation certificate against the object it came from."""
+    """Re-check a violation certificate against the problem and the object
+    it came from.
+
+    A two-color certificate names its side, "graph" or "complement", and
+    an embedding of that side's shape there: the shape's role names, its
+    exact sizes (2 spine ends and k pages, 1 hub and a rim of k - 1, k
+    clique vertices), distinct vertices, and every edge.  A GR certificate
+    names s distinct vertices whose pairs use exactly its colours, at most
+    t of them, so each of them lies in the palette 1..r."""
     if isinstance(problem, TwoColorProblem):
         g = obj.color_class(1) if isinstance(obj, MultiColoring) else obj
-        target = g if viol.side == "graph" else g.complement()
-        if "spine" in viol.roles:
-            (u, v), pages = viol.roles["spine"], viol.roles["pages"]
-            return target.has_edge(u, v) and all(
-                target.has_edge(u, p) and target.has_edge(v, p) for p in pages
-            )
-        if "hub" in viol.roles:
-            (h,), rim = viol.roles["hub"], viol.roles["rim"]
-            ring = all(
-                target.has_edge(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))
-            )
-            return ring and len(set(rim)) == len(rim) and all(
-                target.has_edge(h, x) for x in rim
-            )
-        clique = viol.roles["clique"]
-        return all(target.has_edge(u, v) for u, v in combinations(clique, 2))
-    mc = obj
+        if viol.side == "graph":
+            return _embeds(g, problem.left, viol.roles)
+        if viol.side == "complement":
+            return _embeds(g.complement(), problem.right, viol.roles)
+        return False
+    if set(viol.roles) != {"clique"}:
+        return False
     clique = viol.roles["clique"]
-    used = {mc.get(u, v) for u, v in combinations(clique, 2)}
-    return used == set(viol.colors) and len(used) <= problem.t
+    if len(clique) != problem.s or not _distinct(obj.n, clique):
+        return False
+    used = {obj.get(u, v) for u, v in combinations(clique, 2)}
+    return used == set(viol.colors or ()) and len(used) <= problem.t

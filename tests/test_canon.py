@@ -307,6 +307,13 @@ def test_keys_do_not_depend_on_stored_automorphisms(monkeypatch):
     test_keys_match_pinned_digest()
 
 
+def test_keys_do_not_depend_on_known_automorphisms():
+    # automorphisms handed in beforehand only prune, as found ones do
+    graphs = pinned_graphs()
+    keys = [canonical_key(g, canon.automorphisms(g)) for g in graphs]
+    assert key_digest(keys) == GRAPH_KEY_DIGEST
+
+
 def renamed_copies(mc, rng):
     """mc relabeled, and mc relabeled with its colors renamed."""
     perm = list(range(mc.n))

@@ -7,6 +7,7 @@ from ramseykit.graphs import (
     MultiColoring,
     edge_color_hash,
     least_masks,
+    mask_images,
     pair_index,
     pair_iter,
     state_hash,
@@ -42,6 +43,16 @@ def test_least_masks_match_orbit_closure():
                             orbit.add(y)
                             todo.append(y)
                 assert least[mask] == min(orbit), (n, gens, mask)
+
+
+def test_mask_images_apply_the_bit_permutation():
+    rng = random.Random("mask images")
+    for n in range(0, 11):
+        perm = rng.sample(range(n), n)
+        img = mask_images(n, perm)
+        assert len(img) == 1 << n
+        for mask in range(1 << n):
+            assert img[mask] == sum(1 << perm[v] for v in range(n) if mask >> v & 1), (n, mask)
 
 
 def test_pair_index_is_column_major():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import signal
@@ -233,6 +234,68 @@ def census_lines(k, m, text, kwargs):
 def test_census_output_matches_pinned_digest(k, m, text, kwargs, digest):
     lines = census_lines(k, m, text, kwargs)
     assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest
+
+
+# the lines digest (as above) and the stage counts, in ``_STAGES`` order, of
+# each census as the scan gave them when it probed every pair of diagonal
+# sets and keyed every spec it kept: one probe and one key per multiplier
+# class must reproduce both
+CENSUS_STAGES = [
+    (1, 7, "K3,K4", {}, (8, 3, 0, 0, 3),
+     "b065af576cdb417bfc4b4857bbfb1e4cc536fb4d0ef6ccfdf0578cecaa2e3347"),
+    (1, 13, "K4,K4", {}, (64, 8, 0, 0, 8),
+     "92278052017546e9f070c5ae7aedd7e8792dbf3a1111399fb736723f23baaedb"),
+    (1, 16, "B3,B6", {}, (256, 4, 0, 0, 4),
+     "36b7be49cb3730a669276121024b64a1046e7daa41b0b3cff2341e1b7c86990f"),
+    (2, 5, "B2,B8", {}, (16, 12, 288, 165, 165),
+     "6615ac0672da1b4cd4dd033b2d9181ab08c5b77cf3717b22865d8dae80c657c7"),
+    (2, 5, "B2,B8", {'complement_blocks': True}, (16, 12, 288, 165, 165),
+     "15831ad28a014ed3bf0195f2bcc09dc749cf643789e6665fcb2abd83a8c8bd07"),
+    (2, 5, "B2,B8", {'budget': 100}, (8, 7, 147, 101, 100),
+     "8a6646ca9db7b11dd306cea77c5eabddd8336d80ec4bac8247606f851f5f3e75"),
+    (2, 6, "W5,K4", {}, (48, 30, 1600, 415, 415),
+     "eada15e3c8031da24dd3f47ad90e6933b08696baf5eb7880f3be19dfd0594277"),
+    (2, 7, "B3,B7", {}, (64, 56, 6272, 1072, 1072),
+     "1440526ad1a10ec6b40fad8831b37506415f097a6bec2d0bd3145dee05d7f564"),
+    (2, 7, "B3,B7", {'complement_blocks': True, 'workers': 2}, (64, 56, 6272, 1072, 1072),
+     "7c28e477e9ddd794742469a417c5c9cc3a71325a935dc96c9feb94dd75fd4015"),
+    (2, 7, "W5,K5", {}, (56, 42, 4608, 1101, 1101),
+     "6bfabc57cef2089c60f12d3f2dee39672d43463d2b531524001a0146c5fa31e5"),
+    (2, 8, "B2,B8", {}, (144, 72, 16384, 675, 675),
+     "904a87061c67221bb8f5d4d635d4cbbe4c02dc7ff9bd0c0729367c80e8e75679"),
+    (2, 8, "B2,B8", {'complement_blocks': True, 'budget': 300}, (72, 39, 8611, 301, 300),
+     "84e6fb4c8aaf715bbcdc8876efa40c00d873a3c9873270788b6127f97f50220e"),
+    (2, 9, "B2,B9", {}, (144, 72, 32768, 829, 829),
+     "9e3d890c7b266111b8d1f0006f9b6e4cda0f87aac754f936c31fa0ec5ecf96a7"),
+    (2, 10, "B2,B9", {}, (480, 210, 200704, 189, 189),
+     "5239af710938eb3bd94770e2391a32bfcecd953e1abfafca8e3ba06a4d60d63e"),
+    (3, 3, "B2,B6", {}, (14, 14, 2048, 1400, 1152),
+     "abec9a998ead2baee530c89a0ae0f87c8972341e203bb302c2fa7a03d7eb03b5"),
+    (3, 4, "W5,K4", {}, (52, 39, 40752, 23765, 21245),
+     "50d91c83f58ed9446b04bf27e4e5cbb20d1db316f132f0922b4fb5e1bcc75f7e"),
+    (3, 4, "B2,B7", {'budget': 5000, 'workers': 2}, (14, 13, 13678, 10853, 10000),
+     "ec4a16f3b69613ae4d3e901a8b3fc6ba50ce613acd9b8a01eb55fdbc8052abaa"),
+    (3, 5, "W5,K4", {}, (28, 14, 83136, 45340, 42750),
+     "a57019487118b6a529d3af02690ab9e384834e31853609b35a06a01a636f1c14"),
+    (3, 6, "B2,B9", {'budget': 20000}, (3, 3, 20650, 20325, 20000),
+     "08c3e7d94f10b05be14e8220446b3472323ae0a65696a391ca285a37693c3b17"),
+    (3, 7, "B2,B9", {'budget': 3000}, (3, 3, 3954, 3033, 3000),
+     "b151408201fc5e5aa2765b069a45158f28d05dc8b130182476b74e9e62743c97"),
+]
+
+
+@pytest.mark.parametrize(
+    "k, m, text, kwargs, stages, digest",
+    CENSUS_STAGES,
+    ids=["-".join([f"k{c[0]}", f"m{c[1]}", c[2], *(f"{kw}={v}" for kw, v in c[3].items())])
+         for c in CENSUS_STAGES],
+)
+def test_census_lines_and_stages_match_per_pair_probes(k, m, text, kwargs, stages, digest):
+    import ramseykit.polycirculant as poly
+
+    lines, got = census_run(k, m, parse_problem(text), **kwargs)
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest
+    assert tuple(got[name] for name in poly._STAGES) == stages
 
 
 class TestCensus:
@@ -483,9 +546,10 @@ class TestPairTable:
         # a leaf is realized once unless its off-diagonal set is the image
         # of a smaller one (128 of the 165 are); the rest are single and pair
         # probes, which the subset and image rules keep below the 288 pair
-        # checks, and a swapped block pair reuses its pair's passing masks
-        # with no probe at all
-        assert len(realized) == 75
+        # checks.  A swapped block pair reuses its pair's passing masks, and
+        # a pair that a multiplier maps onto a smaller one maps that one's
+        # list back, both with no probe at all
+        assert len(realized) == 65
         assert len(realized) - (stages["leaves"] - 128) < stages["pairs_tried"]
 
     def test_orbits_partition_the_masks_by_least_image(self):
@@ -530,6 +594,155 @@ print("ok")
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "ok"
+
+
+def times(a, S, m):
+    """The mask of {a*d mod m : d in S}."""
+    return sum(1 << (a * d % m) for d in range(m) if S >> d & 1)
+
+
+class TestMultipliers:
+    """Multiplying every block by a unit of Z_m maps a polycirculant graph
+    onto another: the census probes one pair of diagonal sets and keys one
+    spec per class of that map."""
+
+    def test_tables_multiply_by_units_and_their_inverses(self):
+        import ramseykit.polycirculant as poly
+
+        rng = random.Random("multiplier tables")
+        for m in range(2, 17):
+            units = [a for a in range(1, m // 2 + 1) if math.gcd(a, m) == 1]
+            assert poly._units(m) == units
+            tables = poly._multipliers(m)
+            assert len(tables) == len(units)
+            masks = [1 << d for d in range(m)] + [rng.randrange(1 << m) for _ in range(100)]
+            for a, (mul, back) in zip(units, tables):
+                assert mul.itemsize == 2 and len(mul) == 1 << m
+                # a unit permutes the masks
+                assert sorted(mul) == list(range(1 << m)), (m, a)
+                for S in masks:
+                    assert mul[S] == times(a, S, m), (m, a, S)
+                    # back undoes a, up to the sign that every list ignores
+                    assert back[mul[S]] in (S, times(-1, S, m)), (m, a, S)
+
+    @pytest.mark.parametrize("text", ["B2,B6", "W5,K4", "K3,K5"])
+    def test_pass_lists_match_valid_masks(self, text, monkeypatch):
+        import ramseykit.polycirculant as poly
+
+        problem = parse_problem(text)
+        rng = random.Random(f"pass lists {text}")
+        mapped = 0
+        for m in range(3, 9):
+            probed = []
+            real = poly._valid_masks
+
+            def logged(m, diag, problem):
+                probed.append(diag)
+                return real(m, diag, problem)
+
+            pairs = list(itertools.product(poly._diag_options(m), repeat=2))
+            with monkeypatch.context() as patch:
+                patch.setattr(poly, "_valid_masks", logged)
+                pass_list = poly._pair_lists(m, problem)
+                got = {diag: list(pass_list(*diag)) for diag in rng.sample(pairs, len(pairs))}
+            for diag in pairs:
+                assert got[diag] == real(m, diag, problem), (m, diag)
+            # one probe per class under all the units, never twice for one pair
+            units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+            classes = {
+                min(tuple(sorted(times(a, S, m) for S in diag)) for a in units) for diag in pairs
+            }
+            assert len(probed) == len(set(probed)) == len(classes)
+            mapped += len(pairs) - len(probed)
+        assert mapped > 0
+
+    def test_multiplied_and_swapped_specs_are_relabelings(self):
+        import ramseykit.polycirculant as poly
+
+        rng = random.Random("multiplied specs")
+        for m in range(3, 12):
+            for _ in range(10):
+                spec = random_spec(rng, 2, m)
+                diag = [poly._mask(S) for S in spec.diag]
+                (S12,) = [poly._mask(S) for S in spec.off]
+                a = rng.choice([a for a in range(1, m) if math.gcd(a, m) == 1])
+                image = poly._realize(2, m, [times(a, S, m) for S in diag], [times(a, S12, m)])
+                perm = [b * m + a * i % m for b in range(2) for i in range(m)]
+                assert build(spec).relabel(perm).rows == image.rows, (spec.serialize(), a)
+                swapped = poly._realize(2, m, diag[::-1], [times(-1, S12, m)])
+                perm = [(1 - b) * m + i for b in range(2) for i in range(m)]
+                assert build(spec).relabel(perm).rows == swapped.rows, spec.serialize()
+                form = poly._form(m, diag, [S12])
+                assert poly._form(m, [times(a, S, m) for S in diag], [times(a, S12, m)]) == form
+                assert poly._form(m, diag[::-1], [times(-1, S12, m)]) == form
+
+    @pytest.mark.parametrize("k, m", [(1, 7), (1, 9), (2, 4), (2, 5), (2, 6)])
+    def test_specs_with_one_form_are_isomorphic(self, k, m):
+        import ramseykit.polycirculant as poly
+
+        rng = random.Random(f"forms {k} {m}")
+        options = poly._diag_options(m)
+        specs = [(diag, ()) for diag in itertools.product(options, repeat=k)] if k == 1 else [
+            ((rng.choice(options), rng.choice(options)), (rng.randrange(1 << m),))
+            for _ in range(300)
+        ]
+        keys: dict[tuple, set] = {}
+        for diag, off in specs:
+            g = poly._realize(k, m, diag, off)
+            keys.setdefault(poly._form(m, diag, off), set()).add(canonical_key(g))
+        assert all(len(group) == 1 for group in keys.values())
+        # the forms do merge specs
+        assert len(keys) < len(set(specs))
+
+    # (k, m, problem, options, graphs kept, keys made): before multiplier
+    # forms the census keyed every spec it kept, 8, 37, 14, 138, 59, 81 and 19
+    @pytest.mark.parametrize("k, m, text, kwargs, count, keys", [
+        (1, 13, "K4,K4", {}, 2, 2),
+        (2, 5, "B2,B8", {}, 14, 15),
+        (2, 5, "B2,B8", {"complement_blocks": True}, 5, 6),
+        (2, 7, "B3,B7", {}, 31, 31),
+        (2, 6, "W5,K4", {}, 32, 37),
+        (2, 8, "B2,B8", {}, 23, 29),
+        (2, 10, "B2,B9", {}, 7, 10),
+    ])
+    def test_census_keys_one_spec_per_form(self, k, m, text, kwargs, count, keys, monkeypatch):
+        import ramseykit.polycirculant as poly
+
+        made = []
+        real = poly.canonical_key
+
+        def logged(g, known=()):
+            made.append(g)
+            return real(g, known)
+
+        monkeypatch.setattr(poly, "canonical_key", logged)
+        res = enumerate_census(k, m, parse_problem(text), **kwargs)
+        assert (res.count, len(made)) == (count, keys)
+
+    @pytest.mark.parametrize("k, m, text", [
+        (1, 7, "K3,K4"), (1, 13, "K4,K4"), (2, 5, "B2,B8"), (2, 7, "B3,B7"), (2, 10, "B2,B9"),
+        (3, 3, "B2,B6"), (3, 4, "W5,K4"),
+    ])
+    def test_seeded_census_keys_are_plain_keys(self, k, m, text, monkeypatch):
+        import ramseykit.polycirculant as poly
+
+        rho = poly._rotation(k, m)
+        assert list(rho) == rotation(k, m)
+        seeded = []
+        real = poly.canonical_key
+
+        def logged(g, known=()):
+            assert known == [rho]
+            seeded.append((g, real(g, known)))
+            return seeded[-1][1]
+
+        monkeypatch.setattr(poly, "canonical_key", logged)
+        res = enumerate_census(k, m, parse_problem(text))
+        assert res.count > 0
+        kept = {id(g) for g in res.graphs}
+        assert kept <= {id(g) for g, _ in seeded}
+        for g, key in seeded:
+            assert key == real(g), g
 
 
 class TestRowTable:

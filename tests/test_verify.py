@@ -17,6 +17,7 @@ from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import Book, Clique, TwoColorProblem, Wheel, parse_problem
 from ramseykit.verify import (
     Verdict,
+    Violation,
     find_book,
     find_clique,
     find_shape,
@@ -340,6 +341,17 @@ class TestTwoColorVerify:
         g.toggle_edge(*bad.roles["clique"][:2])
         assert not violation_holds(g, p, bad)
 
+    def test_certificates_that_name_the_wrong_shape_are_rejected(self):
+        # the side's shape decides the roles: K10 has every shape, so each
+        # certificate below is a real embedding, of the other side's shape
+        g = Graph(10).complement()
+        p = TwoColorProblem(Book(2), Clique(3))
+        assert violation_holds(g, p, Violation("", {"spine": (0, 1), "pages": (2, 3)}, "graph"))
+        assert not violation_holds(g, p, Violation("", {"clique": (0, 1, 2)}, "graph"))
+        empty = Graph(10)
+        assert violation_holds(empty, p, Violation("", {"clique": (0, 1, 2)}, "complement"))
+        assert not violation_holds(empty, p, Violation("", {"clique": (0, 1, 2)}, "graph"))
+
     def test_verdict_is_truthy(self):
         assert bool(Verdict(True)) and not bool(Verdict(False))
 
@@ -381,6 +393,81 @@ class TestGrVerify:
         mc.set_color(0, 1, 2)
         mc.set_color(0, 2, 3)
         assert not violation_holds(mc, p, v.violation)
+
+
+K10 = Graph(10).complement()
+MONO5 = MultiColoring(5, 3)   # every pair colour 1
+
+# (id, problem, object, genuine certificate, the same with one defect): the
+# genuine one must be accepted and the forged one rejected
+FORGED = [
+    ("book-one-page", "B8,B8", K10,
+     Violation("", {"spine": (0, 1), "pages": tuple(range(2, 10))}, "graph"),
+     Violation("", {"spine": (0, 1), "pages": (2,)}, "graph")),
+    ("book-page-twice", "B8,B8", K10,
+     Violation("", {"spine": (0, 1), "pages": tuple(range(2, 10))}, "graph"),
+     Violation("", {"spine": (0, 1), "pages": (2, 2, 3, 4, 5, 6, 7, 8)}, "graph")),
+    ("clique-k3-for-k4", "K4,K4", K10,
+     Violation("", {"clique": (0, 1, 2, 3)}, "graph"),
+     Violation("", {"clique": (0, 1, 2)}, "graph")),
+    ("wheel-rim-of-3-for-w5", "W5,W5", K10,
+     Violation("", {"hub": (0,), "rim": (1, 2, 3, 4)}, "graph"),
+     Violation("", {"hub": (0,), "rim": (1, 2, 3)}, "graph")),
+    ("gr-clique-of-2", "GR:3,K4,2", MONO5,
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,)),
+     Violation("", {"clique": (0, 1)}, colors=(1,))),
+    ("book-spine-end-as-page", "B2,B2", K10,
+     Violation("", {"spine": (0, 1), "pages": (2, 3)}, "graph"),
+     Violation("", {"spine": (0, 1), "pages": (1, 3)}, "graph")),
+    ("book-three-spine-ends", "B2,B2", K10,
+     Violation("", {"spine": (0, 1), "pages": (2, 3)}, "graph"),
+     Violation("", {"spine": (0, 1, 4), "pages": (2, 3)}, "graph")),
+    ("book-missing-pages", "B2,B2", K10,
+     Violation("", {"spine": (0, 1), "pages": (2, 3)}, "graph"),
+     Violation("", {"spine": (0, 1)}, "graph")),
+    ("wheel-hub-on-rim", "W5,W5", K10,
+     Violation("", {"hub": (0,), "rim": (1, 2, 3, 4)}, "graph"),
+     Violation("", {"hub": (1,), "rim": (1, 2, 3, 4)}, "graph")),
+    ("wheel-two-hubs", "W5,W5", K10,
+     Violation("", {"hub": (0,), "rim": (1, 2, 3, 4)}, "graph"),
+     Violation("", {"hub": (0, 5), "rim": (1, 2, 3, 4)}, "graph")),
+    ("clique-vertex-twice", "K4,K4", K10,
+     Violation("", {"clique": (0, 1, 2, 3)}, "graph"),
+     Violation("", {"clique": (0, 1, 2, 2)}, "graph")),
+    ("clique-vertex-out-of-range", "K4,K4", K10,
+     Violation("", {"clique": (0, 1, 2, 3)}, "graph"),
+     Violation("", {"clique": (0, 1, 2, -1)}, "graph")),
+    ("clique-extra-role", "K4,K4", K10,
+     Violation("", {"clique": (0, 1, 2, 3)}, "graph"),
+     Violation("", {"clique": (0, 1, 2, 3), "hub": (4,)}, "graph")),
+    ("side-unknown", "K4,K4", K10,
+     Violation("", {"clique": (0, 1, 2, 3)}, "graph"),
+     Violation("", {"clique": (0, 1, 2, 3)}, "both")),
+    ("side-missing", "K4,K4", Graph(10),
+     Violation("", {"clique": (0, 1, 2, 3)}, "complement"),
+     Violation("", {"clique": (0, 1, 2, 3)})),
+    ("gr-colors-not-used", "GR:3,K4,2", MONO5,
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,)),
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1, 2))),
+    ("gr-color-outside-palette", "GR:3,K4,2", MONO5,
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,)),
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1, 9))),
+    ("gr-vertex-twice", "GR:3,K4,2", MONO5,
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,)),
+     Violation("", {"clique": (0, 1, 2, 2)}, colors=(1,))),
+    ("gr-wrong-role", "GR:3,K4,2", MONO5,
+     Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,)),
+     Violation("", {"hub": (0,), "rim": (1, 2, 3)}, colors=(1,))),
+]
+
+
+@pytest.mark.parametrize(
+    "text, obj, genuine, forged", [case[1:] for case in FORGED], ids=[case[0] for case in FORGED]
+)
+def test_forged_certificates_are_rejected(text, obj, genuine, forged):
+    problem = parse_problem(text)
+    assert violation_holds(obj, problem, genuine)
+    assert not violation_holds(obj, problem, forged)
 
 
 class TestDispatch:
