@@ -34,7 +34,7 @@ from .polycirculant import CensusResult, enumerate_census
 from .pool import check_workers
 from .problems import TwoColorProblem, parse_problem
 from .tabu import run_parallel
-from .verify import verify_witness
+from .verify import verify_witness, violation_holds
 
 
 def _read_text(path: str) -> str:
@@ -72,6 +72,10 @@ def cmd_verify(args) -> int:
         if verdict.valid:
             print(f"{label}: ok n={obj.n} problem={problem}")
         else:
+            if not violation_holds(obj, problem, verdict.violation):
+                raise VerificationError(
+                    f"{label}: certificate failed its re-check: {verdict.violation}"
+                )
             bad += 1
             print(f"{label}: INVALID n={obj.n} problem={problem}: {verdict.violation}")
     return 1 if bad else 0

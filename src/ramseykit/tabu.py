@@ -48,7 +48,7 @@ from .counting import (
     update_clique_table,
 )
 from .errors import InputError, VerificationError, WorkerLost
-from .graphs import Graph, MultiColoring, edge_color_hash, pair_index, pair_iter, state_hash
+from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
 from .pool import run_jobs
 from .problems import Book, Clique, Problem, Shape, TwoColorProblem
 from .verify import verify_witness
@@ -175,9 +175,6 @@ class _Scorer:
     def tables_agree(self) -> bool:
         """Whether every side's table equals its delta at every pair now."""
         return all(side.table == side.fresh_table() for side in self.bound)
-
-    def delta(self, u: int, v: int, old: int, new: int) -> int:
-        return self.sums[old, new][pair_index(u, v)]
 
     def apply(self, u: int, v: int, new_color: int) -> None:
         for side in self.touched[self.mc.get(u, v), new_color]:

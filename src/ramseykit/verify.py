@@ -6,6 +6,11 @@ verification fails, the verdict carries one embedded forbidden subgraph
 with role labels (spine/pages, hub/rim, clique, clique+colors) found by a
 direct bounded search, so callers get a certificate rather than a count.
 
+The roots of an embedding are the spine ends of a book, the hub of a
+wheel and every vertex of a clique; pages and rim vertices are not roots.
+The census asks `has_shape_at` for a shape rooted at a vertex, generation
+`has_shape_through` for a shape using a vertex in any role.
+
 The searches here depend only on `graphs` and `problems`, never on the
 production counters in `counting`: the two are independent
 implementations, and their agreement is the correctness argument.
@@ -176,39 +181,6 @@ def find_shape(g: Graph, shape: Shape) -> Violation | None:
     return None
 
 
-def _has_book_through(g: Graph, x: int, k: int) -> bool:
-    """Any B_k using vertex x (as spine end or as a page)."""
-    rows = g.rows
-    nx = rows[x]
-    for y in bits_of(nx):
-        if (nx & rows[y]).bit_count() >= k:
-            return True
-    # spine inside N(x), x as a page
-    for u in bits_of(nx):
-        for v in bits_of(rows[u] & nx & ~((1 << (u + 1)) - 1)):
-            if (rows[u] & rows[v]).bit_count() >= k:
-                return True
-    return False
-
-
-def _has_wheel_through(g: Graph, x: int, k: int) -> bool:
-    """Any W_k using vertex x: x as hub, or x on the rim of a neighbor's wheel."""
-    rows = g.rows
-    nx = rows[x]
-    if _find_cycle(rows, nx, k - 1) is not None:
-        return True
-    for h in bits_of(nx):
-        nh = rows[h]
-        # x on a (k-1)-cycle in N(h) needs two neighbors there, and the
-        # cycle needs k-1 vertices
-        if (nx & nh).bit_count() < 2 or nh.bit_count() < k - 1:
-            continue
-        rim = _peel_2core(rows, nh)
-        if rim >> x & 1 and _cycle_from(rows, rim & ~(1 << x), x, k - 1) is not None:
-            return True
-    return False
-
-
 def has_shape_at(g: Graph, x: int, shape: Shape) -> bool:
     """Does some embedding of shape have x in its root role: a spine end of
     a book, the hub of a wheel, any vertex of a clique?
@@ -237,19 +209,30 @@ def has_shape_at(g: Graph, x: int, shape: Shape) -> bool:
 
 
 def has_shape_through(g: Graph, x: int, shape: Shape) -> bool:
-    """Does some embedding of shape use vertex x?
-
-    Exact regardless of what the rest of the graph contains; the point is
-    that incremental validity checks (new vertex, or symmetry with x as an
-    orbit representative) only need embeddings through x.
-    """
+    """Does some embedding of shape use vertex x: as a root (`has_shape_at`),
+    as a page under a spine inside N(x) with k common neighbors, or on a
+    (k - 1)-cycle inside N(h) for a neighbor h?  A clique has only roots."""
+    if has_shape_at(g, x, shape):
+        return True
+    rows = g.rows
+    nx = rows[x]
     if isinstance(shape, Book):
-        return _has_book_through(g, x, shape.k)
-    if isinstance(shape, Wheel):
-        return _has_wheel_through(g, x, shape.k)
-    if isinstance(shape, Clique):
-        return _clique_in(g.rows, g.rows[x], shape.k - 1) is not None
-    raise InputError(f"unknown shape {shape!r}")
+        for u in bits_of(nx):
+            for v in bits_of(rows[u] & nx & ~((1 << (u + 1)) - 1)):
+                if (rows[u] & rows[v]).bit_count() >= shape.k:
+                    return True
+    elif isinstance(shape, Wheel):
+        k = shape.k
+        for h in bits_of(nx):
+            nh = rows[h]
+            # x on a (k-1)-cycle in N(h) needs two neighbors there, and the
+            # cycle needs k-1 vertices
+            if (nx & nh).bit_count() < 2 or nh.bit_count() < k - 1:
+                continue
+            rim = _peel_2core(rows, nh)
+            if rim >> x & 1 and _cycle_from(rows, rim & ~(1 << x), x, k - 1) is not None:
+                return True
+    return False
 
 
 def find_gr_violation(mc: MultiColoring, s: int, t: int) -> Violation | None:
@@ -277,18 +260,27 @@ def verify(g: Graph, problem: TwoColorProblem) -> Verdict:
     return Verdict(True)
 
 
-def verify_witness(obj: Graph | MultiColoring, problem: Problem) -> Verdict:
-    """Dispatch on problem kind; two-color accepts a Graph or an r=2 coloring."""
+def _checked_object(obj: Graph | MultiColoring, problem: Problem) -> Graph | MultiColoring:
+    """The object a check of problem reads: for two-color, the Graph itself
+    or color 1 of an r=2 coloring; for GR, a coloring with the problem's r."""
     if isinstance(problem, TwoColorProblem):
         if isinstance(obj, MultiColoring):
             if obj.r != 2:
                 raise InputError("two-color problems need a 2-coloring or a graph")
-            obj = obj.color_class(1)
-        return verify(obj, problem)
+            return obj.color_class(1)
+        return obj
     if not isinstance(obj, MultiColoring):
         raise InputError("generalized problems need a MultiColoring")
     if obj.r != problem.r:
         raise InputError(f"coloring has {obj.r} colors, problem wants {problem.r}")
+    return obj
+
+
+def verify_witness(obj: Graph | MultiColoring, problem: Problem) -> Verdict:
+    """Dispatch on problem kind; two-color accepts a Graph or an r=2 coloring."""
+    obj = _checked_object(obj, problem)
+    if isinstance(problem, TwoColorProblem):
+        return verify(obj, problem)
     viol = find_gr_violation(obj, problem.s, problem.t)
     return Verdict(viol is None, viol)
 
@@ -336,13 +328,14 @@ def violation_holds(obj: Graph | MultiColoring, problem: Problem, viol: Violatio
     exact sizes (2 spine ends and k pages, 1 hub and a rim of k - 1, k
     clique vertices), distinct vertices, and every edge.  A GR certificate
     names s distinct vertices whose pairs use exactly its colours, at most
-    t of them, so each of them lies in the palette 1..r."""
+    t of them, so each of them lies in the palette 1..r.  It takes the
+    objects `verify_witness` takes, and raises InputError on the others."""
+    obj = _checked_object(obj, problem)
     if isinstance(problem, TwoColorProblem):
-        g = obj.color_class(1) if isinstance(obj, MultiColoring) else obj
         if viol.side == "graph":
-            return _embeds(g, problem.left, viol.roles)
+            return _embeds(obj, problem.left, viol.roles)
         if viol.side == "complement":
-            return _embeds(g.complement(), problem.right, viol.roles)
+            return _embeds(obj.complement(), problem.right, viol.roles)
         return False
     if set(viol.roles) != {"clique"}:
         return False

@@ -50,6 +50,7 @@ from ramseykit.graphs import (
     bits_of,
     edge_color_hash,
     mask_state,
+    pair_index,
     pair_iter,
 )
 from ramseykit.polycirculant import (
@@ -235,7 +236,8 @@ def tabu_candidates_naive(state) -> list:
         for new in range(1, mc.r + 1):
             if new != old:
                 cand_hash = state.hash ^ edge_color_hash(i, old) ^ edge_color_hash(i, new)
-                out.append((state.scorer.delta(u, v, old, new), cand_hash, (u, v, new)))
+                delta = state.scorer.sums[old, new][pair_index(u, v)]
+                out.append((delta, cand_hash, (u, v, new)))
     return out
 
 

@@ -24,6 +24,7 @@ from ramseykit.errors import MalformedInputError
 from ramseykit.fixtures import load_fixtures, run_fixture_suite
 from ramseykit.formats import graph6_decode, graph6_encode
 from ramseykit.generate import generate_levels
+from ramseykit.graphs import pair_index
 from ramseykit.polycirculant import enumerate_census, lemma_witness
 from ramseykit.problems import GeneralizedProblem, parse_problem
 from ramseykit.tabu import _Scorer, run_parallel, run_search
@@ -180,7 +181,7 @@ def test_criterion_5_counter_oracle_equivalence():
         if u == v:
             continue
         new = rng.choice([c for c in (1, 2, 3) if c != mc.get(u, v)])
-        d = scorer.delta(u, v, mc.get(u, v), new)
+        d = scorer.sums[mc.get(u, v), new][pair_index(u, v)]
         scorer.apply(u, v, new)
         after = gr_score(mc, 4, 2)
         assert after - before == d

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ramseykit.generate as generate
+import ramseykit.verify as verify_module
 from ramseykit.cli import main
 from ramseykit.fixtures import load_fixtures
 from ramseykit.formats import graph6_decode, graph6_encode, parse_color_matrix
@@ -49,6 +50,25 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert out.count("ok") == 1 and out.count("INVALID") == 1
+
+    def test_certificate_failing_its_recheck_is_exit_1(
+        self, witness_file, tmp_path, monkeypatch, capsys
+    ):
+        # a verifier mutant whose books are one page short: the verdict is
+        # still INVALID, but its certificate names a B1, not a B2
+        real = verify_module.find_book
+
+        def short(g, k):
+            hit = real(g, k)
+            return hit and (hit[0], hit[1][:-1])
+
+        monkeypatch.setattr(verify_module, "find_book", short)
+        bad = tmp_path / "k6.g6"
+        bad.write_text(graph6_encode(Graph(6).complement()) + "\n")
+        assert main(["verify", "--problem", "B2,B8", witness_file, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}:1: certificate failed its re-check")
+        assert "ok n=20" in captured.out and "INVALID" not in captured.out
 
     def test_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO(">>graph6<<C~\n"))

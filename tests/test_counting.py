@@ -25,7 +25,7 @@ from ramseykit.counting import (
 )
 from ramseykit.errors import InputError
 from ramseykit.fixtures import load_fixtures
-from ramseykit.graphs import Graph, MultiColoring, bits_of, pair_iter
+from ramseykit.graphs import Graph, MultiColoring, bits_of, pair_index, pair_iter
 from ramseykit.problems import Book, Clique, GeneralizedProblem, Wheel
 from ramseykit.tabu import _Scorer
 
@@ -298,11 +298,11 @@ class TestDeltas:
             old = mc.get(u, v)
             if new == old:
                 continue
-            d = scorer.delta(u, v, old, new)
+            d = scorer.sums[old, new][pair_index(u, v)]
             scorer.apply(u, v, new)
             after = gr_score(mc, s, t)
             assert after - before == d
-            assert scorer.delta(u, v, new, old) == -d  # recoloring back undoes it
+            assert scorer.sums[new, old][pair_index(u, v)] == -d  # recoloring back undoes it
             before = after
 
     def test_book_delta_rejects_zero_pages(self):
@@ -329,7 +329,7 @@ class TestDeltas:
     def test_gr_delta_mono_k4(self):
         scorer = _Scorer(GeneralizedProblem(3, 4, 2), MultiColoring(4, 3))
         # recoloring one edge of the monochromatic K4 drops the score by 1
-        assert scorer.delta(0, 1, 1, 2) == -1
+        assert scorer.sums[1, 2][pair_index(0, 1)] == -1
 
 
 class TestCodegreeCache:

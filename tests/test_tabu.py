@@ -14,7 +14,7 @@ from ramseykit.counting import (
     wheel_toggle_delta,
 )
 from ramseykit.errors import InputError, VerificationError
-from ramseykit.graphs import MultiColoring, pair_iter, state_hash
+from ramseykit.graphs import MultiColoring, pair_index, pair_iter, state_hash
 from ramseykit.problems import (
     Book,
     Clique,
@@ -392,7 +392,7 @@ def _check_every_candidate(scorer, mc):
                 for cset, shape, g in sides
                 if (old in cset) != (new in cset)
             )
-            assert scorer.delta(u, v, old, new) == want, ((u, v), old, new)
+            assert scorer.sums[old, new][pair_index(u, v)] == want, ((u, v), old, new)
 
 
 def _check_scorer(problem, mc, moves):
@@ -407,7 +407,7 @@ def _check_scorer(problem, mc, moves):
     for i, shift in moves:
         u, v = pairs[i]
         new = (mc.colors[i] - 1 + shift) % problem.r + 1
-        d = scorer.delta(u, v, mc.colors[i], new)
+        d = scorer.sums[mc.colors[i], new][pair_index(u, v)]
         scorer.apply(u, v, new)
         after = _naive_score(problem, mc)
         assert after - before == d
@@ -465,7 +465,7 @@ def test_every_candidate_delta_matches_pinned_digest():
             scorer = tabu._Scorer(problem, mc)
             for _ in range(3):
                 deltas = [
-                    scorer.delta(u, v, mc.colors[i], new)
+                    scorer.sums[mc.colors[i], new][pair_index(u, v)]
                     for i, (u, v) in enumerate(pairs)
                     for new in range(1, r + 1)
                     if new != mc.colors[i]

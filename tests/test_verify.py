@@ -489,6 +489,27 @@ class TestDispatch:
         with pytest.raises(InputError):
             verify_witness(Graph(4).complement(), parse_problem("GR:3,K4,2"))
 
+    @pytest.mark.parametrize(
+        "text, obj, viol",
+        [
+            ("GR:3,K4,2", Graph(5).complement(),
+             Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,))),
+            ("GR:3,K4,2", MultiColoring(5, 4),
+             Violation("", {"clique": (0, 1, 2, 3)}, colors=(1,))),
+            ("K3,K3", MultiColoring(6, 3), Violation("", {"clique": (0, 1, 2)}, "graph")),
+        ],
+        ids=["gr-plain-graph", "gr-r4-coloring", "two-color-r3-coloring"],
+    )
+    def test_certificate_check_takes_the_objects_verify_takes(self, text, obj, viol):
+        # each certificate would be a real embedding if the object were read
+        # as some other problem's; the check refuses the object as verify does
+        problem = parse_problem(text)
+        with pytest.raises(InputError) as refused:
+            verify_witness(obj, problem)
+        with pytest.raises(InputError) as also:
+            violation_holds(obj, problem, viol)
+        assert str(also.value) == str(refused.value)
+
     def test_violation_str_mentions_roles(self):
         v = verify(Graph(6).complement(), parse_problem("K3,K3")).violation
         assert "clique=" in str(v)
