@@ -102,12 +102,13 @@ def cmd_count(args) -> int:
 
 
 def _emit_witness(obj: Graph | MultiColoring, out_path: str | None) -> None:
-    text = graph6_encode(obj) if isinstance(obj, Graph) else emit_color_matrix(obj)
+    # a colour matrix already ends in a newline; graph6 gets its one here
+    text = graph6_encode(obj) + "\n" if isinstance(obj, Graph) else emit_color_matrix(obj)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        print(text, end="")
 
 
 def _progress_to_stderr(msg: str) -> None:

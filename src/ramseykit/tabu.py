@@ -12,14 +12,15 @@ ends the run as stalled.
 
 The scorer below is the only incremental scorer, for both problem kinds.
 It keeps one union graph per side of the problem (a set of colors and a
-shape) current across recolorings, and with it a table of the side's
-toggle delta at every pair.  A move toggles its edge in the sides it
-touches and brings their tables up to date: a book side through counting's
+shape) current across recolorings, and with it the side's cache and a
+table of the side's toggle delta at every pair, built through counting's
+shape_toggle_delta.  A move toggles its edge in the sides it touches and
+brings their tables up to date: a book side through counting's
 update_book_table and a clique side through update_clique_table, each of
 which corrects in place only the pairs near the edge whose delta the
-toggle can change and recomputes nothing; a wheel side recomputes its
-whole table through its delta.  A scan reads each candidate's delta as a
-sum of table entries and calls no counter.
+toggle can change and recomputes nothing; a wheel side rebuilds its whole
+table through shape_toggle_delta.  A scan reads each candidate's delta as
+a sum of table entries and calls no counter.
 Every 2**14 steps the maintained score is audited against a full recount
 from the coloring itself, so a drift in the side graphs or caches shows up
 even when the score still agrees with them, and each table against its
@@ -37,6 +38,7 @@ from itertools import combinations
 from math import comb
 from operator import add
 
+# book_toggle_delta and count_cliques_in_mask stay bound here for perfbench/tracing.py
 from .counting import (
     CodegreeCache,
     WheelCache,
@@ -57,42 +59,29 @@ AUDIT_EVERY = 1 << 14
 PROGRESS_EVERY = 10_000
 
 
-def _bind_delta(shape: Shape, g: Graph) -> tuple:
-    """(delta, cache or None) for one side; the delta is a function of
-    (u, v), chosen once.  It looks the counters up in this module at each
-    call, so a name rebound here (as the tracer does) reaches it."""
-    if isinstance(shape, Book):
-        k, cache = shape.k, CodegreeCache(g)
-        return (lambda u, v: book_toggle_delta(g, u, v, k, cache)), cache
-    if isinstance(shape, Clique):
-        rows, k = g.rows, shape.k - 2
-
-        def clique_delta(u: int, v: int) -> int:
-            completions = count_cliques_in_mask(rows, rows[u] & rows[v], k)
-            return -completions if rows[u] >> v & 1 else completions
-
-        return clique_delta, None
-    cache = WheelCache(g, shape.k)
-    return (lambda u, v: shape_toggle_delta(g, u, v, shape, cache)), cache
-
-
 class _Side:
     """One side's union graph g, its cache (a book side's codegrees, a wheel
-    side's rim paths, none for cliques), its toggle delta bound once,
-    `table`, that delta at every pair in pair_iter order, and for a book
-    side `pages`, the binomials C(i, k - 1) that update_book_table reads."""
+    side's rim paths, none for cliques), `table`, the side's toggle delta
+    at every pair in pair_iter order, and for a book side `pages`, the
+    binomials C(i, k - 1) that update_book_table reads."""
 
-    __slots__ = ("shape", "g", "cache", "delta", "table", "pages")
+    __slots__ = ("shape", "g", "cache", "table", "pages")
 
     def __init__(self, shape: Shape, g: Graph):
         self.shape, self.g = shape, g
-        self.delta, self.cache = _bind_delta(shape, g)
-        self.pages = [comb(i, shape.k - 1) for i in range(g.n)] if isinstance(shape, Book) else None
+        self.cache = self.pages = None
+        if isinstance(shape, Book):
+            self.cache = CodegreeCache(g)
+            self.pages = [comb(i, shape.k - 1) for i in range(g.n)]
+        elif not isinstance(shape, Clique):
+            self.cache = WheelCache(g, shape.k)
         self.table = self.fresh_table()
 
     def fresh_table(self) -> list[int]:
-        delta = self.delta
-        return [delta(u, v) for u, v in pair_iter(self.g.n)]
+        # shape_toggle_delta is looked up in this module at each call, so a
+        # name rebound here (as the tracer does) sees every side delta
+        g, shape, cache = self.g, self.shape, self.cache
+        return [shape_toggle_delta(g, u, v, shape, cache) for u, v in pair_iter(g.n)]
 
     def toggle(self, u: int, v: int) -> None:
         """Toggle (u, v) in g, update the cache, then bring the table up to

@@ -11,7 +11,12 @@ import ramseykit.generate as generate
 import ramseykit.verify as verify_module
 from ramseykit.cli import main
 from ramseykit.fixtures import load_fixtures
-from ramseykit.formats import graph6_decode, graph6_encode, parse_color_matrix
+from ramseykit.formats import (
+    emit_color_matrix,
+    graph6_decode,
+    graph6_encode,
+    parse_color_matrix,
+)
 from ramseykit.graphs import Graph
 from ramseykit.pool import MAX_JOBS
 from ramseykit.polycirculant import enumerate_census
@@ -149,8 +154,24 @@ class TestSearch:
              "--max-steps", "20000"]
         )
         assert code == 0
-        mc = parse_color_matrix(capsys.readouterr().out, r=3)
+        out = capsys.readouterr().out
+        mc = parse_color_matrix(out, r=3)
         assert verify_witness(mc, parse_problem("GR:3,K4,2")).valid
+        # the matrix text as emit_color_matrix writes it, with no blank line after
+        assert out == emit_color_matrix(mc)
+
+    def test_gr_witness_output_file(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        code = main(
+            ["search", "--problem", "GR:3,K4,2", "-n", "6", "--seed", "2",
+             "--max-steps", "20000", "-o", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        text = out.read_text()
+        mc = parse_color_matrix(text, r=3)
+        assert verify_witness(mc, parse_problem("GR:3,K4,2")).valid
+        assert text == emit_color_matrix(mc)
 
     def test_miss_is_exit_3(self, capsys):
         code = main(

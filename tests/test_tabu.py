@@ -56,6 +56,23 @@ class TestInitState:
         with pytest.raises(InputError):
             init_state(K33, 1, seed=0)
 
+    @pytest.mark.parametrize("spec", ["B2,B8", "W5,W7", "K4,K4", "GR:3,K4,2"])
+    def test_side_tables_go_through_the_bound_shape_delta(self, monkeypatch, spec):
+        # the benchmark's tracer counts side deltas by rebinding
+        # tabu.shape_toggle_delta, so every table entry must pass through it
+        calls = []
+        real = tabu.shape_toggle_delta
+
+        def counted(g, u, v, shape, cache=None):
+            calls.append((id(g), u, v))
+            return real(g, u, v, shape, cache)
+
+        monkeypatch.setattr(tabu, "shape_toggle_delta", counted)
+        st = init_state(parse_problem(spec), 9, seed=5)
+        expected = [(id(side.g), u, v) for side in st.scorer.bound for u, v in pair_iter(9)]
+        assert sorted(calls) == sorted(expected)
+        assert st.scorer.tables_agree()
+
 
 class TestTabuStep:
     def test_incrementals_track_ground_truth(self):
