@@ -32,9 +32,9 @@ from .generate import generate_levels
 from .graphs import Graph, MultiColoring
 from .polycirculant import CensusResult, enumerate_census
 from .pool import check_workers
-from .problems import TwoColorProblem, parse_problem
+from .problems import Problem, TwoColorProblem, parse_problem
 from .tabu import run_parallel
-from .verify import verify_witness, violation_holds
+from .verify import _checked_object, verify_witness, violation_holds
 
 
 def _read_text(path: str) -> str:
@@ -47,25 +47,33 @@ def _read_text(path: str) -> str:
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
-def _load_inputs(paths: list[str], fmt: str, r: int) -> list[tuple[str, Graph | MultiColoring]]:
-    """(path:line, object) pairs; a file may hold many graph6 lines or many
-    matrices, and each matrix gets the problem's color count r."""
+def _load_inputs(args, command: str) -> tuple[Problem, list[tuple[str, Graph | MultiColoring]]]:
+    """The problem of a verify or count run and its (path:line, object)
+    pairs.  A file may hold many graph6 lines or many matrices, each matrix
+    with the problem's color count; every object is read through verify's
+    object rule, so a two-color problem gets a Graph, and a refused object
+    is named at its path:line."""
+    problem = parse_problem(args.problem)
     out: list[tuple[str, Graph | MultiColoring]] = []
-    for path in paths:
+    for path in args.inputs:
         text = _read_text(path)
-        if fmt == "graph6":
+        if args.format == "graph6":
             objs = read_graph6_lines(text)
         else:
-            objs = read_color_matrices(text, r)
-        out += [(f"{path}:{lineno}", obj) for lineno, obj in objs]
-    return out
+            objs = read_color_matrices(text, problem.r)
+        for lineno, obj in objs:
+            label = f"{path}:{lineno}"
+            try:
+                out.append((label, _checked_object(obj, problem)))
+            except InputError as exc:
+                raise InputError(f"{label}: {exc}") from None
+    if not out:
+        raise InputError(f"no inputs to {command}")
+    return problem, out
 
 
 def cmd_verify(args) -> int:
-    problem = parse_problem(args.problem)
-    inputs = _load_inputs(args.inputs, args.format, problem.r)
-    if not inputs:
-        raise InputError("no inputs to verify")
+    problem, inputs = _load_inputs(args, "verify")
     bad = 0
     for label, obj in inputs:
         verdict = verify_witness(obj, problem)
@@ -82,22 +90,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    problem = parse_problem(args.problem)
-    inputs = _load_inputs(args.inputs, args.format, problem.r)
-    if not inputs:
-        raise InputError("no inputs to count")
+    problem, inputs = _load_inputs(args, "count")
     for label, obj in inputs:
         if isinstance(problem, TwoColorProblem):
-            if isinstance(obj, MultiColoring):
-                obj = obj.color_class(1)
             left = count_shape(obj, problem.left)
             right = count_shape(obj.complement(), problem.right)
             print(f"{label}: left={left} right={right} score={left + right}")
         else:
-            if not isinstance(obj, MultiColoring):
-                raise InputError(f"{label}: generalized problems need matrix input")
-            score = gr_score(obj, problem.s, problem.t)
-            print(f"{label}: score={score}")
+            print(f"{label}: score={gr_score(obj, problem.s, problem.t)}")
     return 0
 
 

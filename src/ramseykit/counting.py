@@ -78,8 +78,7 @@ class WheelCache:
     __slots__ = ("k", "P", "Q", "C")
 
     def __init__(self, g: Graph, k: int):
-        if k < 4:
-            raise InputError("wheel order must be at least 4")
+        Wheel(k)  # range check
         self.k = k
         n = g.n
         self.P: list = [None] * n
@@ -276,8 +275,7 @@ def update_clique_table(rows: list[int], table: list[int], a: int, b: int, s: in
 
 def count_books(g: Graph, k: int) -> int:
     """Spine-labeled B_k count: sum over edges of C(codegree, k)."""
-    if k < 1:
-        raise InputError("book page count must be at least 1")
+    Book(k)  # range check
     rows = g.rows
     total = 0
     for u, v in g.edges():
@@ -287,8 +285,7 @@ def count_books(g: Graph, k: int) -> int:
 
 def book_toggle_delta(g: Graph, u: int, v: int, k: int, cache: CodegreeCache | None = None) -> int:
     """Change in count_books if edge (u,v) were toggled.  Pure; O(n)."""
-    if k < 1:
-        raise InputError("book page count must be at least 1")
+    Book(k)  # range check
     rows = g.rows
     if cache is None:
         cdu = [(rows[u] & row).bit_count() for row in rows]
@@ -364,8 +361,7 @@ def _count_cycles_through(rows: list[int], mask: int, x: int, length: int) -> in
 def count_wheels(g: Graph, k: int) -> int:
     """Hub-labeled W_k count: rim cycles of length k-1 inside each
     neighborhood, each cycle counted once."""
-    if k < 4:
-        raise InputError("wheel order must be at least 4")
+    Wheel(k)  # range check
     return sum(_count_cycles(g.rows, g.rows[h], k - 1) for h in range(g.n))
 
 
@@ -408,8 +404,7 @@ def wheel_toggle_delta(g: Graph, u: int, v: int, k: int, cache: WheelCache | Non
             for w2 in common[i + 1 :]:
                 total += qu[w2] + qv[w2]
         return total
-    if k < 4:
-        raise InputError("wheel order must be at least 4")
+    Wheel(k)  # range check
     L = k - 1
     both = ~(1 << u) & ~(1 << v)
     total = 0
@@ -474,15 +469,13 @@ def count_cliques_in_mask(rows: list[int], mask: int, s: int) -> int:
 
 
 def count_cliques(g: Graph, s: int) -> int:
-    if s < 2:
-        raise InputError("clique order must be at least 2")
+    Clique(s)  # range check
     return count_cliques_in_mask(g.rows, (1 << g.n) - 1, s)
 
 
 def clique_toggle_delta(g: Graph, u: int, v: int, s: int) -> int:
     """Change in count_cliques if edge (u,v) were toggled.  Pure."""
-    if s < 2:
-        raise InputError("clique order must be at least 2")
+    Clique(s)  # range check
     completions = count_cliques_in_mask(g.rows, g.rows[u] & g.rows[v], s - 2)
     return -completions if g.has_edge(u, v) else completions
 

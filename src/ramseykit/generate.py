@@ -70,9 +70,9 @@ from .canon import automorphisms, canonical_key, coloring_canonical_key
 from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
 from .formats import emit_color_matrix, graph6_encode
 from .graphs import VALID, Graph, MultiColoring, bits_of, least_masks, mask_state
-from .pool import check_workers, map_jobs
+from .pool import check_limit, check_workers, map_jobs
 from .problems import GeneralizedProblem, Problem, TwoColorProblem
-from .verify import has_shape_through, verify_witness
+from .verify import _checked_object, has_shape_through, verify_witness
 
 
 class _Parent:
@@ -306,14 +306,13 @@ def extend_one(obj: Graph | MultiColoring, problem: Problem) -> Children:
     A two-color child whose neighborhood is the image of an earlier one's
     under an automorphism of the parent is listed in ``images``; every
     other child whose new vertex's invariant is strictly the largest is in
-    ``strict``, with its signature."""
+    ``strict``, with its signature.  A GR parent is read through
+    ``verify``'s object rule; a two-color parent must be a Graph."""
     if isinstance(problem, TwoColorProblem):
         if not isinstance(obj, Graph):
             raise InputError("two-color generation extends Graph objects")
         return _two_color_children(obj, problem)
-    if not isinstance(obj, MultiColoring):
-        raise InputError("generalized generation extends MultiColoring objects")
-    return _multicolor_children(obj, problem)
+    return _multicolor_children(_checked_object(obj, problem), problem)
 
 
 # the key of a child kept without one; no canonical key is empty
@@ -390,12 +389,12 @@ def generate_levels(
     returns, the symmetric images it does not key included; the ones the
     invariant filter drops are not counted.  Going past it raises
     ``BudgetExceededError`` whose ``partial`` is the ``GenerationResult`` of
-    the levels finished so far; a negative budget raises ``InputError``."""
+    the levels finished so far; a negative or NaN budget raises
+    ``InputError``."""
     two_color = isinstance(problem, TwoColorProblem)
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    if child_budget < 0:
-        raise InputError(f"child budget must be at least 0, not {child_budget}")
+    check_limit("child budget", child_budget)
     if n_max > 12:
         raise CapabilityError("generation is desk-scale only: n_max capped at 12")
     if not two_color and problem.r > 4:

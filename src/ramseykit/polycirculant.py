@@ -78,7 +78,7 @@ from .errors import (
 )
 from .formats import graph6_encode
 from .graphs import VALID, Graph, bits_of, least_masks, mask_images, mask_state
-from .pool import check_workers, map_jobs
+from .pool import check_limit, check_workers, map_jobs
 from .problems import Book, TwoColorProblem
 # has_shape_through stays bound here, as build does, for perfbench/tracing.py
 from .verify import has_shape_at, has_shape_through, verify
@@ -189,16 +189,11 @@ def _form(m: int, diag, off) -> tuple[int, ...]:
     the units, taking the diagonal masks in either order and the
     off-diagonal mask by its least image.  Specs with one form are
     isomorphic: swapping the blocks maps S12 to -S12, which has the same
-    least image.  A census keeps few specs, so the images are computed
-    here, not looked up in ``_multipliers`` tables."""
+    least image."""
     least = _least_images(m) if off else ()
-
-    def times(a: int, S: int) -> int:
-        return sum(1 << (a * d % m) for d in bits_of(S))
-
     return min(
-        (*sorted(times(a, S) for S in diag), *(least[times(a, S)] for S in off))
-        for a in _units(m)
+        (*sorted(mul[S] for S in diag), *(least[mul[S]] for S in off))
+        for mul, _ in _multipliers(m)
     )
 
 
@@ -503,7 +498,9 @@ def enumerate_census(
     """
     if not isinstance(problem, TwoColorProblem):
         raise InputError("census enumeration covers two-color problems only")
-    if k not in (1, 2, 3):
+    if k < 1:
+        raise InputError("census needs at least one block")
+    if k > 3:
         raise CapabilityError("census supports k in {1, 2, 3}")
     if m < 2:
         raise InputError("m must be at least 2")
@@ -513,8 +510,7 @@ def enumerate_census(
         raise CapabilityError(f"census graphs need exact canonical forms: k*m capped at {N_CAP}")
     if complement_blocks and k != 2:
         raise InputError("complement-blocks filter needs exactly 2 blocks")
-    if budget is not None and budget < 0:
-        raise InputError(f"census budget must be at least 0, not {budget}")
+    check_limit("census budget", budget)
     workers = check_workers(workers)
 
     outers = list(enumerate(_diag_options(m)))

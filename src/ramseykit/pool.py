@@ -1,7 +1,9 @@
 """Run jobs and report each job's fate: its result, the exception it raised
 (with the worker's traceback as its cause), or ``WorkerLost`` when the
 worker died without a word, as a killed or out-of-memory worker does.
-A lone job runs in the calling process, so no engine decides that itself."""
+A lone job runs in the calling process, so no engine decides that itself.
+The engines' shared argument rules live here too: ``check_workers`` for a
+worker count and ``check_limit`` for a step, time, child or spec budget."""
 
 from contextlib import closing
 
@@ -20,6 +22,14 @@ def check_workers(workers: int | None) -> int:
     if workers > MAX_JOBS:
         raise CapabilityError(f"{workers} workers exceed the cap of {MAX_JOBS} worker processes")
     return workers
+
+
+def check_limit(name: str, value: float | None) -> None:
+    """Refuse a limit below 0 with ``InputError``; ``None`` means no limit.
+    ``not value >= 0`` also refuses NaN, against which every comparison is
+    false, so a NaN limit cannot turn its cap off."""
+    if value is not None and not value >= 0:
+        raise InputError(f"{name} must be at least 0, not {value}")
 
 
 class _WorkerTraceback(Exception):

@@ -51,7 +51,7 @@ from .counting import (
 )
 from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
-from .pool import run_jobs
+from .pool import check_limit, run_jobs
 from .problems import Book, Clique, Problem, Shape, TwoColorProblem
 from .verify import verify_witness
 
@@ -272,14 +272,6 @@ def tabu_step(state: SearchState):
     return u, v, new, best_delta
 
 
-def _check_limits(max_steps: int | None, max_seconds: float | None) -> None:
-    # `not >= 0` also refuses NaN, against which every comparison is false
-    if max_steps is not None and max_steps < 0:
-        raise InputError(f"max_steps must be at least 0, not {max_steps}")
-    if max_seconds is not None and not max_seconds >= 0:
-        raise InputError(f"max_seconds must be at least 0, not {max_seconds}")
-
-
 @dataclass
 class SearchStats:
     steps: int
@@ -311,7 +303,8 @@ def run_search(
 ) -> SearchOutcome:
     """Iterate tabu_step until score 0, a limit, or exhaustion.  Witnesses are
     re-verified before being returned; never restarts within a run."""
-    _check_limits(max_steps, max_seconds)
+    check_limit("max_steps", max_steps)
+    check_limit("max_seconds", max_seconds)
     state = init_state(problem, n, seed)
     start = time.perf_counter()
 
@@ -373,7 +366,8 @@ def run_parallel(
         raise InputError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise InputError("seeds must be distinct")
-    _check_limits(max_steps, max_seconds)
+    check_limit("max_steps", max_steps)
+    check_limit("max_seconds", max_seconds)
     start = time.perf_counter()
     jobs = [(problem, n, seed, max_steps, max_seconds, progress, w) for w, seed in enumerate(seeds)]
     fates = ["stopped"] * len(seeds)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,7 @@ from ramseykit.formats import (
     graph6_encode,
     parse_color_matrix,
 )
-from ramseykit.graphs import Graph
+from ramseykit.graphs import Graph, MultiColoring
 from ramseykit.pool import MAX_JOBS
 from ramseykit.polycirculant import enumerate_census
 from ramseykit.problems import parse_problem
@@ -87,6 +88,21 @@ class TestVerify:
         assert main(["verify", "--problem", "GR:3,K4,2", "--format", "matrix", str(path)]) == 0
         assert f"{path}:1: ok n=9" in capsys.readouterr().out
 
+    def test_object_of_the_wrong_kind_is_named_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "k4.g6"
+        path.write_text(graph6_encode(Graph(4).complement()) + "\n")
+        assert main(["verify", "--problem", "GR:3,K4,2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:1: generalized problems need a MultiColoring\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "count"])
+    def test_no_inputs_is_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        assert main([command, "--problem", "K3,K3", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: no inputs to {command}\n"
+
     def test_malformed_graph6_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
         path.write_text("Dq\n")
@@ -126,7 +142,23 @@ class TestCount:
         path = tmp_path / "k4.g6"
         path.write_text(graph6_encode(Graph(4).complement()) + "\n")
         assert main(["count", "--problem", "GR:3,K4,2", str(path)]) == 2
-        assert "matrix input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:1: generalized problems need a MultiColoring\n"
+
+    def test_two_colour_matrix_counts_as_its_colour_1(self, tmp_path, capsys):
+        g = graph6_decode(FIXTURES["RB2B8-20"].payload)
+        mc = MultiColoring(g.n, 2)
+        for u, v in combinations(range(g.n), 2):
+            mc.set_color(u, v, 1 if g.has_edge(u, v) else 2)
+        g6, matrix = tmp_path / "w.g6", tmp_path / "w.txt"
+        g6.write_text(graph6_encode(g) + "\n")
+        matrix.write_text(emit_color_matrix(mc))
+        assert main(["count", "--problem", "B2,B8", str(g6)]) == 0
+        by_graph = capsys.readouterr().out
+        assert main(["count", "--problem", "B2,B8", "--format", "matrix", str(matrix)]) == 0
+        by_matrix = capsys.readouterr().out
+        assert by_graph.startswith(f"{g6}:1: left=")
+        assert by_matrix == by_graph.replace(str(g6), str(matrix))
 
 
 class TestSearch:
@@ -387,6 +419,11 @@ class TestPolycirc:
         assert main(["polycirc", "--problem", "B2,B8", "-k", "3", "-m", "5",
                      "--filter", "complement-blocks"]) == 2
         assert "needs exactly 2 blocks" in capsys.readouterr().err
+
+    def test_no_blocks_is_exit_2(self, capsys):
+        # as every other lower bound, not exit 3 as a capability limit
+        assert main(["polycirc", "--problem", "K3,K3", "-k", "0", "-m", "5"]) == 2
+        assert capsys.readouterr().err == "error: census needs at least one block\n"
 
 
 class TestCertificatesReadBack:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import product
@@ -263,6 +264,11 @@ class TestExtendOne:
         with pytest.raises(InputError):
             extend_one(Graph(3), GR443)
 
+    def test_gr_parent_with_another_colour_count_rejected(self):
+        # the colour count is checked as verify_witness checks it
+        with pytest.raises(InputError, match="coloring has 5 colors, problem wants 3"):
+            extend_one(MultiColoring(3, 5), parse_problem("GR:3,K4,2"))
+
 
 class TestSymmetrySkip:
     @pytest.mark.parametrize("problem", [W5W7, B2B8], ids=str)
@@ -392,6 +398,11 @@ class TestLimitsAndModes:
         # as the census refuses a negative budget, before any level is built
         with pytest.raises(InputError, match="child budget must be at least 0, not -1"):
             generate_levels(B2B8, 7, child_budget=-1)
+
+    def test_nan_budget_is_refused(self):
+        # NaN compares false with everything, so it used to turn the cap off
+        with pytest.raises(InputError, match="child budget must be at least 0, not nan"):
+            generate_levels(B2B8, 7, child_budget=math.nan)
 
     def test_budget_carries_partial_counts(self):
         with pytest.raises(BudgetExceededError) as ei:

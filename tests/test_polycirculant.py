@@ -395,6 +395,14 @@ class TestCensus:
         with pytest.raises(InputError):
             enumerate_census(1, 5, K33, complement_blocks=True)
 
+    def test_no_blocks_and_nan_budget_are_input_errors(self):
+        # a lower bound is an input error, as PolycirculantSpec says; only
+        # k > 3 is a capability limit
+        with pytest.raises(InputError, match="census needs at least one block"):
+            enumerate_census(0, 5, K33)
+        with pytest.raises(InputError, match="census budget must be at least 0, not nan"):
+            enumerate_census(1, 5, K33, budget=math.nan)
+
     def test_census_lines_parse_back(self):
         # each line is its graph's graph6 and the spec that builds it
         res = enumerate_census(2, 5, B2B8)

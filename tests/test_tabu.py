@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -218,6 +219,15 @@ class TestRunParallel:
             run_parallel(K33, 5, seeds=[])
         with pytest.raises(InputError):
             run_parallel(K33, 5, seeds=[4, 4])
+
+    @pytest.mark.parametrize("race", [False, True], ids=["run_search", "run_parallel"])
+    def test_nan_step_limit_is_refused(self, race):
+        # NaN compares false with everything, so a NaN step cap ran uncapped
+        with pytest.raises(InputError, match="max_steps must be at least 0, not nan"):
+            if race:
+                run_parallel(K33, 6, seeds=[0], max_steps=math.nan)
+            else:
+                run_search(K33, 6, seed=0, max_steps=math.nan)
 
 
 class TestProgress:
