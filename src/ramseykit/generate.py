@@ -67,7 +67,7 @@ from itertools import combinations
 from operator import and_, or_
 
 from .canon import automorphisms, canonical_key, coloring_canonical_key
-from .errors import BudgetExceededError, CapabilityError, InputError, VerificationError
+from .errors import BudgetExceededError, CapabilityError, InputError
 from .formats import emit_color_matrix, graph6_encode
 from .graphs import VALID, Graph, MultiColoring, bits_of, least_masks, mask_state
 from .pool import check_limit, check_workers, map_jobs
@@ -455,9 +455,7 @@ def _dump_level(dump_dir: str, order: int, objects, problem: Problem) -> None:
     import os
 
     for obj in objects:
-        verdict = verify_witness(obj, problem)
-        if not verdict.valid:
-            raise VerificationError(f"generation produced an invalid witness: {verdict.violation}")
+        verify_witness(obj, problem).require("generation produced an invalid witness")
     os.makedirs(dump_dir, exist_ok=True)
     if isinstance(problem, TwoColorProblem):
         name, lines = f"n{order}.g6", map(graph6_encode, objects)

@@ -64,18 +64,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import gcd
 from operator import or_
 
 from .canon import N_CAP, are_isomorphic, canonical_key
-from .errors import (
-    BudgetExceededError,
-    CapabilityError,
-    InputError,
-    VerificationError,
-    WitnessNotFoundError,
-)
+from .errors import BudgetExceededError, CapabilityError, InputError, WitnessNotFoundError
 from .formats import graph6_encode
 from .graphs import VALID, Graph, bits_of, least_masks, mask_images, mask_state
 from .pool import check_limit, check_workers, map_jobs
@@ -541,9 +535,7 @@ def enumerate_census(
         if key in seen:
             continue
         seen.add(key)
-        verdict = verify(g, problem)
-        if not verdict.valid:
-            raise VerificationError(f"census produced an invalid graph: {verdict.violation}")
+        verify(g, problem).require("census produced an invalid graph")
         result.specs.append(spec)
         result.graphs.append(g)
     if truncated:
@@ -555,11 +547,14 @@ def enumerate_census(
 def lemma_witness(n: int) -> Graph:
     """A verified witness showing R(B_{n-1}, B_n) >= 4n-1, order 4n-2.
 
-    Tries 2-polycirculant constructions with blocks of size m = 2n-1 first:
-    the ansatz that the second block is the complementary circulant of the
-    first, then the first graph of the 2-block census, which scans the
-    whole space in the same order.  Every case from n = 5 on lands in the
-    ansatz; at n = 4 the whole 2-block space is empty (exhaustively
+    One scan of the 2-polycirculant graphs with blocks of size m = 2n-1,
+    over the diagonal sets that pass as circulants: first the pairs whose
+    second block is the complementary circulant of the first, then every
+    pair in the census's descent order.  The first pair with a valid
+    off-diagonal set gives its least one, so the second walk returns the
+    census's first graph: a valid list is a union of dihedral orbits, and
+    its least mask leads its own.  A complementary pair hits for every n
+    but 2 and 4; at n = 4 the whole 2-block space is empty (exhaustively
     checked), even though 14-vertex witnesses exist, so as a last resort
     the bound is re-established by seeded local search.  Whatever strategy
     hits, the returned graph has been re-verified.
@@ -571,23 +566,14 @@ def lemma_witness(n: int) -> Graph:
     m = 2 * n - 1
     problem = TwoColorProblem(Book(n - 1), Book(n))
     full = (1 << m) - 2  # every difference 1..m-1
-    for S in _diag_options(m):
-        diag = (S, full ^ S)
-        if any(_probe(1, m, (D,), (), problem) is None for D in diag):
-            continue
+    opts = [S for S in _diag_options(m) if _probe(1, m, (S,), (), problem) is not None]
+    complementary = [(S, full ^ S) for S in opts if full ^ S in opts]
+    for diag in chain(complementary, product(opts, repeat=2)):
         valid = _valid_masks(m, diag, problem)
         if valid:
             g = _realize(2, m, diag, valid[:1])
-            verdict = verify(g, problem)
-            if not verdict.valid:
-                raise VerificationError(f"lemma witness failed verification: {verdict.violation}")
+            verify(g, problem).require("lemma witness failed verification")
             return g
-    try:
-        census = enumerate_census(2, m, problem)
-    except VerificationError as exc:
-        raise VerificationError(f"lemma witness failed verification: {exc}") from exc
-    if census.graphs:
-        return census.graphs[0]
     from .tabu import run_search
 
     for seed in range(8):

@@ -33,7 +33,6 @@ import random
 import time
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from math import comb
 from operator import add
@@ -53,7 +52,7 @@ from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
 from .pool import check_limit, run_jobs
 from .problems import Book, Clique, Problem, Shape, TwoColorProblem
-from .verify import verify_witness
+from .verify import _checked_object, verify_witness
 
 AUDIT_EVERY = 1 << 14
 PROGRESS_EVERY = 10_000
@@ -115,11 +114,9 @@ class _Scorer:
     def __init__(self, problem: Problem, mc: MultiColoring):
         if isinstance(problem, TwoColorProblem):
             self.sides = [((1,), problem.left), ((2,), problem.right)]
-            self.witness = partial(mc.color_class, 1)
         else:
             csets = combinations(range(1, mc.r + 1), problem.t)
             self.sides = [(cset, Clique(problem.s)) for cset in csets]
-            self.witness = mc.copy
         self.mc = mc
         self.bound = [_Side(shape, mc.union_graph(cset)) for cset, shape in self.sides]
         colors = range(1, mc.r + 1)
@@ -301,8 +298,10 @@ def run_search(
     progress=None,
     worker_id: int = 0,
 ) -> SearchOutcome:
-    """Iterate tabu_step until score 0, a limit, or exhaustion.  Witnesses are
-    re-verified before being returned; never restarts within a run."""
+    """Iterate tabu_step until score 0, a limit, or exhaustion.  A witness is
+    the object verify reads (colour 1 of a two-colour run, the coloring of a
+    GR run) and is re-verified before being returned; never restarts within
+    a run."""
     check_limit("max_steps", max_steps)
     check_limit("max_seconds", max_seconds)
     state = init_state(problem, n, seed)
@@ -319,10 +318,8 @@ def run_search(
 
     while True:
         if state.score == 0:
-            witness = state.scorer.witness()
-            verdict = verify_witness(witness, problem)
-            if not verdict.valid:
-                raise VerificationError(f"score-0 state failed verification: {verdict.violation}")
+            witness = _checked_object(state.coloring.copy(), problem)
+            verify_witness(witness, problem).require("score-0 state failed verification")
             return outcome(witness, None)
         if max_steps is not None and state.steps >= max_steps:
             return outcome(None, "max_steps")

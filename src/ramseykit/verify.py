@@ -14,6 +14,11 @@ The census asks `has_shape_at` for a shape rooted at a vertex, generation
 The searches here depend only on `graphs` and `problems`, never on the
 production counters in `counting`: the two are independent
 implementations, and their agreement is the correctness argument.
+
+An object the package built itself (a search's witness, a census graph, a
+lemma witness, a dumped generation level) is checked through
+`Verdict.require`, which raises VerificationError with the violation when
+the verdict is invalid.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .graphs import Graph, MultiColoring, _peel_2core, bits_of
 from .problems import (
     Book,
@@ -58,6 +63,11 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.valid
+
+    def require(self, what: str) -> None:
+        """Raise VerificationError("what: violation") unless valid."""
+        if not self.valid:
+            raise VerificationError(f"{what}: {self.violation}")
 
 
 def find_book(g: Graph, k: int) -> tuple[tuple[int, int], tuple[int, ...]] | None:

@@ -455,6 +455,17 @@ class TestLimitsAndModes:
         with pytest.raises(VerificationError, match="generation"):
             generate_levels(K33, 5, dump_dir=str(tmp_path))
 
+    def test_a_rejected_level_is_not_written(self, tmp_path, monkeypatch):
+        import ramseykit.generate as gen
+        from ramseykit.verify import Verdict
+
+        monkeypatch.setattr(gen, "verify_witness", lambda obj, problem: Verdict(False))
+        dump = tmp_path / "levels"
+        with pytest.raises(VerificationError, match="generation"):
+            generate_levels(K33, 3, dump_dir=str(dump))
+        # order 1 is checked before the directory is made or a line written
+        assert not dump.exists()
+
     def test_dump_dir_roundtrips(self, tmp_path):
         generate_levels(K33, 5, dump_dir=str(tmp_path))
         found = sorted(p.name for p in tmp_path.iterdir())

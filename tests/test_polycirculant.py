@@ -855,11 +855,45 @@ class TestLemmaWitness:
             (3, "IheMBGuEo"),
             (5, "QzKW[NBamIKSkSUMTbak{IroTf_"),
             (6, "UzKWWKB_]@ojoiwSMDdokVBqmFamN`VNoTr{Am^_"),
+            (7, "YzlXWkJ`YDsJsJ`XwUVAo[JOwUcwUe[JPfBskw]ar`yDfJsDfJsArdy?"),
+            (
+                8,
+                "]znZXkZB[LwZWZkLzB[UTpXPaqdaqapXQkUCTas`UJqQkVcqkVcXUJqUT_{aqkfcJIq]OUTc{_",
+            ),
         ],
     )
     def test_two_block_witnesses_pinned(self, n, g6):
         # graph6 strings from the construction that built each graph edge by edge
         assert graph6_encode(lemma_witness(n)) == g6
+
+    def test_first_census_graph_without_a_census(self, monkeypatch):
+        # no complementary pair works at n = 2; the scan's walk in descent
+        # order still finds the census's first graph
+        import ramseykit.polycirculant as poly
+
+        def no_census(*args, **kwargs):
+            raise AssertionError("lemma_witness ran a census")
+
+        monkeypatch.setattr(poly, "enumerate_census", no_census)
+        assert graph6_encode(lemma_witness(2)) == "EDp_"
+
+    @pytest.mark.parametrize("n, calls", [(5, 1), (6, 1), (7, 5), (8, 12)])
+    def test_complementary_pairs_come_first(self, monkeypatch, n, calls):
+        # each pair list costs a full pass over the off-diagonal orbits; from
+        # n = 5 on a complementary pair hits within a few lists, where the
+        # descent order would take many more at n = 8
+        import ramseykit.polycirculant as poly
+
+        made = []
+        real = poly._valid_masks
+
+        def counted(m, diag, problem):
+            made.append(diag)
+            return real(m, diag, problem)
+
+        monkeypatch.setattr(poly, "_valid_masks", counted)
+        lemma_witness(n)
+        assert len(made) == calls
 
     @pytest.mark.slow
     def test_order_14_case_needs_search(self):
@@ -899,12 +933,16 @@ class TestReverification:
         script = """
 if __debug__:
     raise SystemExit("asserts are live: not running under -O")
-import ramseykit.polycirculant as poly, ramseykit.tabu as tabu
+import tempfile
+import ramseykit.generate as gen, ramseykit.polycirculant as poly, ramseykit.tabu as tabu
 from ramseykit.errors import VerificationError
 from ramseykit.problems import parse_problem
 from ramseykit.verify import Verdict
-poly.verify = tabu.verify_witness = lambda obj, problem: Verdict(False)
+poly.verify = tabu.verify_witness = gen.verify_witness = lambda obj, problem: Verdict(False)
+dump = tempfile.TemporaryDirectory()
 for run in (lambda: poly.enumerate_census(2, 5, parse_problem("B2,B8")),
+            lambda: poly.lemma_witness(2),
+            lambda: gen.generate_levels(parse_problem("K3,K3"), 3, dump_dir=dump.name),
             lambda: tabu.run_search(parse_problem("K3,K3"), 5, seed=1)):
     try:
         run()

@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 
 import ramseykit
 from ramseykit.counting import count_shape
-from ramseykit.errors import InputError
+from ramseykit.errors import InputError, VerificationError
 from ramseykit.fixtures import load_fixtures
 from ramseykit.graphs import Graph, MultiColoring, pair_iter
 from ramseykit.problems import Book, Clique, TwoColorProblem, Wheel, parse_problem
@@ -354,6 +354,13 @@ class TestTwoColorVerify:
 
     def test_verdict_is_truthy(self):
         assert bool(Verdict(True)) and not bool(Verdict(False))
+
+    def test_require_names_what_failed_and_the_violation(self):
+        assert Verdict(True).require("unused") is None
+        viol = Violation("B1", {"spine": (0, 1), "pages": (2,)}, "graph")
+        with pytest.raises(VerificationError) as caught:
+            Verdict(False, viol).require("built graph failed")
+        assert str(caught.value) == "built graph failed: B1 spine=0,1 pages=2"
 
 
 class TestGrVerify:
