@@ -9,16 +9,17 @@ counts a path's last two edges as one popcount of common neighbors.  Book
 and wheel deltas can instead read a cache kept current across toggles:
 CodegreeCache holds the codegree matrix, and WheelCache per-hub rim-path
 tables of which a toggle rebuilds only the hubs it can change.
-A caller holding every pair's book or clique delta (the tabu scorer does)
-brings it up to date after a toggle with update_book_table or
-update_clique_table.  Each corrects in place, by the few terms the toggle
-moved, exactly the pairs whose delta it can change, and recomputes none:
-for books the pairs meeting the toggled edge or joining its common
-neighborhood to its neighborhood union, for cliques the pairs meeting the
-edge or inside its common neighborhood.  The hubs a wheel toggle rebuilds
-reach most pairs, so a wheel table is recomputed whole instead.  The GR
-score has only its full form here; its recolor delta lives in the tabu
-scorer, which keeps the union graphs the delta needs and sums clique
+A caller holding every pair's book, clique or wheel delta (the tabu scorer
+does) brings it up to date after a toggle with update_book_table,
+update_clique_table or update_wheel_table.  Each corrects in place, by the
+few terms the toggle moved, the pairs whose delta it can change: for books
+the pairs meeting the toggled edge or joining its common neighborhood to
+its neighborhood union, for cliques the pairs meeting the edge or inside
+its common neighborhood, and for wheels the pairs inside the neighborhood
+of a hub the toggle rebuilt.  Book and clique correctors recompute no
+delta; the wheel corrector recomputes the pairs meeting a rebuilt hub.
+The GR score has only its full form here; its recolor delta lives in the
+tabu scorer, which keeps the union graphs the delta needs and sums clique
 completions over them.  Counts are plain Python ints (arbitrary
 precision), so the overflow cases other implementations must guard
 against cannot arise here.
@@ -55,12 +56,15 @@ class CodegreeCache:
         cd = self.cd
         cd[u][u] += d  # diagonal entries are degrees
         cd[v][v] += d
-        for x in bits_of(g.rows[v] & ~(1 << u)):
-            cd[u][x] += d
-            cd[x][u] += d
-        for x in bits_of(g.rows[u] & ~(1 << v)):
-            cd[v][x] += d
-            cd[x][v] += d
+        for e, f in ((u, v), (v, u)):
+            cde = cd[e]
+            m = g.rows[f] & ~(1 << e)
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                cde[x] += d
+                cd[x][e] += d
 
 
 class WheelCache:
@@ -121,7 +125,12 @@ class WheelCache:
                         low = ends & -ends
                         ends ^= low
                         Pa[low.bit_length() - 1] += 1
-            C[a] = sum(Pa[b] for b in bits_of(rows[a] & nbhd)) // 2
+            c, m = 0, rows[a] & nbhd
+            while m:
+                low = m & -m
+                m ^= low
+                c += Pa[low.bit_length() - 1]
+            C[a] = c // 2
         self.P[h], self.Q[h], self.C[h] = P, Q, C
 
     def apply_toggle(self, g: Graph, u: int, v: int) -> None:
@@ -261,16 +270,67 @@ def update_clique_table(rows: list[int], table: list[int], a: int, b: int, s: in
     for e in (a, b):
         re = rows[e]
         for y in bits_of(rows[a ^ b ^ e] & ~ends):
-            c = count_cliques_in_mask(rows, inner & rows[y], s - 3)
+            if s > 4:
+                c = count_cliques_in_mask(rows, inner & rows[y], s - 3)
+            else:  # a K1 count at s = 4, K0 = 1 at s = 3 and none at s = 2
+                c = (inner & rows[y]).bit_count() if s == 4 else s - 2
             lo, hi = (y, e) if y < e else (e, y)
             table[hi * (hi - 1) // 2 + lo] += sign[re >> y & 1] * c
     table[pair_index(a, b)] *= -1
+    if s < 4:  # a K_{s-4} count is zero
+        return
     for y in bits_of(inner):
         base = y * (y - 1) // 2
         row = rows[y]
         for x in bits_of(inner & ((1 << y) - 1)):
-            c = count_cliques_in_mask(rows, inner & row & rows[x], s - 4)
+            c = count_cliques_in_mask(rows, inner & row & rows[x], s - 4) if s > 4 else 1
             table[base + x] += sign[row >> x & 1] * c
+
+
+def update_wheel_table(
+    rows: list[int], table: list[int], a: int, b: int, cache: WheelCache, old: list
+) -> None:
+    """Bring `table`, the W_k toggle delta at every pair in pair_iter order,
+    up to date after a toggle of edge (a, b) that `rows` and `cache` already
+    hold; `old` is the cache's P before the toggle.  The toggle rebuilt the
+    hubs R = {a, b} ∪ N(a) ∩ N(b).  A pair off R keeps its common
+    neighbourhood, its edge bit and the tables of its own ends as hubs, so
+    its entry moves only by the move of P[h][x][y] at the hubs h in
+    R ∩ N(x) ∩ N(y), negated on an edge: only the pairs inside N(h) for
+    some h in R are corrected.  The pairs meeting R are recomputed through
+    wheel_toggle_delta with the cache."""
+    g, k, P = Graph(len(rows), rows), cache.k, cache.P  # g reads the same rows
+    hubs = rows[a] & rows[b] | 1 << a | 1 << b
+    m = hubs
+    while m:
+        low = m & -m
+        m ^= low
+        h = low.bit_length() - 1
+        new_h, old_h = P[h], old[h]
+        off = rows[h] & ~hubs  # in N(h) before the toggle too
+        ys = off
+        while ys:
+            bit = ys & -ys
+            ys ^= bit
+            y = bit.bit_length() - 1
+            new_y, old_y = new_h[y], old_h[y]
+            base = y * (y - 1) // 2
+            row = rows[y]
+            xs = off & (bit - 1)
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                x = low.bit_length() - 1
+                c = new_y[x] - old_y[x]
+                table[base + x] += -c if row & low else c
+    for y in range(len(rows)):
+        base = y * (y - 1) // 2
+        xs = (1 << y) - 1 if hubs >> y & 1 else hubs & ((1 << y) - 1)
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            x = low.bit_length() - 1
+            table[base + x] = wheel_toggle_delta(g, x, y, k, cache)
 
 
 def count_books(g: Graph, k: int) -> int:

@@ -15,12 +15,14 @@ It keeps one union graph per side of the problem (a set of colors and a
 shape) current across recolorings, and with it the side's cache and a
 table of the side's toggle delta at every pair, built through counting's
 shape_toggle_delta.  A move toggles its edge in the sides it touches and
-brings their tables up to date: a book side through counting's
+corrects their tables in place: a book side through counting's
 update_book_table and a clique side through update_clique_table, each of
-which corrects in place only the pairs near the edge whose delta the
-toggle can change and recomputes nothing; a wheel side rebuilds its whole
-table through shape_toggle_delta.  A scan reads each candidate's delta as
-a sum of table entries and calls no counter.
+which touches only the pairs near the edge whose delta the toggle can
+change and recomputes nothing, and a wheel side through
+update_wheel_table, which moves the pairs inside the rebuilt hubs'
+neighbourhoods by their change of rim paths and recomputes only the pairs
+meeting those hubs.  A scan reads each candidate's delta as a sum of table
+entries and calls no counter.
 Every 2**14 steps the maintained score is audited against a full recount
 from the coloring itself, so a drift in the side graphs or caches shows up
 even when the score still agrees with them, and each table against its
@@ -47,6 +49,7 @@ from .counting import (
     shape_toggle_delta,
     update_book_table,
     update_clique_table,
+    update_wheel_table,
 )
 from .errors import InputError, VerificationError, WorkerLost
 from .graphs import Graph, MultiColoring, edge_color_hash, pair_iter, state_hash
@@ -83,22 +86,24 @@ class _Side:
         return [shape_toggle_delta(g, u, v, shape, cache) for u, v in pair_iter(g.n)]
 
     def toggle(self, u: int, v: int) -> None:
-        """Toggle (u, v) in g, update the cache, then bring the table up to
-        date: a book side corrects it in place through update_book_table
-        (the pairs meeting {u, v} and those joining N(u) ∩ N(v) to
-        N(u) ∪ N(v)), a clique side through update_clique_table (the pairs
-        meeting {u, v} and those inside N(u) ∩ N(v)), calling no delta, and
-        a wheel side recomputes it whole."""
-        g, shape = self.g, self.shape
+        """Toggle (u, v) in g, update the cache, then correct the table in
+        place: a book side through update_book_table (the pairs meeting
+        {u, v} and those joining N(u) ∩ N(v) to N(u) ∪ N(v)) and a clique
+        side through update_clique_table (the pairs meeting {u, v} and those
+        inside N(u) ∩ N(v)), calling no delta; a wheel side through
+        update_wheel_table (the pairs inside N(h) for the rebuilt hubs h in
+        R = {u, v} ∪ N(u) ∩ N(v)), recomputing only the pairs meeting R."""
+        g, shape, cache = self.g, self.shape, self.cache
+        old = cache.P[:] if isinstance(cache, WheelCache) else None  # rebuilds replace rows
         g.toggle_edge(u, v)
-        if self.cache is not None:
-            self.cache.apply_toggle(g, u, v)
+        if cache is not None:
+            cache.apply_toggle(g, u, v)
         if isinstance(shape, Book):
-            update_book_table(g.rows, self.table, u, v, self.cache.cd, self.pages)
+            update_book_table(g.rows, self.table, u, v, cache.cd, self.pages)
         elif isinstance(shape, Clique):
             update_clique_table(g.rows, self.table, u, v, shape.k)
         else:
-            self.table[:] = self.fresh_table()
+            update_wheel_table(g.rows, self.table, u, v, cache, old)
 
 
 class _Scorer:

@@ -21,6 +21,7 @@ from ramseykit.counting import (
     shape_toggle_delta,
     update_book_table,
     update_clique_table,
+    update_wheel_table,
     wheel_toggle_delta,
 )
 from ramseykit.errors import InputError
@@ -411,22 +412,40 @@ class _Written(list):
         super().__setitem__(i, value)
 
 
-def _correct(shape, g, table, a, b):
-    """Run the shape's corrector on `table` after `g` has toggled (a, b)."""
+def _correct(shape, g, table, a, b, cache=None):
+    """Toggle (a, b) in `g`, bring `cache` up to date (a book or wheel side
+    builds a fresh one when none is given), and run the shape's corrector
+    on `table`."""
+    if cache is None and not isinstance(shape, Clique):
+        cache = CodegreeCache(g) if isinstance(shape, Book) else WheelCache(g, shape.k)
+    old = cache.P[:] if isinstance(shape, Wheel) else None
+    g.toggle_edge(a, b)
+    if cache is not None:
+        cache.apply_toggle(g, a, b)
     if isinstance(shape, Book):
         pages = [comb(i, shape.k - 1) for i in range(g.n)]
-        update_book_table(g.rows, table, a, b, CodegreeCache(g).cd, pages)
+        update_book_table(g.rows, table, a, b, cache.cd, pages)
+    elif isinstance(shape, Wheel):
+        update_wheel_table(g.rows, table, a, b, cache, old)
     else:
         update_clique_table(g.rows, table, a, b, shape.k)
+
+
+CLIQUES = [Clique(2), Clique(3), Clique(4), Clique(5), Clique(6)]
+WHEELS = [Wheel(4), Wheel(5), Wheel(6), Wheel(7)]
 
 
 class TestChangedPairs:
     """A toggle of (a, b) makes each corrector write only inside its rule:
     for books the pairs meeting {a, b} and those joining I = N(a) ∩ N(b) to
-    N(a) ∪ N(b), for cliques the pairs meeting {a, b} and those inside I."""
+    N(a) ∪ N(b), for cliques the pairs meeting {a, b} and those inside I,
+    for wheels the pairs meeting R = {a, b} ∪ I and those inside N(h) for
+    some h in R."""
 
     @pytest.mark.parametrize(
-        "shape", [Book(1), Book(2), Book(3), Clique(3), Clique(4), Clique(5)], ids=repr
+        "shape",
+        [Book(1), Book(2), Book(3), Clique(2), Clique(3), Clique(4), Clique(5), *WHEELS],
+        ids=repr,
     )
     def test_changed_deltas_lie_inside_the_rule(self, shape):
         # the rule is written out here from its definition: every uncached
@@ -442,14 +461,18 @@ class TestChangedPairs:
                     ends = 1 << a | 1 << b
                     inter = set(bits_of(g.rows[a] & g.rows[b] & ~ends))
                     union = set(bits_of((g.rows[a] | g.rows[b]) & ~ends))
+                    meet = {a, b}
                     if isinstance(shape, Book):
                         off = {(x, y) for x, y in pairs if {x, y} <= union and {x, y} & inter}
+                    elif isinstance(shape, Wheel):
+                        meet |= inter
+                        nbhds = [set(bits_of(g.rows[h])) for h in meet]
+                        off = {(x, y) for x, y in pairs if any({x, y} <= nb for nb in nbhds)}
                     else:
                         off = {(x, y) for x, y in pairs if {x, y} <= inter}
-                    rule = off | {(x, y) for x, y in pairs if {x, y} & {a, b}}
+                    rule = off | {(x, y) for x, y in pairs if {x, y} & meet}
                     before = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
                     table = _Written(before)
-                    g.toggle_edge(a, b)
                     _correct(shape, g, table, a, b)
                     assert {pairs[i] for i in table.at} <= rule, (n, (a, b))
                     for (x, y), d in zip(pairs, before):
@@ -468,7 +491,6 @@ class TestChangedPairs:
         def ruled(shape, a, b):
             h = g.copy()
             table = _Written(shape_toggle_delta(h, x, y, shape) for x, y in pairs)
-            h.toggle_edge(a, b)
             _correct(shape, h, table, a, b)
             return {pairs[i] for i in table.at}
 
@@ -482,40 +504,37 @@ class TestChangedPairs:
 
 
 class TestUpdateTable:
-    """A delta table corrected in place after a toggle equals a fresh one at
-    every pair, so the corrections, not only the rule, are exact."""
+    """A delta table corrected in place after a toggle equals a fresh one,
+    computed without a cache, at every pair, so the corrections, not only
+    the rule, are exact."""
 
     @pytest.mark.parametrize(
         "shape",
-        [Book(1), Book(2), Book(3), Book(4), Clique(3), Clique(4), Clique(5), Clique(6)],
+        [Book(1), Book(2), Book(3), Book(4), *CLIQUES, *WHEELS],
         ids=repr,
     )
     def test_corrected_table_equals_a_fresh_one(self, shape):
         rng = random.Random(f"update-table:{shape!r}")
-        book = isinstance(shape, Book)
         for n in range(5, 15):
             pairs = list(pair_iter(n))
             for p in (0.35, 0.5, 0.65):
                 g = random_graph(rng, n, p)
-                cache = CodegreeCache(g) if book else None
-                pages = [comb(i, shape.k - 1) for i in range(n)] if book else None
+                cache = None
+                if isinstance(shape, Book):
+                    cache = CodegreeCache(g)
+                elif isinstance(shape, Wheel):
+                    cache = WheelCache(g, shape.k)
                 delta = partial(shape_toggle_delta, g, shape=shape, cache=cache)
                 table = [delta(x, y) for x, y in pairs]
                 for _ in range(6):
                     a, b = rng.sample(range(n), 2)
-                    g.toggle_edge(a, b)
-                    if book:
-                        cache.apply_toggle(g, a, b)
-                    if book:
-                        update_book_table(g.rows, table, a, b, cache.cd, pages)
-                    else:
-                        update_clique_table(g.rows, table, a, b, shape.k)
+                    _correct(shape, g, table, a, b, cache)
                     fresh = [shape_toggle_delta(g, x, y, shape) for x, y in pairs]
                     assert table == fresh, (n, p, (a, b))
 
     @pytest.mark.parametrize(
         "shape",
-        [Book(1), Book(2), Book(3), Book(4), Clique(3), Clique(4), Clique(5), Clique(6)],
+        [Book(1), Book(2), Book(3), Book(4), *CLIQUES],
         ids=repr,
     )
     def test_sparse_and_dense_corrections_read_no_wrapped_page_or_delta(self, shape):

@@ -292,7 +292,7 @@ class TestReverification:
             for _ in range(10):
                 tabu_step(st)
 
-    @pytest.mark.parametrize("spec", ["B2,B8", "K4,K4", "GR:3,K5,2"])
+    @pytest.mark.parametrize("spec", ["B2,B8", "K4,K4", "W5,W7", "GR:3,K5,2"])
     def test_audit_catches_a_dropped_off_edge_correction(self, monkeypatch, spec):
         # a corrector that misses one pair off the toggled edge leaves a
         # stale table entry; the table audit must see it in the step it
@@ -315,7 +315,7 @@ class TestReverification:
 
             return corrector
 
-        for name in ("update_book_table", "update_clique_table"):
+        for name in ("update_book_table", "update_clique_table", "update_wheel_table"):
             monkeypatch.setattr(tabu, name, drop_one_pair(getattr(tabu, name)))
         st = init_state(parse_problem(spec), 12, seed=4)
         with pytest.raises(VerificationError, match="delta table drifted"):
